@@ -10,7 +10,7 @@ Commands::
 
 Exit codes: 0 success, 1 usage or parse error, 2 precondition violation,
 3 resource cap, 4 under-enumeration.  LAMTOOL_SIZE_CAP overrides the
-intermediate-word letter cap, LAMTOOL_BACKEND picks the kernel backend.
+intermediate-word letter cap, which also bounds the counting automaton.
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ import sys
 
 from . import __version__
 from .boundary import cover_bound_series, dim_upper_estimate
+from .config import size_cap
 from .errors import (DomainError, InsufficientDataError, LamtoolError,
                      MalformedInputError, ParseError, PreconditionError,
-                     SizeCapExceeded, UnderEnumerationError)
+                     SizeCapExceeded, UnderEnumerationError, UsageError)
 from .fileformat import AnalysisInput, build_language, parse
 from .graphmaps import (analyze_matrix, is_train_track, orientability,
                         transition_matrix)
@@ -36,10 +37,6 @@ from .substitutions import (from_train_track, growth_equivalence_witness,
                             linear_fit_constant)
 
 _EXTENSION_LIMIT = 5000
-
-
-class UsageError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -232,14 +229,14 @@ def _parse_deltas(text: str) -> list[float]:
     if not deltas:
         raise UsageError("empty delta list")
     for d in deltas:
-        if d <= 0:
-            raise UsageError("every delta must be positive")
+        if not math.isfinite(d) or d <= 0:
+            raise UsageError("every delta must be finite and positive")
     return deltas
 
 
 def _cmd_dimension(args) -> int:
-    if args.a <= 1:
-        raise UsageError("--a must be > 1")
+    if not math.isfinite(args.a) or args.a <= 1:
+        raise UsageError("--a must be finite and > 1")
     if args.max_n < 1:
         raise UsageError("--max-n must be >= 1")
     deltas = _parse_deltas(args.delta)
@@ -437,6 +434,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        size_cap()  # a bad LAMTOOL_SIZE_CAP is a usage error for every command
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

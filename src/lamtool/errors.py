@@ -10,6 +10,10 @@ class LamtoolError(Exception):
     """Base class for all errors raised by lamtool."""
 
 
+class UsageError(LamtoolError):
+    """A command-line argument or environment setting is not usable."""
+
+
 class MalformedInputError(LamtoolError, ValueError):
     """A token, letter or structural field is not well formed."""
 

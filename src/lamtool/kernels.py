@@ -1,23 +1,14 @@
-"""Hot inner-loop kernels with a numba backend and a pure-Python fallback.
+"""Hot inner-loop kernels over packed ``int32`` words, in pure Python and numpy.
 
 Words are packed into ``int32`` numpy arrays.  For involutive (edge)
 alphabets the letter with topological index i and its inverse occupy codes
 ``2i`` and ``2i + 1``, so inversion is ``code ^ 1``; plain substitution
 alphabets just use ``0 .. sigma-1`` and never call the cancellation kernel.
 
-The backend is picked once at import time from ``LAMTOOL_BACKEND``:
-
-* ``auto`` (default) - numba when importable, Python otherwise;
-* ``numba``          - require numba, raise if missing;
-* ``python``         - force the fallback (useful for debugging and for
-  the benchmark in ``benchmarks/bench_kernels.py``).
-
-Both backends are exact integer algorithms and return identical arrays.
+There is one backend; ``BACKEND`` names it for run records.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -28,221 +19,76 @@ __all__ = [
     "substring_counts",
 ]
 
+BACKEND = "python"
 
-def _pick_backend():
-    choice = os.environ.get("LAMTOOL_BACKEND", "auto").strip().lower()
-    if choice not in ("auto", "numba", "python"):
-        raise ValueError(f"LAMTOOL_BACKEND must be auto|numba|python, got {choice!r}")
-    if choice == "python":
-        return "python", None
-    try:
-        from numba import njit
-    except ImportError:
-        if choice == "numba":
-            raise
-        return "python", None
-    return "numba", njit
-
-
-BACKEND, _njit = _pick_backend()
-
-
-# ---------------------------------------------------------------------------
-# pure-Python reference implementations
-# ---------------------------------------------------------------------------
-
-def _tighten_py(codes):
-    out = np.empty_like(codes)
-    top = 0
-    for c in codes:
-        if top > 0 and out[top - 1] == c ^ 1:
-            top -= 1
-        else:
-            out[top] = c
-            top += 1
-    return out[:top].copy()
-
-
-def _expand_py(codes, offsets, data):
-    total = 0
-    for c in codes:
-        total += offsets[c + 1] - offsets[c]
-    out = np.empty(total, dtype=np.int32)
-    pos = 0
-    for c in codes:
-        lo, hi = offsets[c], offsets[c + 1]
-        out[pos:pos + (hi - lo)] = data[lo:hi]
-        pos += hi - lo
-    return out
-
-
-def _substring_counts_py(codes, sigma, n_max):
-    """Distinct-substring counts per length via a suffix automaton.
-
-    Returns ``counts`` with ``counts[n]`` = number of distinct length-n
-    substrings of ``codes`` for 1 <= n <= n_max (index 0 unused).
-    """
-    # dict transitions keep the fallback memory-lean for any alphabet size
-    trans = [dict()]
-    link = [-1]
-    length = [0]
-    last = 0
-    for c in codes:
-        c = int(c)
-        cur = len(trans)
-        trans.append(dict())
-        length.append(length[last] + 1)
-        link.append(-1)
-        p = last
-        while p != -1 and c not in trans[p]:
-            trans[p][c] = cur
-            p = link[p]
-        if p == -1:
-            link[cur] = 0
-        else:
-            q = trans[p][c]
-            if length[p] + 1 == length[q]:
-                link[cur] = q
-            else:
-                clone = len(trans)
-                trans.append(dict(trans[q]))
-                length.append(length[p] + 1)
-                link.append(link[q])
-                while p != -1 and trans[p].get(c) == q:
-                    trans[p][c] = clone
-                    p = link[p]
-                link[q] = clone
-                link[cur] = clone
-        last = cur
-    diff = np.zeros(n_max + 2, dtype=np.int64)
-    for v in range(1, len(trans)):
-        lo = length[link[v]] + 1
-        hi = length[v]
-        if lo > n_max:
-            continue
-        if hi > n_max:
-            hi = n_max
-        diff[lo] += 1
-        diff[hi + 1] -= 1
-    return np.cumsum(diff[:-1])
-
-
-# ---------------------------------------------------------------------------
-# numba kernels
-# ---------------------------------------------------------------------------
-
-if BACKEND == "numba":
-
-    @_njit(cache=True)
-    def _tighten_nb(codes):  # pragma: no cover - exercised via dispatch
-        out = np.empty_like(codes)
-        top = 0
-        for i in range(codes.shape[0]):
-            c = codes[i]
-            if top > 0 and out[top - 1] == c ^ 1:
-                top -= 1
-            else:
-                out[top] = c
-                top += 1
-        return out[:top].copy()
-
-    @_njit(cache=True)
-    def _expand_nb(codes, offsets, data):  # pragma: no cover
-        total = 0
-        for i in range(codes.shape[0]):
-            c = codes[i]
-            total += offsets[c + 1] - offsets[c]
-        out = np.empty(total, dtype=np.int32)
-        pos = 0
-        for i in range(codes.shape[0]):
-            c = codes[i]
-            for j in range(offsets[c], offsets[c + 1]):
-                out[pos] = data[j]
-                pos += 1
-        return out
-
-    @_njit(cache=True)
-    def _substring_counts_nb(codes, sigma, n_max):  # pragma: no cover
-        max_states = 2 * codes.shape[0] + 5
-        trans = np.full((max_states, sigma), -1, dtype=np.int32)
-        link = np.full(max_states, -1, dtype=np.int32)
-        length = np.zeros(max_states, dtype=np.int64)
-        size = 1
-        last = 0
-        for i in range(codes.shape[0]):
-            c = codes[i]
-            cur = size
-            size += 1
-            length[cur] = length[last] + 1
-            link[cur] = -1
-            p = last
-            while p != -1 and trans[p, c] == -1:
-                trans[p, c] = cur
-                p = link[p]
-            if p == -1:
-                link[cur] = 0
-            else:
-                q = trans[p, c]
-                if length[p] + 1 == length[q]:
-                    link[cur] = q
-                else:
-                    clone = size
-                    size += 1
-                    length[clone] = length[p] + 1
-                    for a in range(sigma):
-                        trans[clone, a] = trans[q, a]
-                    link[clone] = link[q]
-                    while p != -1 and trans[p, c] == q:
-                        trans[p, c] = clone
-                        p = link[p]
-                    link[q] = clone
-                    link[cur] = clone
-            last = cur
-        diff = np.zeros(n_max + 2, dtype=np.int64)
-        for v in range(1, size):
-            lo = length[link[v]] + 1
-            hi = length[v]
-            if lo > n_max:
-                continue
-            if hi > n_max:
-                hi = n_max
-            diff[lo] += 1
-            diff[hi + 1] -= 1
-        counts = np.zeros(n_max + 1, dtype=np.int64)
-        running = 0
-        for n in range(n_max + 1):
-            running += diff[n]
-            counts[n] = running
-        return counts
-
-
-# ---------------------------------------------------------------------------
-# dispatch surface
-# ---------------------------------------------------------------------------
 
 def tighten_codes(codes):
     """Cancel adjacent inverse pairs; returns the reduced int32 array."""
-    codes = np.ascontiguousarray(codes, dtype=np.int32)
-    if BACKEND == "numba":
-        return _tighten_nb(codes)
-    return _tighten_py(codes)
+    out = []
+    for c in np.asarray(codes, dtype=np.int32).tolist():
+        if out and out[-1] == c ^ 1:
+            out.pop()
+        else:
+            out.append(c)
+    return np.asarray(out, dtype=np.int32)
 
 
 def expand_codes(codes, offsets, data):
     """Concatenate ``data[offsets[c]:offsets[c+1]]`` for every code."""
-    codes = np.ascontiguousarray(codes, dtype=np.int32)
-    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-    data = np.ascontiguousarray(data, dtype=np.int32)
-    if BACKEND == "numba":
-        return _expand_nb(codes, offsets, data)
-    return _expand_py(codes, offsets, data)
+    codes = np.asarray(codes, dtype=np.int32)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    data = np.asarray(data, dtype=np.int32)
+    starts = offsets[codes]
+    sizes = offsets[codes + 1] - starts
+    # output position i of block j reads data[starts[j] + i - block_start[j]]
+    shift = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+    return data[np.arange(shift.size) + shift]
 
 
 def substring_counts(codes, sigma, n_max):
-    """Exact distinct-substring counts of ``codes`` for lengths 1..n_max."""
-    codes = np.ascontiguousarray(codes, dtype=np.int32)
+    """Exact distinct-substring counts of ``codes`` for lengths 1..n_max.
+
+    Builds the suffix automaton of the word with one flat transition list,
+    ``trans[state * sigma + c]`` (-1 for no edge).  State v stands for the
+    substrings of lengths ``length[link[v]] + 1 .. length[v]``, so the counts
+    are a difference array over those ranges.  Returns ``counts`` with
+    ``counts[n]`` the number of distinct length-n substrings (index 0 is 0).
+    """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if BACKEND == "numba":
-        return _substring_counts_nb(codes, np.int64(sigma), np.int64(n_max))
-    return _substring_counts_py(codes, sigma, n_max)
+    blank = [-1] * sigma
+    trans = list(blank)
+    link = [-1]
+    length = [0]
+    last = 0
+    for c in np.asarray(codes, dtype=np.int32).tolist():
+        cur = len(length)
+        trans += blank
+        length.append(length[last] + 1)
+        link.append(0)
+        p = last
+        while p != -1 and trans[p * sigma + c] == -1:
+            trans[p * sigma + c] = cur
+            p = link[p]
+        if p != -1:
+            q = trans[p * sigma + c]
+            if length[p] + 1 == length[q]:
+                link[cur] = q
+            else:
+                clone = len(length)
+                trans += trans[q * sigma:(q + 1) * sigma]
+                length.append(length[p] + 1)
+                link.append(link[q])
+                while p != -1 and trans[p * sigma + c] == q:
+                    trans[p * sigma + c] = clone
+                    p = link[p]
+                link[q] = clone
+                link[cur] = clone
+        last = cur
+    length = np.asarray(length, dtype=np.int64)
+    lo = length[np.asarray(link[1:], dtype=np.int64)] + 1
+    hi = np.minimum(length[1:], n_max)
+    keep = lo <= n_max
+    diff = (np.bincount(lo[keep], minlength=n_max + 2)
+            - np.bincount(hi[keep] + 1, minlength=n_max + 2))
+    return np.cumsum(diff[:-1])

@@ -6,8 +6,9 @@ Two enumeration routes are provided and cross-checked in the tests:
   iterating the substitution on every letter until a full extra round adds
   nothing;
 * :func:`complexity_counts` only counts: it runs the distinct-substring
-  kernel over a long eigenray prefix and certifies the result by doubling
-  the prefix until the counts stop changing.
+  kernel once, over the eigenray prefix that the length-2-factor
+  certificate (:func:`counting_certificate`) proves holds every factor of
+  length <= ``n_max``.
 
 The second route is what makes covering-bound tables to n = 5000 cheap.
 """
@@ -15,7 +16,7 @@ The second route is what makes covering-bound tables to n = 5000 cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -34,6 +35,9 @@ __all__ = [
     "eigen_exponent",
     "eigenray_prefix",
     "factor_language",
+    "length2_factors",
+    "counting_certificate",
+    "CountingCertificate",
     "complexity_counts",
     "complexity_table",
     "entropy_estimate",
@@ -196,22 +200,13 @@ def eigen_exponent(sub: Substitution, seed: int) -> int:
     return k
 
 
-def default_eigenletter(sub: Substitution) -> int:
-    """The least letter sitting on a growing first-letter cycle."""
-    for seed in range(sub.sigma):
-        try:
-            eigen_exponent(sub, seed)
-            return seed
-        except NotAnEigenletterError:
-            continue
-    raise NotAnEigenletterError("no letter generates an eigenray")
-
-
 def eigenray_prefix(sub: Substitution, seed, target_len: int, cap=None) -> np.ndarray:
-    """A prefix of the eigenray of ``seed`` with length >= target_len.
+    """The prefix of length target_len of the eigenray of ``seed``.
 
-    Successive iterates of theta^k extend each other, so the returned word
-    is a genuine prefix of the infinite fixed ray.
+    Successive iterates of theta^k extend each other, and the image of a
+    prefix is a prefix of the image, so each round expands only the letters
+    whose images reach target_len.  A target beyond the cap is refused
+    before anything is expanded.
     """
     if isinstance(seed, str):
         seed = sub.index(seed)
@@ -219,14 +214,18 @@ def eigenray_prefix(sub: Substitution, seed, target_len: int, cap=None) -> np.nd
         raise DomainError("target length must be >= 1")
     k = eigen_exponent(sub, seed)
     cap = size_cap(cap)
+    if target_len > cap:
+        raise SizeCapExceeded(
+            f"eigenray prefix of {target_len} letters exceeds the cap {cap}",
+            attempted=target_len, cap=cap)
+    offsets, data = sub.tables()
     word = np.asarray([seed], dtype=np.int32)
     while word.size < target_len:
         for _ in range(k):
-            word = sub.apply(word, cap)
-        if word.size > target_len:
-            # a prefix of theta^k(w) is still a prefix of the eigenray
-            word = word[:target_len]
-    return word
+            reach = np.cumsum(offsets[word + 1] - offsets[word])
+            word = expand_codes(word[:np.searchsorted(reach, target_len) + 1],
+                                offsets, data)
+    return word[:target_len]
 
 
 # ---------------------------------------------------------------------------
@@ -315,35 +314,96 @@ def factor_language(sub: Substitution, n_max: int, cap=None) -> FactorLanguage:
 # counting route
 # ---------------------------------------------------------------------------
 
-def complexity_counts(sub: Substitution, n_max: int, cap=None,
-                      prefix_limit: int = 1 << 21) -> np.ndarray:
+def length2_factors(sub: Substitution) -> frozenset:
+    """The length-2 factors of the language, by closure.
+
+    The seeds are the pairs inside each image.  The pairs inside theta(xy)
+    are those inside theta(x) and theta(y), which are seeds, and the one
+    across the boundary, so only that pair is added for each pair xy found.
+    """
+    images = sub.images
+    pairs = {pair for img in images for pair in zip(img, img[1:])}
+    frontier = list(pairs)
+    while frontier:
+        x, y = frontier.pop()
+        pair = (images[x][-1], images[y][0])
+        if pair not in pairs:
+            pairs.add(pair)
+            frontier.append(pair)
+    return frozenset(pairs)
+
+
+class CountingCertificate(NamedTuple):
+    """The eigenray prefix that carries every factor of length <= n_max."""
+
+    sub: Substitution    # theta or its mirror, with the same p(n)
+    seed: int            # the eigenletter
+    power: int           # k, a multiple of the eigen exponent
+    letters: int         # |theta^k(Q)|, Q the shortest prefix holding every pair
+
+
+def counting_certificate(sub: Substitution, n_max: int) -> CountingCertificate:
+    """The shortest certified eigenray prefix over all eigenletters.
+
+    Every factor w with |w| <= n_max <= min_c |theta^k(c)| lies in the image
+    under theta^k of some length-2 factor xy, since theta^k of a long word
+    cuts w into at most two blocks.  If Q is the shortest prefix of the
+    eigenray u holding every length-2 factor, theta^k(Q) holds every such
+    image, and with k a multiple of the eigen exponent it is the prefix of
+    u of length sum_{q in Q} |theta^k(q)|.
+
+    The mirror of theta (every image reversed) has the reversed language and
+    so the same p(n); its eigenrays are searched too, so that the choice, and
+    the prefix length, do not depend on which orientation an input chose.
+    """
+    mirror = Substitution(sub.letters, [img[::-1] for img in sub.images])
+    best = None
+    for side in (sub, mirror):
+        pairs = length2_factors(side)
+        for seed in range(sub.sigma):
+            try:
+                e = eigen_exponent(side, seed)
+            except NotAnEigenletterError:
+                continue
+            # the ray prefix theta^(je)(seed), until it holds every pair
+            word = (seed,)
+            while not pairs <= set(zip(word, word[1:])):
+                for _ in range(e):
+                    word = tuple(c for x in word for c in side.images[x])
+            missing = set(pairs)
+            end = 0
+            while missing:
+                missing.discard(word[end:end + 2])
+                end += 1
+            lengths = [1] * sub.sigma  # |theta^k(c)|
+            k = 0
+            while k % e or min(lengths) < n_max:
+                lengths = [sum(lengths[x] for x in img) for img in sub.images]
+                k += 1
+            letters = sum(lengths[q] for q in word[:end + 1])
+            if best is None or letters < best.letters:
+                best = CountingCertificate(side, seed, k, letters)
+    if best is None:
+        raise NotAnEigenletterError("no letter generates an eigenray")
+    return best
+
+
+def complexity_counts(sub: Substitution, n_max: int, cap=None) -> np.ndarray:
     """Exact p(n) for n = 1..n_max without materializing the language.
 
-    Counts distinct substrings of an eigenray prefix and doubles the prefix
-    until the whole table is unchanged, which certifies that every factor of
-    length <= n_max already occurs (the language equals the factor set of
-    any eigenray).  Index 0 of the returned array is 0.
+    Counts the distinct substrings of the eigenray prefix that
+    :func:`counting_certificate` proves holds every factor of length
+    <= n_max.  The cap bounds that prefix, and with it the automaton; a
+    prefix beyond it is refused before anything is expanded.  Index 0 of
+    the returned array is 0.
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     if not sub.is_primitive():
         raise DomainError("complexity counting requires a primitive substitution")
-    seed = default_eigenletter(sub)
-    n = max(1024, 4 * n_max)
-    ray = eigenray_prefix(sub, seed, min(2 * n, prefix_limit), cap)
-    counts = substring_counts(ray[:n], sub.sigma, n_max)
-    while True:
-        if 2 * n > prefix_limit:
-            raise UnderEnumerationError(
-                f"factor counts did not stabilize within a {prefix_limit}-letter "
-                "eigenray prefix", achieved=n, required=2 * n)
-        if ray.size < 2 * n:
-            ray = eigenray_prefix(sub, seed, 2 * n, cap)
-        doubled = substring_counts(ray[:2 * n], sub.sigma, n_max)
-        if np.array_equal(counts, doubled):
-            return counts
-        counts = doubled
-        n *= 2
+    cert = counting_certificate(sub, n_max)
+    ray = eigenray_prefix(cert.sub, cert.seed, cert.letters, cap)
+    return substring_counts(ray, sub.sigma, n_max)
 
 
 # ---------------------------------------------------------------------------

@@ -198,6 +198,15 @@ class TestDimensionCommand:
                              "--max-n", "20")
         assert code == 1
 
+    @pytest.mark.parametrize("a, delta", [
+        ("inf", "0.5"), ("nan", "0.5"), ("-inf", "0.5"),
+        ("2", "inf"), ("2", "nan"), ("2", "0.5,inf")])
+    def test_non_finite_values_exit_1(self, a, delta):
+        code, _, err = run_cli("dimension", FIB, "--a", a, "--delta", delta,
+                               "--max-n", "20")
+        assert code == 1
+        assert "Traceback" not in err
+
     def test_json_report(self):
         code, out, _ = run_cli("dimension", FIB, "--a", "2",
                                "--delta", "0.5,0.1", "--max-n", "60", "--json")
@@ -213,6 +222,28 @@ class TestDimensionCommand:
         assert code == 0
         lines = target.read_text().splitlines()
         assert lines[0] == "n,beta,bound"
+
+
+class TestSizeCapSetting:
+    @pytest.mark.parametrize("value", ["abc", "0", "-5", "1.5"])
+    def test_unusable_value_exit_1(self, value):
+        env = dict(os.environ, LAMTOOL_SIZE_CAP=value)
+        proc = subprocess.run(
+            [sys.executable, "-m", "lamtool.cli", "complexity", str(FIBSUB),
+             "--max-n", "5"],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        assert "LAMTOOL_SIZE_CAP" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_certified_prefix_beyond_cap_exit_3(self):
+        env = dict(os.environ, LAMTOOL_SIZE_CAP="1000")
+        proc = subprocess.run(
+            [sys.executable, "-m", "lamtool.cli", "complexity", str(FIBSUB),
+             "--max-n", "500"],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 3
+        assert "eigenray prefix" in proc.stderr
 
 
 class TestCollapseCommand:

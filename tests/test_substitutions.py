@@ -1,15 +1,20 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lamtool import (Substitution, analyze_matrix, complexity_counts,
                      complexity_table, eigenray_prefix, entropy_estimate,
                      factor_language, from_train_track,
                      growth_equivalence_witness, orientability)
+from lamtool import substitutions
 from lamtool.errors import (DomainError, InsufficientDataError,
-                            MalformedInputError, NotAnEigenletterError)
-from lamtool.substitutions import (default_eigenletter, eigen_exponent,
-                                   linear_fit_constant)
+                            MalformedInputError, NotAnEigenletterError,
+                            SizeCapExceeded)
+from lamtool.substitutions import (counting_certificate, eigen_exponent,
+                                   length2_factors, linear_fit_constant)
 
 from conftest import fibonacci_word, string_factors, thue_morse_word
 
@@ -90,7 +95,6 @@ class TestEigenrays:
         sub = Substitution.from_tokens({"a": ["a", "b"], "b": ["a"]})
         with pytest.raises(NotAnEigenletterError):
             eigen_exponent(sub, sub.index("b"))
-        assert default_eigenletter(sub) == sub.index("a")
 
     def test_agrees_with_hand_recursions(self, fib, thue_morse):
         assert word_str(fib, eigenray_prefix(fib, "a", 500)) == fibonacci_word(500)
@@ -209,3 +213,66 @@ class TestCountsAtScale:
         counts = complexity_counts(sub, 200)
         assert all(counts[n] <= 3 * n for n in range(1, 201))
         assert all(counts[n] <= counts[n + 1] for n in range(1, 200))
+
+
+@st.composite
+def primitive_substitutions(draw):
+    sigma = draw(st.integers(2, 4))
+    images = [draw(st.lists(st.integers(0, sigma - 1), min_size=1, max_size=4))
+              for _ in range(sigma)]
+    sub = Substitution([chr(ord("a") + i) for i in range(sigma)], images)
+    assume(sub.is_primitive())
+    return sub
+
+
+class TestCertifiedCounting:
+    @settings(max_examples=60, deadline=None)
+    @given(primitive_substitutions())
+    def test_matches_factor_language(self, sub):
+        lang = factor_language(sub, 12)
+        counts = complexity_counts(sub, 12)
+        assert list(counts[1:]) == [lang.p(n) for n in range(1, 13)]
+
+    def test_length2_factors_of_fibonacci(self, fib):
+        assert length2_factors(fib) == {(0, 0), (0, 1), (1, 0)}
+
+    def test_certificate_reads_off_the_prefix_length(self, fib):
+        cert = counting_certificate(fib, 1000)
+        # the mirror a -> ba, b -> a wins: its ray from b is b a a b a b a a,
+        # Q = b a a b, and |theta^16(a)| = 2584, |theta^16(b)| = 1597
+        assert cert.sub.images == ((1, 0), (0,))
+        assert (cert.seed, cert.power) == (1, 16)
+        assert cert.letters == 2 * 2584 + 2 * 1597
+
+    def test_theta_collapse_past_n_43(self, silver_map):
+        sub = from_train_track(silver_map, orientability(silver_map))
+        counts = complexity_counts(sub, 45)
+        assert list(counts[43:46]) == [388, 400, 412]
+
+    def test_certificate_ignores_letter_names_and_mirroring(self):
+        rules = {"a": "abc", "b": "cd", "c": "ea", "d": "fb", "e": "afd",
+                 "f": "ba"}
+        renamed = {"f": "fed", "e": "dc", "d": "bf", "c": "ae", "b": "fac",
+                   "a": "ef"}
+        mirrored = {k: v[::-1] for k, v in rules.items()}
+        letters = {
+            counting_certificate(Substitution.from_tokens(
+                {k: list(v) for k, v in r.items()}), 300).letters
+            for r in (rules, renamed, mirrored)}
+        assert len(letters) == 1
+
+    def test_cap_refuses_before_expanding(self, fib, monkeypatch):
+        letters = counting_certificate(fib, 1000).letters
+
+        def no_expand(*args):
+            raise AssertionError("expanded past the cap")
+
+        monkeypatch.setattr(substitutions, "expand_codes", no_expand)
+        with pytest.raises(SizeCapExceeded) as err:
+            complexity_counts(fib, 1000, cap=letters - 1)
+        assert err.value.attempted == letters
+
+    def test_cap_equal_to_the_prefix_suffices(self, fib):
+        letters = counting_certificate(fib, 1000).letters
+        counts = complexity_counts(fib, 1000, cap=letters)
+        assert np.array_equal(counts[1:], np.arange(2, 1002))
