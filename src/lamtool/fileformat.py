@@ -36,7 +36,7 @@ from .graphs import MarkedMetricGraph
 from .graphmaps import GraphSelfMap
 from .laminations import LaminaryLanguage
 from .substitutions import Substitution
-from .words import NAME_RE, inverse_codes, is_reduced, iter_factors_raw
+from .words import NAME_RE, inverse_codes, iter_factors_raw
 
 _KEYWORDS = {"graph", "vertex", "edge", "map", "vmap", "sub", "lamlang"}
 
@@ -263,9 +263,9 @@ def build_language(spec: LanguageSpec, graph) -> LaminaryLanguage:
             raise ParseError(str(exc))
         if not codes:
             raise ParseError("empty path literal in lamlang section")
-        if not graph.is_edge_path(codes):
-            raise ParseError(f"lamlang path {text!r} is not an edge path")
-        if not is_reduced(codes):
+        if not graph.is_reduced_path(codes):
+            if not graph.is_edge_path(codes):
+                raise ParseError(f"lamlang path {text!r} is not an edge path")
             raise ParseError(f"lamlang path {text!r} is not reduced")
         members.add(codes)
     closed = set(members)

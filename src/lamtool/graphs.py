@@ -12,10 +12,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import DomainError, MalformedInputError, PreconditionError
-from .words import EdgeAlphabet, EdgePath, is_reduced
+from .words import EdgeAlphabet, EdgePath
 
 __all__ = [
     "MarkedMetricGraph",
@@ -45,7 +46,8 @@ class MarkedMetricGraph:
     deterministic.
     """
 
-    __slots__ = ("vertices", "alphabet", "lengths", "_origin", "_vindex", "intermediate")
+    __slots__ = ("vertices", "alphabet", "lengths", "length_unit", "_origin",
+                 "_vindex", "_steps", "_reduced_steps", "_weights", "intermediate")
 
     def __init__(self, vertices: Iterable[str], edges: Sequence[tuple], intermediate: bool = False):
         self.vertices = tuple(sorted(set(vertices)))
@@ -65,6 +67,15 @@ class MarkedMetricGraph:
         self._origin = tuple(origin)
         self.lengths = tuple(lengths)
         self.intermediate = intermediate
+        # every length is an integer weight times 1 / length_unit
+        self.length_unit = lcm(*(length.denominator for length in self.lengths))
+        self._weights = {c: int(self.lengths[c >> 1] * self.length_unit)
+                         for c in self.alphabet.letters()}
+        # the two-letter words an edge path, and a reduced one, may contain
+        self._steps = frozenset(
+            (x, y) for x in self.alphabet.letters() for y in self.alphabet.letters()
+            if origin[x ^ 1] == origin[y])
+        self._reduced_steps = frozenset((x, y) for x, y in self._steps if y != x ^ 1)
 
     # -- basic incidence ---------------------------------------------------
 
@@ -105,20 +116,30 @@ class MarkedMetricGraph:
 
     # -- paths ---------------------------------------------------------------
 
-    def is_edge_path(self, codes) -> bool:
+    def _within(self, codes, steps) -> bool:
         codes = tuple(codes)
-        if not all(self.alphabet.contains(c) for c in codes):
-            return False
-        return all(self.terminus(codes[i]) == self.origin(codes[i + 1])
-                   for i in range(len(codes) - 1))
+        if len(codes) == 1:
+            return self.alphabet.contains(codes[0])
+        return set(zip(codes, codes[1:])) <= steps
+
+    def is_edge_path(self, codes) -> bool:
+        """Every letter is in the alphabet and each ends where the next starts."""
+        return self._within(codes, self._steps)
+
+    def is_reduced_path(self, codes) -> bool:
+        """An edge path that never follows a letter by its inverse."""
+        return self._within(codes, self._reduced_steps)
+
+    def weight(self, codes) -> int:
+        """The metric length of ``codes`` in units of ``1 / length_unit``."""
+        try:
+            return sum(map(self._weights.__getitem__, codes))
+        except KeyError as exc:
+            raise DomainError(
+                f"letter code {exc.args[0]} does not belong to this graph") from None
 
     def metric_length(self, codes) -> Fraction:
-        total = Fraction(0)
-        for c in codes:
-            if not self.alphabet.contains(c):
-                raise DomainError(f"letter code {c} does not belong to this graph")
-            total += self.lengths[c >> 1]
-        return total
+        return Fraction(self.weight(codes), self.length_unit)
 
     def path(self, text: str) -> EdgePath:
         return EdgePath.from_text(self.alphabet, text)
@@ -273,14 +294,20 @@ def project_path(cd: CollapseData, codes) -> tuple[int, ...]:
     """Delete every subtree letter; the image of a reduced path is reduced.
 
     May return the empty tuple (paths lying entirely inside the subtree).
+    The input is checked with one subset test of its two-letter steps
+    against the base graph's reduced steps; only a path that fails is
+    tested again, to say whether it is no edge path or only backtracks.
     """
     codes = tuple(codes)
-    if not cd.base.is_edge_path(codes):
-        raise PreconditionError("project_path expects an edge path in the base graph")
-    if not is_reduced(codes):
+    if not cd.base.is_reduced_path(codes):
+        if not cd.base.is_edge_path(codes):
+            raise PreconditionError(
+                "project_path expects an edge path in the base graph")
         raise PreconditionError("project_path expects a reduced path")
-    out = tuple(cd.base_to_rose[c] for c in codes if (c >> 1) not in cd.subtree)
-    assert is_reduced(out), "projection of a reduced path must be reduced"
+    to_rose = cd.base_to_rose  # exactly the letters outside the subtree
+    out = tuple([to_rose[c] for c in codes if c in to_rose])
+    assert cd.rose.is_reduced_path(out), \
+        "projection of a reduced path must be reduced"
     return out
 
 
@@ -291,9 +318,9 @@ def lift_path(cd: CollapseData, codes) -> tuple[int, ...]:
     ``len(lift) <= lift_stretch * len(w)``.
     """
     codes = tuple(codes)
-    if not cd.rose.is_edge_path(codes):
-        raise PreconditionError("lift_path expects an edge path in the rose")
-    if not is_reduced(codes):
+    if not cd.rose.is_reduced_path(codes):
+        if not cd.rose.is_edge_path(codes):
+            raise PreconditionError("lift_path expects an edge path in the rose")
         raise PreconditionError("lift_path expects a reduced path")
     out: list[int] = []
     for i, c in enumerate(codes):
@@ -304,7 +331,7 @@ def lift_path(cd: CollapseData, codes) -> tuple[int, ...]:
             out.extend(gap)
         out.append(base_letter)
     result = tuple(out)
-    assert is_reduced(result), "lift of a reduced rose path must be reduced"
+    assert cd.base.is_reduced_path(result), "lift of a reduced rose path must be reduced"
     return result
 
 

@@ -28,7 +28,7 @@ from .graphmaps import (GraphSelfMap, analyze_matrix, is_train_track,
 from .substitutions import (EquivalenceWitness, Substitution, complexity_counts,
                             factor_language, from_train_track,
                             growth_equivalence_witness)
-from .words import inverse_codes, is_reduced, iter_factors_raw
+from .words import Stratified, inverse_codes, is_reduced
 
 __all__ = [
     "LaminaryLanguage",
@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 
-class LaminaryLanguage:
+class LaminaryLanguage(Stratified):
     """Length-stratified set of reduced nonempty edge words of a graph."""
 
     def __init__(self, graph: MarkedMetricGraph, strata, symmetric: bool, origin: str):
@@ -54,34 +54,12 @@ class LaminaryLanguage:
         self.origin = origin
         self._metric_lengths = None
 
-    @property
-    def complete_to(self) -> int:
-        return len(self.strata) - 1
-
-    def p(self, n: int) -> int:
-        if not 1 <= n <= self.complete_to:
-            raise UnderEnumerationError(
-                f"p({n}) not enumerated (depth {self.complete_to})",
-                achieved=self.complete_to, required=n)
-        return len(self.strata[n])
-
-    def beta(self, n: int) -> int:
-        return sum(self.p(m) for m in range(1, n + 1))
-
-    def p_counts(self) -> list[int]:
-        return [len(self.strata[n]) for n in range(1, len(self.strata))]
-
-    def members(self, n: int):
-        return sorted(self.strata[n])
-
-    def all_members(self):
-        for n in range(1, len(self.strata)):
-            yield from self.strata[n]
-
-    def metric_lengths(self):
+    def metric_lengths(self) -> list[int]:
+        """The members' metric lengths, sorted, as integers in units of
+        ``1 / graph.length_unit`` (the lcm of the edge length denominators),
+        so that sums and comparisons are exact without a Fraction per member."""
         if self._metric_lengths is None:
-            self._metric_lengths = sorted(
-                self.graph.metric_length(m) for m in self.all_members())
+            self._metric_lengths = sorted(map(self.graph.weight, self.all_members()))
         return self._metric_lengths
 
     def check_invariants(self) -> list[str]:
@@ -131,28 +109,25 @@ def _oriented_substitution(gsm: GraphSelfMap):
 
 def _language_from_substitution(gsm: GraphSelfMap, orn, sub: Substitution,
                                 n_max: int, cap=None) -> LaminaryLanguage:
+    """Relabel the factor language onto edge codes and close it under
+    inversion, one stratum at a time as a block of rows."""
     alphabet = gsm.graph.alphabet
-    code_of = [alphabet.index(tok) for tok in sub.letters]
+    code_of = np.asarray([alphabet.index(tok) for tok in sub.letters], dtype=np.int32)
     flang = factor_language(sub, n_max, cap)
-    strata = [set() for _ in range(n_max + 1)]
+    strata = [frozenset()]
     for n in range(1, n_max + 1):
-        for w in flang.strata[n]:
-            strata[n].add(tuple(code_of[i] for i in w))
-    if orn.orientable:
-        for n in range(1, n_max + 1):
-            forward = set(strata[n])
-            for m in forward:
-                inv = inverse_codes(m)
-                if inv in forward:
-                    raise LamtoolError("positive and inverse parts must be disjoint")
-                strata[n].add(inv)
-    lang = LaminaryLanguage(gsm.graph, strata, symmetric=True,
+        rows = code_of[np.asarray(list(flang.strata[n]), dtype=np.int32).reshape(-1, n)]
+        forward = set(map(tuple, rows.tolist()))
+        inverse = set(map(tuple, (rows[:, ::-1] ^ 1).tolist()))
+        if orn.orientable:
+            if not forward.isdisjoint(inverse):
+                raise LamtoolError("positive and inverse parts must be disjoint")
+            forward |= inverse
+        if not inverse <= forward:
+            raise LamtoolError("attracting language failed inverse closure")
+        strata.append(forward)
+    return LaminaryLanguage(gsm.graph, strata, symmetric=True,
                             origin="attracting-lamination")
-    missing = [m for m in lang.all_members() if inverse_codes(m) not in
-               lang.strata[len(m)]]
-    if missing:
-        raise LamtoolError("attracting language failed inverse closure")
-    return lang
 
 
 def attracting_language(gsm: GraphSelfMap, n_max: int, cap=None) -> LaminaryLanguage:
@@ -185,8 +160,7 @@ def beta_metric(lang: LaminaryLanguage, n) -> int:
         raise UnderEnumerationError(
             f"beta_metric({n}) needs depth {required}, enumerated {lang.complete_to}",
             achieved=lang.complete_to, required=required)
-    lengths = lang.metric_lengths()
-    return bisect_right(lengths, bound)
+    return bisect_right(lang.metric_lengths(), floor(bound * lang.graph.length_unit))
 
 
 # ---------------------------------------------------------------------------
@@ -458,9 +432,9 @@ class FullShiftSource(LanguageSource):
         if self._uniform_length() is not None:
             return _scaled_metric_beta(self, n_max)
         letters = list(self.graph.alphabet.letters())
-        den = np.lcm.reduce([length.denominator for length in self.graph.lengths])
-        weight = {d: int(self.graph.edge_length(d) * den) for d in letters}
-        top = n_max * int(den)
+        den = self.graph.length_unit
+        weight = {d: self.graph.weight((d,)) for d in letters}
+        top = n_max * den
         # exact path counts by scaled metric weight, ending letter by letter
         table = [dict.fromkeys(letters, 0) for _ in range(top + 1)]
         for d in letters:
@@ -483,5 +457,5 @@ class FullShiftSource(LanguageSource):
             running += sum(table[w].values())
             cumulative.append(running)
         for n in range(1, n_max + 1):
-            out.append(cumulative[n * int(den)])
+            out.append(cumulative[n * den])
         return out

@@ -22,11 +22,10 @@ import numpy as np
 
 from .config import size_cap
 from .errors import (DomainError, InsufficientDataError, MalformedInputError,
-                     NotAnEigenletterError, PreconditionError, SizeCapExceeded,
-                     UnderEnumerationError)
+                     NotAnEigenletterError, PreconditionError, SizeCapExceeded)
 from .graphmaps import GraphSelfMap, OrientationResult, analyze_matrix
 from .kernels import expand_codes, substring_counts
-from .words import iter_factors_raw
+from .words import Stratified
 
 __all__ = [
     "Substitution",
@@ -233,32 +232,12 @@ def eigenray_prefix(sub: Substitution, seed, target_len: int, cap=None) -> np.nd
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FactorLanguage:
+class FactorLanguage(Stratified):
     """Length-stratified factor set of a language generator."""
 
     letters: tuple[str, ...]
     strata: tuple[frozenset, ...]  # strata[n] = factors of length n, index 0 empty
     source: str
-
-    @property
-    def complete_to(self) -> int:
-        return len(self.strata) - 1
-
-    def p(self, n: int) -> int:
-        if not 1 <= n <= self.complete_to:
-            raise UnderEnumerationError(
-                f"p({n}) not enumerated (depth {self.complete_to})",
-                achieved=self.complete_to, required=n)
-        return len(self.strata[n])
-
-    def beta(self, n: int) -> int:
-        return sum(self.p(m) for m in range(1, n + 1))
-
-    def p_counts(self) -> list[int]:
-        return [len(self.strata[n]) for n in range(1, len(self.strata))]
-
-    def members(self, n: int):
-        return sorted(self.strata[n])
 
 
 def factor_language(sub: Substitution, n_max: int, cap=None) -> FactorLanguage:
@@ -268,25 +247,31 @@ def factor_language(sub: Substitution, n_max: int, cap=None) -> FactorLanguage:
     round; stops once a full extra round adds nothing and every iterate is
     either stable or has length at least twice ``n_max``.  Primitivity is
     required for the stabilization guarantee.
+
+    A factor is harvested as the bytes of its int32 codes, a slice of its
+    word's buffer, so each length of each word costs one set comprehension
+    and one subset test; each stratum is decoded to int tuples once, at the
+    end.  This route shares no code with :func:`complexity_counts`, which
+    is tested against it.
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     if not sub.is_primitive():
         raise DomainError("factor enumeration requires a primitive substitution")
     cap = size_cap(cap)
+    width = np.dtype(np.int32).itemsize
     strata = [set() for _ in range(n_max + 1)]
 
     def harvest(word) -> bool:
+        data = word.tobytes()
         added = False
-        seen = set()
-        word = tuple(int(c) for c in word)
-        for f in iter_factors_raw(word, n_max):
-            if f not in seen:
-                seen.add(f)
-                stratum = strata[len(f)]
-                if f not in stratum:
-                    stratum.add(f)
-                    added = True
+        for n in range(1, min(n_max, word.size) + 1):
+            span = n * width
+            found = {data[i:i + span]
+                     for i in range(0, len(data) - span + 1, width)}
+            if not found <= strata[n]:
+                strata[n] |= found
+                added = True
         return added
 
     words = [np.asarray([c], dtype=np.int32) for c in range(sub.sigma)]
@@ -305,8 +290,14 @@ def factor_language(sub: Substitution, n_max: int, cap=None) -> FactorLanguage:
         prev_lengths = lengths
         if not added and (grown_enough or stable):
             break
+
+    def decode(stratum, n) -> frozenset:
+        rows = np.frombuffer(b"".join(stratum), dtype=np.int32).reshape(-1, n)
+        return frozenset(map(tuple, rows.tolist()))
+
     return FactorLanguage(sub.letters,
-                          tuple(frozenset(s) for s in strata),
+                          (frozenset(),) + tuple(decode(strata[n], n)
+                                                 for n in range(1, n_max + 1)),
                           source=f"substitution over {len(sub.letters)} letters")
 
 

@@ -17,7 +17,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import DomainError, MalformedInputError, PreconditionError
+from .errors import (DomainError, MalformedInputError, PreconditionError,
+                     UnderEnumerationError)
 from .kernels import tighten_codes
 
 NAME_RE = re.compile(r"\A[a-z][a-z0-9]*\Z")
@@ -221,3 +222,36 @@ def factors(word: EdgePath, n: int) -> set[EdgePath]:
     if not word.is_reduced():
         raise PreconditionError("factors expects a reduced word")
     return {EdgePath(word.alphabet, f) for f in set(iter_factors_raw(word.letters, n))}
+
+
+class Stratified:
+    """Accessors shared by the length-stratified languages.
+
+    A subclass stores ``strata``, with ``strata[n]`` the set of its words of
+    length n and ``strata[0]`` unused; the language is complete to the last
+    stratum.
+    """
+
+    @property
+    def complete_to(self) -> int:
+        return len(self.strata) - 1
+
+    def p(self, n: int) -> int:
+        if not 1 <= n <= self.complete_to:
+            raise UnderEnumerationError(
+                f"p({n}) not enumerated (depth {self.complete_to})",
+                achieved=self.complete_to, required=n)
+        return len(self.strata[n])
+
+    def beta(self, n: int) -> int:
+        return sum(self.p(m) for m in range(1, n + 1))
+
+    def p_counts(self) -> list[int]:
+        return [len(self.strata[n]) for n in range(1, len(self.strata))]
+
+    def members(self, n: int):
+        return sorted(self.strata[n])
+
+    def all_members(self):
+        for n in range(1, len(self.strata)):
+            yield from self.strata[n]

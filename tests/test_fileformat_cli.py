@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -62,6 +63,18 @@ class TestParser:
         lang = build_language(ai.language, ai.graph)
         assert lang.p(1) == 4  # letters closed under inversion
         assert lang.symmetric and not lang.check_invariants()
+
+    @pytest.mark.parametrize("path, fault", [
+        ("e1 e2", "is not an edge path"), ("e1 e1'", "is not reduced"),
+        ("e2 e3' e3", "is not reduced"), ("e2 e3' e2", None)])
+    def test_lamlang_path_checks(self, path, fault):
+        text = THETA.read_text() + f"lamlang demo symmetric=0\n{path}\n"
+        ai = parse(text)
+        if fault is None:
+            assert build_language(ai.language, ai.graph).p(3) == 1
+            return
+        with pytest.raises(ParseError, match=re.escape(f"lamlang path {path!r} {fault}")):
+            build_language(ai.language, ai.graph)
 
     def test_fullshift_closure_flag(self):
         ai = parse(FULL.read_text())

@@ -2,6 +2,7 @@ import random
 from collections import deque
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from lamtool import MarkedMetricGraph, maximal_subtree, metric_length, validate
@@ -156,6 +157,46 @@ class TestProjectLift:
             assert len(project_path(cd, member)) <= len(member)
             count += 1
         assert count >= 500
+
+
+class TestPathTables:
+    """The step-table path checks on theta (the graph of theta_collapse.lam):
+    codes 0, 2, 4 run v0 -> v1 and their inverses 1, 3, 5 run back."""
+
+    NOT_EDGE_PATHS = [(-1,), (0, -1), (6,), (0, 3, 6), (7, 2), (0, 2), (1, 3)]
+
+    @pytest.mark.parametrize("word", NOT_EDGE_PATHS)
+    def test_rejected_as_no_edge_path(self, theta, word):
+        assert not theta.is_edge_path(word)
+        assert not theta.is_reduced_path(word)
+        with pytest.raises(PreconditionError, match="edge path"):
+            project_path(maximal_subtree(theta), word)
+
+    @pytest.mark.parametrize("word", [(0, 1), (2, 5, 4), (5, 4)])
+    def test_backtrack_is_an_edge_path_but_not_reduced(self, theta, word):
+        assert theta.is_edge_path(word)
+        assert not theta.is_reduced_path(word)
+        with pytest.raises(PreconditionError, match="reduced path"):
+            project_path(maximal_subtree(theta), word)
+
+    def test_short_and_numpy_words_accepted(self, theta):
+        cd = maximal_subtree(theta)
+        for word in ((), (4,), (2, 5, 2)):
+            assert theta.is_edge_path(word) and theta.is_reduced_path(word)
+        assert project_path(cd, ()) == ()
+        assert project_path(cd, (0,)) == ()  # e1 is the tree edge
+        assert project_path(cd, (4,)) == (cd.base_to_rose[4],)
+        word = np.array([2, 5, 2, 1], dtype=np.int32)
+        assert theta.is_edge_path(word) and theta.is_reduced_path(word)
+        assert project_path(cd, word) == project_path(cd, (2, 5, 2, 1))
+        assert project_path(cd, word) == tuple(cd.base_to_rose[c] for c in (2, 5, 2))
+
+    def test_lift_rejects_with_the_same_messages(self, theta):
+        cd = maximal_subtree(theta)
+        with pytest.raises(PreconditionError, match="edge path"):
+            lift_path(cd, (cd.rose.alphabet.size,))
+        with pytest.raises(PreconditionError, match="reduced path"):
+            lift_path(cd, (0, 1))
 
 
 class TestMetricLength:

@@ -113,6 +113,29 @@ class TestBetaMetric:
             upper = lang.beta(min(int(c * n), lang.complete_to))
             assert lower <= beta_metric(lang, n) <= upper
 
+    def test_mixed_denominators_match_fraction_sums(self):
+        # theta_collapse's map with lengths 1/3, 1/2, 3/2: unit 1/6
+        graph = MarkedMetricGraph(
+            ["v0", "v1"],
+            [("e1", "v0", "v1", Fraction(1, 3)), ("e2", "v0", "v1", Fraction(1, 2)),
+             ("e3", "v0", "v1", Fraction(3, 2))])
+        assert graph.length_unit == 6
+        al = graph.alphabet
+        gsm = GraphSelfMap(graph, [0, 1], [al.parse("e2"),
+                                           al.parse("e3 e2' e1"),
+                                           al.parse("e1 e2' e3")])
+        lang = attracting_language(gsm, 15)
+        members = list(lang.all_members())
+        exact = [sum((graph.lengths[c >> 1] for c in m), Fraction(0))
+                 for m in members]
+        assert lang.metric_lengths() == sorted(int(x * 6) for x in exact)
+        # every member length up to 5 is a bound hit exactly, and just missed
+        bounds = {x for x in exact if x <= 5} | set(range(6))
+        bounds |= {b - Fraction(1, 1000) for b in bounds if b > 0}
+        for bound in sorted(bounds):
+            assert beta_metric(lang, bound) == sum(1 for x in exact if x <= bound)
+        assert beta_metric(lang, Fraction(7, 3)) > beta_metric(lang, Fraction(2333, 1000))
+
     def test_under_enumeration_is_loud(self, fib_map):
         lang = attracting_language(fib_map, 5)
         with pytest.raises(UnderEnumerationError):

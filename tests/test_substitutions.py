@@ -15,6 +15,7 @@ from lamtool.errors import (DomainError, InsufficientDataError,
                             SizeCapExceeded)
 from lamtool.substitutions import (counting_certificate, eigen_exponent,
                                    length2_factors, linear_fit_constant)
+from lamtool.words import iter_factors_raw
 
 from conftest import fibonacci_word, string_factors, thue_morse_word
 
@@ -223,6 +224,56 @@ def primitive_substitutions(draw):
     sub = Substitution([chr(ord("a") + i) for i in range(sigma)], images)
     assume(sub.is_primitive())
     return sub
+
+
+def brute_force_factors(sub, n):
+    """Every factor of length <= n of theta^j(c), over every letter c and
+    every level j <= J + D.
+
+    J is the least level at which every image has length >= 2n, and D the
+    least level at which the pairs inside theta^t(c), t <= D, stop growing
+    (a level that adds no pair adds none later: the pairs of theta^(t+1)(c)
+    are those inside images and theta's boundary pairs of the pairs of
+    theta^t(c)).  A factor of length <= n lies in theta^J(xy) for one of
+    those pairs xy, which lies in theta^t(c) for some t <= D, so the union
+    holds every factor; each word in it is a factor, so it holds no more.
+    """
+    def step(word):
+        return tuple(y for x in word for y in sub.images[x])
+
+    levels = [[(c,) for c in range(sub.sigma)]]
+    pairs = [set()]
+    while (min(len(w) for w in levels[-1]) < 2 * n
+           or len(pairs) < 2 or pairs[-1] != pairs[-2]):
+        levels.append([step(w) for w in levels[-1]])
+        pairs.append(pairs[-1] | {p for w in levels[-1] for p in zip(w, w[1:])})
+    grown = next(j for j, words in enumerate(levels)
+                 if min(len(w) for w in words) >= 2 * n)
+    settled = next(t for t in range(1, len(pairs)) if pairs[t] == pairs[t - 1]) - 1
+    while len(levels) <= grown + settled:
+        levels.append([step(w) for w in levels[-1]])
+    return {f for words in levels[:grown + settled + 1] for w in words
+            for f in iter_factors_raw(w, n)}
+
+
+class TestFactorLanguageOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(primitive_substitutions(), st.integers(1, 10))
+    def test_matches_brute_force(self, sub, n):
+        lang = factor_language(sub, n)
+        assert set(lang.all_members()) == brute_force_factors(sub, n)
+
+    def test_alphabet_beyond_one_byte(self):
+        # theta(i) = (2i, 2i + 1) mod 257: primitive, every factor is a run
+        # of consecutive letters, and codes above 255 collide in one byte
+        sigma = 257
+        sub = Substitution([f"x{i}" for i in range(sigma)],
+                           [((2 * i) % sigma, (2 * i + 1) % sigma)
+                            for i in range(sigma)])
+        lang = factor_language(sub, 10)
+        assert set(lang.all_members()) == brute_force_factors(sub, 10)
+        assert lang.p_counts() == [sigma] * 10
+        assert (255, 256, 0) in lang.strata[3]
 
 
 class TestCertifiedCounting:
