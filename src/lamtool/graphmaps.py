@@ -17,8 +17,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import size_cap
-from .errors import DomainError, MalformedInputError, SizeCapExceeded
+from .errors import DomainError, MalformedInputError
 from .graphs import MarkedMetricGraph
+from .kernels import expand_capped, image_tables, tighten_codes
 from .words import EdgePath, cyclic_tighten_raw, is_reduced, tighten_raw
 
 __all__ = [
@@ -84,14 +85,7 @@ class GraphSelfMap:
     def tables(self):
         """Flattened image arrays (offsets, data) for the expansion kernel."""
         if self._tables is None:
-            offsets = [0]
-            data = []
-            for c in self.graph.alphabet.letters():
-                img = self.image(c)
-                data.extend(img)
-                offsets.append(len(data))
-            self._tables = (np.asarray(offsets, dtype=np.int64),
-                            np.asarray(data, dtype=np.int32))
+            self._tables = image_tables(map(self.image, self.graph.alphabet.letters()))
         return self._tables
 
     def __repr__(self):
@@ -115,19 +109,6 @@ def compose(outer: GraphSelfMap, inner: GraphSelfMap) -> GraphSelfMap:
     return GraphSelfMap(inner.graph, vimg, images)
 
 
-def _expand_once(gsm: GraphSelfMap, codes, cap: int):
-    from .kernels import expand_codes
-
-    offsets, data = gsm.tables()
-    arr = np.asarray(codes, dtype=np.int32)
-    predicted = int((offsets[arr + 1] - offsets[arr]).sum()) if arr.size else 0
-    if predicted > cap:
-        raise SizeCapExceeded(
-            f"intermediate word of {predicted} letters exceeds the cap {cap}",
-            attempted=predicted, cap=cap)
-    return expand_codes(arr, offsets, data)
-
-
 def apply_power_raw(gsm: GraphSelfMap, codes, k: int, cap=None) -> tuple[int, ...]:
     if k < 0:
         raise DomainError("power must be >= 0")
@@ -136,10 +117,8 @@ def apply_power_raw(gsm: GraphSelfMap, codes, k: int, cap=None) -> tuple[int, ..
     if k == 0:
         return tighten_raw(current)
     arr = np.asarray(current, dtype=np.int32)
-    from .kernels import tighten_codes
-
     for _ in range(k):
-        arr = tighten_codes(_expand_once(gsm, arr, cap))
+        arr = tighten_codes(expand_capped(arr, gsm.tables(), cap, "intermediate word"))
     return tuple(int(c) for c in arr)
 
 

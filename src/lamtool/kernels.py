@@ -12,10 +12,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import SizeCapExceeded
+
 __all__ = [
     "BACKEND",
     "tighten_codes",
+    "image_tables",
     "expand_codes",
+    "expand_capped",
     "substring_counts",
 ]
 
@@ -45,14 +49,51 @@ def expand_codes(codes, offsets, data):
     return data[np.arange(shift.size) + shift]
 
 
-def substring_counts(codes, sigma, n_max):
-    """Exact distinct-substring counts of ``codes`` for lengths 1..n_max.
+def image_tables(images):
+    """The images flattened into ``(offsets, data)`` for :func:`expand_codes`:
+    the image of code c is ``data[offsets[c]:offsets[c + 1]]``."""
+    offsets = [0]
+    data = []
+    for img in images:
+        data.extend(img)
+        offsets.append(len(data))
+    return np.asarray(offsets, dtype=np.int64), np.asarray(data, dtype=np.int32)
 
-    Builds the suffix automaton of the word with one flat transition list,
-    ``trans[state * sigma + c]`` (-1 for no edge).  State v stands for the
-    substrings of lengths ``length[link[v]] + 1 .. length[v]``, so the counts
-    are a difference array over those ranges.  Returns ``counts`` with
-    ``counts[n]`` the number of distinct length-n substrings (index 0 is 0).
+
+def expand_capped(codes, tables, cap, what):
+    """:func:`expand_codes` over ``tables = (offsets, data)``, refused before
+    anything is expanded when the result would exceed ``cap`` letters; the
+    :class:`SizeCapExceeded` message calls the result ``what``."""
+    offsets, data = tables
+    arr = np.asarray(codes, dtype=np.int32)
+    predicted = int((offsets[arr + 1] - offsets[arr]).sum()) if arr.size else 0
+    if predicted > cap:
+        raise SizeCapExceeded(f"{what} of {predicted} letters exceeds the cap {cap}",
+                              attempted=predicted, cap=cap)
+    return expand_codes(arr, offsets, data)
+
+
+def substring_counts(codes, sigma, n_max):
+    """Exact distinct-substring counts of a word list for lengths 1..n_max.
+
+    ``codes`` holds the words one after another, each pair separated by the
+    code -1; a -1 at either end, or two in a row, adds no word.  The counts
+    are those of the union of the words' factor sets, so no factor across a
+    -1 is counted.  A single word needs no -1.
+
+    Builds the generalized suffix automaton of the words (Blumer et al.,
+    JACM 1987) with one flat transition list, ``trans[state * sigma + c]``
+    (-1 for no edge).  Each word starts again from the root.  While the
+    transition from ``last`` on the next letter already exists, the factor
+    is already known: ``last`` moves to that state, or to a clone of it
+    split off at length ``length[last] + 1``, and no state is made for the
+    letter.  From the first letter that makes a state on, the word can meet
+    no known transition again (``last`` is then a fresh state with none), so
+    the rest is the one-word construction.  So every state stands for
+    factors of the union, those of lengths
+    ``length[link[v]] + 1 .. length[v]``, and the counts are a difference
+    array over those ranges.  Returns ``counts`` with ``counts[n]`` the
+    number of distinct length-n factors (index 0 is 0).
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -60,31 +101,44 @@ def substring_counts(codes, sigma, n_max):
     trans = list(blank)
     link = [-1]
     length = [0]
-    last = 0
-    for c in np.asarray(codes, dtype=np.int32).tolist():
-        cur = len(length)
-        trans += blank
-        length.append(length[last] + 1)
-        link.append(0)
-        p = last
-        while p != -1 and trans[p * sigma + c] == -1:
-            trans[p * sigma + c] = cur
+
+    def split(p, q, c):
+        """Clone q at length length[p] + 1 and move p's suffix path to it."""
+        clone = len(length)
+        trans.extend(trans[q * sigma:(q + 1) * sigma])
+        length.append(length[p] + 1)
+        link.append(link[q])
+        while p != -1 and trans[p * sigma + c] == q:
+            trans[p * sigma + c] = clone
             p = link[p]
-        if p != -1:
-            q = trans[p * sigma + c]
-            if length[p] + 1 == length[q]:
-                link[cur] = q
-            else:
-                clone = len(length)
-                trans += trans[q * sigma:(q + 1) * sigma]
-                length.append(length[p] + 1)
-                link.append(link[q])
-                while p != -1 and trans[p * sigma + c] == q:
-                    trans[p * sigma + c] = clone
-                    p = link[p]
-                link[q] = clone
-                link[cur] = clone
-        last = cur
+        link[q] = clone
+        return clone
+
+    codes = np.asarray(codes, dtype=np.int32)
+    for word in np.split(codes, np.flatnonzero(codes < 0)):
+        word = word[1:].tolist() if word.size and word[0] < 0 else word.tolist()
+        # the word's known prefix: walk, splitting where a state is too long
+        last = start = 0
+        for c in word:
+            q = trans[last * sigma + c]
+            if q == -1:
+                break
+            last = q if length[q] == length[last] + 1 else split(last, q, c)
+            start += 1
+        # then the one-word construction, one new state per letter
+        for c in word[start:]:
+            cur = len(length)
+            trans += blank
+            length.append(length[last] + 1)
+            link.append(0)
+            p = last
+            while p != -1 and trans[p * sigma + c] == -1:
+                trans[p * sigma + c] = cur
+                p = link[p]
+            if p != -1:
+                q = trans[p * sigma + c]
+                link[cur] = q if length[p] + 1 == length[q] else split(p, q, c)
+            last = cur
     length = np.asarray(length, dtype=np.int64)
     lo = length[np.asarray(link[1:], dtype=np.int64)] + 1
     hi = np.minimum(length[1:], n_max)

@@ -280,8 +280,16 @@ class LanguageSource:
     graph: Optional[MarkedMetricGraph] = None
     extendable: bool = False
     symmetric: bool = False
+    _table: list[int] = []  # the deepest p table counted so far
 
     def p_counts(self, n_max: int) -> list[int]:
+        """p(n) for n = 1..n_max, sliced from the deepest table counted so
+        far when that table reaches n_max."""
+        if n_max > len(self._table):
+            self._table = self._count(n_max)
+        return self._table[:n_max]
+
+    def _count(self, n_max: int) -> list[int]:
         raise NotImplementedError
 
     def beta_counts(self, n_max: int) -> list[int]:
@@ -332,7 +340,7 @@ class MaterializedSource(LanguageSource):
         self.description = description or lang.origin
         self.extendable = False
 
-    def p_counts(self, n_max):
+    def _count(self, n_max):
         if n_max > self.lang.complete_to:
             raise UnderEnumerationError(
                 f"table to n={n_max} needs depth {n_max}, "
@@ -352,13 +360,9 @@ class SubstitutionSource(LanguageSource):
         self.graph = None
         self.description = description or "substitution language"
         self.extendable = True
-        self._cache: dict[int, list[int]] = {}
 
-    def p_counts(self, n_max):
-        if n_max not in self._cache:
-            counts = complexity_counts(self.sub, n_max)
-            self._cache[n_max] = [int(v) for v in counts[1:]]
-        return self._cache[n_max]
+    def _count(self, n_max):
+        return [int(v) for v in complexity_counts(self.sub, n_max)[1:]]
 
     def metric_beta(self, n_max):
         return self.beta_counts(n_max)
@@ -375,14 +379,11 @@ class AttractingSource(LanguageSource):
         self.description = description or "attracting language"
         self.orientation, self.sub = _oriented_substitution(gsm)
         self._multiplier = 2 if self.orientation.orientable else 1
-        self._cache: dict[int, list[int]] = {}
         self._materialize_limit = 600
 
-    def p_counts(self, n_max):
-        if n_max not in self._cache:
-            counts = complexity_counts(self.sub, n_max)
-            self._cache[n_max] = [self._multiplier * int(v) for v in counts[1:]]
-        return self._cache[n_max]
+    def _count(self, n_max):
+        return [self._multiplier * int(v)
+                for v in complexity_counts(self.sub, n_max)[1:]]
 
     def materialize(self, n_max) -> LaminaryLanguage:
         return _language_from_substitution(self.gsm, self.orientation,
@@ -409,11 +410,8 @@ class FullShiftSource(LanguageSource):
         self.symmetric = True
         self.extendable = True
         self.description = description or "full reduced-word language"
-        self._cache: dict[int, list[int]] = {}
 
-    def p_counts(self, n_max):
-        if n_max in self._cache:
-            return self._cache[n_max]
+    def _count(self, n_max):
         letters = list(self.graph.alphabet.letters())
         compatible = {
             d: [e for e in letters
@@ -425,7 +423,6 @@ class FullShiftSource(LanguageSource):
             counts.append(sum(vec.values()))
             vec = {d: sum(vec[prev] for prev in letters if d in compatible[prev])
                    for d in letters}
-        self._cache[n_max] = counts
         return counts
 
     def metric_beta(self, n_max):

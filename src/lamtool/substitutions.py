@@ -5,10 +5,13 @@ Two enumeration routes are provided and cross-checked in the tests:
 * :func:`factor_language` materializes the length strata up to ``n_max`` by
   iterating the substitution on every letter until a full extra round adds
   nothing;
-* :func:`complexity_counts` only counts: it runs the distinct-substring
-  kernel once, over the eigenray prefix that the length-2-factor
-  certificate (:func:`counting_certificate`) proves holds every factor of
-  length <= ``n_max``.
+* :func:`complexity_counts` only counts: the length-2-factor certificate
+  (:func:`counting_certificate`) names an eigenray prefix theta^k(Q) that
+  holds every factor of length <= ``n_max``, and the distinct-substring
+  kernel runs once, over the slices of that prefix that can hold a factor:
+  the block theta^k(x) of the first occurrence of each letter x in Q, and
+  ``n_max - 1`` letters on each side of the block boundary at the first
+  occurrence of each pair of letters in Q.
 
 The second route is what makes covering-bound tables to n = 5000 cheap.
 """
@@ -24,7 +27,7 @@ from .config import size_cap
 from .errors import (DomainError, InsufficientDataError, MalformedInputError,
                      NotAnEigenletterError, PreconditionError, SizeCapExceeded)
 from .graphmaps import GraphSelfMap, OrientationResult, analyze_matrix
-from .kernels import expand_codes, substring_counts
+from .kernels import expand_capped, expand_codes, image_tables, substring_counts
 from .words import Stratified
 
 __all__ = [
@@ -96,26 +99,12 @@ class Substitution:
 
     def tables(self):
         if self._tables is None:
-            offsets = [0]
-            data = []
-            for img in self.images:
-                data.extend(img)
-                offsets.append(len(data))
-            self._tables = (np.asarray(offsets, dtype=np.int64),
-                            np.asarray(data, dtype=np.int32))
+            self._tables = image_tables(self.images)
         return self._tables
 
     def apply(self, codes, cap=None) -> np.ndarray:
         """One substitution round on a word of letter codes."""
-        cap = size_cap(cap)
-        offsets, data = self.tables()
-        arr = np.asarray(codes, dtype=np.int32)
-        predicted = int((offsets[arr + 1] - offsets[arr]).sum()) if arr.size else 0
-        if predicted > cap:
-            raise SizeCapExceeded(
-                f"substituted word of {predicted} letters exceeds the cap {cap}",
-                attempted=predicted, cap=cap)
-        return expand_codes(arr, offsets, data)
+        return expand_capped(codes, self.tables(), size_cap(cap), "substituted word")
 
     def occurrence_matrix(self) -> np.ndarray:
         """Entry (i, j) counts letter i in the image of letter j."""
@@ -325,12 +314,52 @@ def length2_factors(sub: Substitution) -> frozenset:
 
 
 class CountingCertificate(NamedTuple):
-    """The eigenray prefix that carries every factor of length <= n_max."""
+    """The eigenray prefix that carries every factor of length <= n_max, and
+    the slices of it that the automaton reads."""
 
     sub: Substitution    # theta or its mirror, with the same p(n)
     seed: int            # the eigenletter
     power: int           # k, a multiple of the eigen exponent
-    letters: int         # |theta^k(Q)|, Q the shortest prefix holding every pair
+    letters: int         # |theta^k(Q)|, the ray prefix that is expanded
+    prefix: tuple        # Q, the shortest ray prefix holding every pair
+    slices: tuple        # merged (start, stop) windows of theta^k(Q)
+
+    @property
+    def slice_letters(self) -> int:
+        return sum(stop - start for start, stop in self.slices)
+
+
+def _ray_slices(prefix, lengths, n_max) -> tuple:
+    """The windows of theta^k(Q) that hold every factor of length <= n_max.
+
+    ``prefix`` is Q and ``lengths[c]`` is |theta^k(c)|, at least n_max.  A
+    factor lies inside one block theta^k(x), or it crosses one boundary
+    between blocks theta^k(x) theta^k(y), with at most n_max - 1 letters on
+    each side.  So the block of the first occurrence of each letter in Q,
+    and the n_max - 1 letters on each side of the boundary at the first
+    occurrence of each pair, hold every factor.  The windows come in order
+    of their starts; overlapping or touching ones are merged.
+    """
+    reach = n_max - 1
+    windows = []
+    seen = set()
+    stop = 0
+    for i, q in enumerate(prefix):
+        start, stop = stop, stop + lengths[q]
+        if q not in seen:
+            seen.add(q)
+            windows.append((start, stop))
+        pair = prefix[i:i + 2]
+        if reach and len(pair) == 2 and pair not in seen:
+            seen.add(pair)
+            windows.append((stop - reach, stop + reach))
+    merged = []
+    for start, stop in windows:
+        if merged and start <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], stop))
+        else:
+            merged.append((start, stop))
+    return tuple(merged)
 
 
 def counting_certificate(sub: Substitution, n_max: int) -> CountingCertificate:
@@ -341,11 +370,15 @@ def counting_certificate(sub: Substitution, n_max: int) -> CountingCertificate:
     cuts w into at most two blocks.  If Q is the shortest prefix of the
     eigenray u holding every length-2 factor, theta^k(Q) holds every such
     image, and with k a multiple of the eigen exponent it is the prefix of
-    u of length sum_{q in Q} |theta^k(q)|.
+    u of length sum_{q in Q} |theta^k(q)|.  The windows of it that
+    :func:`_ray_slices` names already hold every such factor, and they are
+    what the automaton reads.
 
     The mirror of theta (every image reversed) has the reversed language and
     so the same p(n); its eigenrays are searched too, so that the choice, and
     the prefix length, do not depend on which orientation an input chose.
+    Ties in the prefix length go to the smaller slice total, which makes
+    that total independent of the orientation and the letter names too.
     """
     mirror = Substitution(sub.letters, [img[::-1] for img in sub.images])
     best = None
@@ -371,9 +404,13 @@ def counting_certificate(sub: Substitution, n_max: int) -> CountingCertificate:
             while k % e or min(lengths) < n_max:
                 lengths = [sum(lengths[x] for x in img) for img in sub.images]
                 k += 1
-            letters = sum(lengths[q] for q in word[:end + 1])
-            if best is None or letters < best.letters:
-                best = CountingCertificate(side, seed, k, letters)
+            prefix = word[:end + 1]
+            cert = CountingCertificate(side, seed, k,
+                                       sum(lengths[q] for q in prefix), prefix,
+                                       _ray_slices(prefix, lengths, n_max))
+            if best is None or ((cert.letters, cert.slice_letters)
+                                < (best.letters, best.slice_letters)):
+                best = cert
     if best is None:
         raise NotAnEigenletterError("no letter generates an eigenray")
     return best
@@ -382,11 +419,14 @@ def counting_certificate(sub: Substitution, n_max: int) -> CountingCertificate:
 def complexity_counts(sub: Substitution, n_max: int, cap=None) -> np.ndarray:
     """Exact p(n) for n = 1..n_max without materializing the language.
 
-    Counts the distinct substrings of the eigenray prefix that
-    :func:`counting_certificate` proves holds every factor of length
-    <= n_max.  The cap bounds that prefix, and with it the automaton; a
-    prefix beyond it is refused before anything is expanded.  Index 0 of
-    the returned array is 0.
+    Expands the eigenray prefix that :func:`counting_certificate` proves
+    holds every factor of length <= n_max, cuts out its slices and counts
+    the distinct factors of all of them in one automaton, the slices joined
+    by the separator code -1.  The cap bounds that prefix, and so the
+    automaton's input, which is never longer: merged slices lie at least one
+    letter apart, and each -1 stands in for such a gap.  A prefix beyond the
+    cap is refused before anything is expanded.  Index 0 of the returned
+    array is 0.
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
@@ -394,7 +434,10 @@ def complexity_counts(sub: Substitution, n_max: int, cap=None) -> np.ndarray:
         raise DomainError("complexity counting requires a primitive substitution")
     cert = counting_certificate(sub, n_max)
     ray = eigenray_prefix(cert.sub, cert.seed, cert.letters, cap)
-    return substring_counts(ray, sub.sigma, n_max)
+    separator = np.asarray([-1], dtype=np.int32)
+    pieces = [piece for start, stop in cert.slices
+              for piece in (separator, ray[start:stop])]
+    return substring_counts(np.concatenate(pieces[1:]), sub.sigma, n_max)
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,49 @@ def list_expand(codes, offsets, data):
 
 def brute_force_counts(word, n_max):
     """Sizes of the distinct-substring sets per length, index 0 unused."""
-    word = tuple(word)
-    return [0] + [len({word[i:i + n] for i in range(len(word) - n + 1)})
+    return brute_force_union_counts([word], n_max)
+
+
+def brute_force_union_counts(words, n_max):
+    """Sizes of the unions of the words' distinct-substring sets per length."""
+    words = [tuple(w) for w in words]
+    return [0] + [len({w[i:i + n] for w in words for i in range(len(w) - n + 1)})
                   for n in range(1, n_max + 1)]
+
+
+def random_word_list(rng, sigma):
+    """Fresh words, repeats, and prefixes, suffixes and inner factors of
+    earlier words, some of them one letter long."""
+    used = rng.randint(1, sigma)
+    words = []
+    for _ in range(rng.randint(1, 8)):
+        kind = rng.random() if words else 0.0
+        if kind < 0.4:
+            words.append([rng.randrange(used)
+                          for _ in range(rng.randint(1, rng.choice([1, 5, 60])))])
+        elif kind < 0.55:
+            words.append(list(rng.choice(words)))
+        else:
+            w = rng.choice(words)
+            i, j = sorted(rng.sample(range(len(w) + 1), 2))
+            if kind < 0.7:
+                i = 0
+            elif kind < 0.85:
+                j = len(w)
+            words.append(w[i:j])
+    return words
+
+
+def joined(rng, words):
+    """The words separated by -1, with a leading, trailing or doubled -1 at
+    random."""
+    codes = [-1] * rng.randint(0, 2)
+    for w in words:
+        codes += w + [-1] * rng.randint(1, 3)
+    if rng.random() < 0.5:
+        while codes and codes[-1] == -1:
+            codes.pop()
+    return np.array(codes, dtype=np.int32)
 
 
 def test_backend_is_reported():
@@ -97,6 +137,27 @@ class TestSubstringCounts:
         word = np.array([0, 1, 2] * 10, dtype=np.int32)
         counts = substring_counts(word, 3, 5)
         assert list(counts[1:]) == [3, 3, 3, 3, 3]
+
+    def test_word_lists_match_the_union_of_substring_sets(self):
+        rng = random.Random(6)
+        for _ in range(400):
+            sigma = rng.randint(1, 6)
+            words = random_word_list(rng, sigma)
+            n_max = rng.randint(1, max(map(len, words)) + 5)
+            counts = substring_counts(joined(rng, words), sigma, n_max)
+            assert list(counts) == brute_force_union_counts(words, n_max)
+
+    def test_repeats_and_factors_change_no_count(self):
+        # once a word is in, its repeats and factors change no count
+        word = [0, 1, 1, 0, 2, 0, 1]
+        alone = substring_counts(np.array(word, dtype=np.int32), 3, 10)
+        codes = word + [-1] + word + [-1, -1] + word[2:5] + [-1] + word[:1]
+        again = substring_counts(np.array(codes, dtype=np.int32), 3, 10)
+        assert list(again) == list(alone)
+
+    def test_separators_alone(self):
+        codes = np.array([-1, -1], dtype=np.int32)
+        assert list(substring_counts(codes, 2, 3)) == [0, 0, 0, 0]
 
     def test_depth_beyond_the_word(self):
         word = np.array([0, 1, 0, 0, 1], dtype=np.int32)

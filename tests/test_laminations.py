@@ -222,6 +222,25 @@ class TestSources:
                          if graph.metric_length(w) <= n)
             assert got[n - 1] == oracle
 
+    def test_shallower_table_is_sliced_from_the_deepest(self, silver_map,
+                                                         monkeypatch):
+        from lamtool import laminations
+        depths = []
+        count = laminations.complexity_counts
+
+        def counting(sub, n_max, cap=None):
+            depths.append(n_max)
+            return count(sub, n_max, cap)
+
+        monkeypatch.setattr(laminations, "complexity_counts", counting)
+        src = AttractingSource(silver_map)
+        deep = src.p_counts(400)
+        assert src.p_counts(100) == deep[:100]
+        assert src.p_counts(400) == deep
+        assert depths == [400]
+        assert src.p_counts(401)[:400] == deep
+        assert depths == [400, 401]
+
     def test_materialized_source_depth_guard(self, fib_map):
         src = MaterializedSource(attracting_language(fib_map, 6))
         with pytest.raises(UnderEnumerationError):

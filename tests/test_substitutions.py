@@ -13,6 +13,7 @@ from lamtool import substitutions
 from lamtool.errors import (DomainError, InsufficientDataError,
                             MalformedInputError, NotAnEigenletterError,
                             SizeCapExceeded)
+from lamtool.kernels import substring_counts
 from lamtool.substitutions import (counting_certificate, eigen_exponent,
                                    length2_factors, linear_fit_constant)
 from lamtool.words import iter_factors_raw
@@ -311,6 +312,36 @@ class TestCertifiedCounting:
                 {k: list(v) for k, v in r.items()}), 300).letters
             for r in (rules, renamed, mirrored)}
         assert len(letters) == 1
+        for n_max in (300, 2000):
+            totals = {
+                counting_certificate(Substitution.from_tokens(
+                    {k: list(v) for k, v in r.items()}), n_max).slice_letters
+                for r in (rules, renamed, mirrored)}
+            assert len(totals) == 1
+        assert totals == {78142}
+
+    @settings(max_examples=40, deadline=None)
+    @given(primitive_substitutions(), st.integers(1, 40))
+    def test_slices_count_what_the_whole_prefix_counts(self, sub, n):
+        cert = counting_certificate(sub, n)
+        assert cert.slice_letters <= cert.letters
+        bounds = [b for window in cert.slices for b in window]
+        assert bounds == sorted(bounds) and len(set(bounds)) == len(bounds)
+        assert 0 <= bounds[0] and bounds[-1] <= cert.letters
+        counts = complexity_counts(sub, n)
+        assert list(counts[1:]) == factor_language(sub, n).p_counts()
+        ray = eigenray_prefix(cert.sub, cert.seed, cert.letters)
+        assert np.array_equal(counts, substring_counts(ray, sub.sigma, n))
+
+    def test_fibonacci_slices(self, fib):
+        cert = counting_certificate(fib, 1000)
+        # Q = b a a b: blocks 1597, 2584, 2584, 1597; the block of b, the
+        # block of the first a, and 999 letters on each side of the
+        # boundaries b|a, a|a and a|b
+        assert cert.prefix == (1, 0, 0, 1)
+        assert cert.slices == ((0, 1597 + 2584 + 999),
+                               (1597 + 2 * 2584 - 999, 1597 + 2 * 2584 + 999))
+        assert cert.slice_letters == 1597 + 2584 + 999 + 2 * 999
 
     def test_cap_refuses_before_expanding(self, fib, monkeypatch):
         letters = counting_certificate(fib, 1000).letters
