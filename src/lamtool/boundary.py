@@ -31,6 +31,9 @@ __all__ = [
     "dim_upper_estimate",
 ]
 
+# a covering bound below this counts as vanished
+EPSILON = 1e-6
+
 
 class BoundaryRay:
     """An infinite reduced edge ray from the base vertex, materialized on
@@ -151,7 +154,6 @@ class CoverBoundReport:
     visual_base: float
     delta: float
     c0: float
-    epsilon: float
     rows: tuple[tuple[int, int, float], ...]  # (n, beta(n), bound)
     vanishing: bool
     first_below: Optional[int]
@@ -172,15 +174,13 @@ def _log_int(value: int) -> float:
         return bits * math.log(2.0) + math.log(value / (1 << bits))
 
 
-def cover_bound_series(beta_values: Sequence[int], a, delta, c0,
-                       n_start: Optional[int] = None, epsilon: float = 1e-6,
-                       basepoint_offset=0) -> CoverBoundReport:
+def cover_bound_series(beta_values: Sequence[int], a, delta, c0) -> CoverBoundReport:
     """The sequence beta(n) * a^(-n*delta) * a^(c0*delta).
 
     ``beta_values`` is 1-indexed via position (entry i is beta(i+1)).  The
-    range starts at the covering threshold 2*c0 + 2*offset unless overridden.
-    The vanishing flag requires the last quartile of the rows to decrease
-    monotonically and the final value to sit below ``epsilon``.
+    range starts at the covering threshold 2*c0.  The vanishing flag
+    requires the last quartile of the rows to decrease monotonically and
+    the final value to sit below ``EPSILON``.
     """
     if not float(a) > 1:
         raise DomainError("visual parameter must satisfy a > 1")
@@ -189,8 +189,7 @@ def cover_bound_series(beta_values: Sequence[int], a, delta, c0,
     if not float(c0) > 0:
         raise DomainError("c0 must be positive")
     n_max = len(beta_values)
-    start = n_start if n_start is not None else max(1, math.ceil(
-        2 * float(c0) + 2 * float(basepoint_offset)))
+    start = max(1, math.ceil(2 * float(c0)))
     if n_max < start:
         raise InsufficientDataError(
             f"beta table reaches n={n_max}, below the start n={start}")
@@ -203,12 +202,12 @@ def cover_bound_series(beta_values: Sequence[int], a, delta, c0,
         log_bound = _log_int(beta) - n * float(delta) * log_a + shift
         bound = math.exp(log_bound) if log_bound < 700 else math.inf
         rows.append((n, beta, bound))
-        if first_below is None and bound < epsilon:
+        if first_below is None and bound < EPSILON:
             first_below = n
     tail = [r[2] for r in rows[-max(1, len(rows) // 4):]]
     monotone = all(tail[i + 1] <= tail[i] for i in range(len(tail) - 1))
-    vanishing = monotone and tail[-1] < epsilon
-    return CoverBoundReport(float(a), float(delta), float(c0), epsilon,
+    vanishing = monotone and tail[-1] < EPSILON
+    return CoverBoundReport(float(a), float(delta), float(c0),
                             tuple(rows), vanishing, first_below, monotone)
 
 

@@ -9,8 +9,8 @@ Commands::
     lamtool compare FILE1 FILE2 --max-n N --max-c C
 
 Exit codes: 0 success, 1 usage or parse error, 2 precondition violation,
-3 resource cap, 4 under-enumeration.  LAMTOOL_SIZE_CAP overrides the
-intermediate-word letter cap, which also bounds the counting automaton.
+3 resource cap, 4 under-enumeration.  LAMTOOL_SIZE_CAP overrides the size
+cap on intermediate words, the counting automaton and full-shift tables.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 import sys
 
 from . import __version__
-from .boundary import cover_bound_series, dim_upper_estimate
+from .boundary import EPSILON, cover_bound_series, dim_upper_estimate
 from .config import size_cap
 from .errors import (DomainError, InsufficientDataError, LamtoolError,
                      MalformedInputError, ParseError, PreconditionError,
@@ -31,8 +31,7 @@ from .graphmaps import (analyze_matrix, is_train_track, orientability,
                         transition_matrix)
 from .graphs import maximal_subtree, validate
 from .laminations import (AttractingSource, FullShiftSource, LanguageSource,
-                          MaterializedSource, SubstitutionSource,
-                          transport_compare)
+                          MaterializedSource, SubstitutionSource)
 from .substitutions import (from_train_track, growth_equivalence_witness,
                             linear_fit_constant)
 
@@ -203,7 +202,7 @@ def _cmd_complexity(args) -> int:
 
     print(f"language: {source.description}")
     print(f"depth: {args.max_n}, beta({args.max_n}) = {beta[-1]}")
-    if ai.substitution is not None or ai.graph_map is not None:
+    if source.substitutive:
         fit = linear_fit_constant(p)
         ok = all(p[n - 1] <= fit * n for n in range(1, args.max_n + 1))
         print(f"linear fit: p(n) <= C*n holds on the window with C = {_fmt(fit)} "
@@ -249,14 +248,16 @@ def _cmd_dimension(args) -> int:
     dim = dim_upper_estimate(table, args.a, window)
 
     reports = []
-    for delta in deltas:
-        series = cover_bound_series(table, args.a, delta, float(c0))
+    all_series = [cover_bound_series(table, args.a, d, float(c0)) for d in deltas]
+    big = None  # the extension table, counted once for every delta
+    for delta, series in zip(deltas, all_series):
         n_star = series.first_below
         vanishing = series.vanishing
         extended_to = None
         if (not vanishing and source.extendable
                 and args.max_n < _EXTENSION_LIMIT):
-            big = source.metric_beta(_EXTENSION_LIMIT)
+            if big is None:
+                big = source.metric_beta(_EXTENSION_LIMIT)
             extended = cover_bound_series(big, args.a, delta, float(c0))
             vanishing = extended.vanishing
             n_star = extended.first_below
@@ -289,12 +290,11 @@ def _cmd_dimension(args) -> int:
                      if rep["extended_to"] else "")
             star = rep["n_star"] if rep["n_star"] is not None else "-"
             print(f"delta={rep['delta']}: vanishing={_yn(rep['vanishing'])}, "
-                  f"first bound < 1e-06 at n* = {star}, "
+                  f"first bound < {EPSILON:g} at n* = {star}, "
                   f"final bound at n={args.max_n}: {rep['final_bound']}{extra}")
 
     if args.csv:
-        for i, delta in enumerate(deltas):
-            series = cover_bound_series(table, args.a, delta, float(c0))
+        for i, series in enumerate(all_series):
             path = args.csv if len(deltas) == 1 else f"{args.csv}.delta{i}"
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write("n,beta,bound\n")
@@ -307,28 +307,16 @@ def _cmd_dimension(args) -> int:
 # collapse / compare
 # ---------------------------------------------------------------------------
 
-def _materialized_for_collapse(ai: AnalysisInput, depth: int):
-    if ai.graph is None:
-        raise PreconditionError("collapse needs a graph section")
-    if ai.graph_map is not None:
-        return AttractingSource(ai.graph_map).materialize(depth)
-    if ai.language is not None:
-        if ai.language.closure == "fullshift":
-            raise PreconditionError("collapse compares enumerated languages; "
-                                    "closure=fullshift has no finite strata")
-        return build_language(ai.language, ai.graph)
-    raise PreconditionError("collapse needs a map or lamlang section")
-
-
 def _cmd_collapse(args) -> int:
     if args.max_n < 1:
         raise UsageError("--max-n must be >= 1")
+    if args.max_c < 1:
+        raise UsageError("--max-c must be >= 1")
     ai = _load(args.file)
     if ai.graph is None:
         raise PreconditionError("collapse needs a graph section")
     cd = maximal_subtree(ai.graph)
-    lang = _materialized_for_collapse(ai, cd.lift_stretch * args.max_n)
-    report = transport_compare(lang, cd, args.max_n, c_max=args.max_c)
+    report = _source(ai).transport(cd, args.max_n, c_max=args.max_c)
 
     tree_names = sorted(ai.graph.alphabet.names[i] for i in cd.subtree)
     print(f"spanning tree: {{{', '.join(tree_names)}}}" if tree_names
@@ -354,23 +342,13 @@ def _cmd_collapse(args) -> int:
     return 0
 
 
-def _rose_counts(ai: AnalysisInput, max_n: int) -> list[int]:
-    """Complexity table of the input's language on a rose."""
-    if ai.graph is not None and not ai.graph.is_rose() and ai.substitution is None:
-        cd = maximal_subtree(ai.graph)
-        lang = _materialized_for_collapse(ai, cd.lift_stretch * max_n)
-        report = transport_compare(lang, cd, max_n)
-        return report.rose_counts()
-    return _source(ai).p_counts(max_n)
-
-
 def _cmd_compare(args) -> int:
     if args.max_n < 1:
         raise UsageError("--max-n must be >= 1")
     if args.max_c < 1:
         raise UsageError("--max-c must be >= 1")
-    first = _rose_counts(_load(args.file1), args.max_n)
-    second = _rose_counts(_load(args.file2), args.max_n)
+    first = _source(_load(args.file1)).rose_counts(args.max_n)
+    second = _source(_load(args.file2)).rose_counts(args.max_n)
     witness = growth_equivalence_witness(first, second, args.max_c)
     print(f"tables compared to n = {witness.tested_to}")
     if witness.equivalent:

@@ -15,14 +15,17 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
+from itertools import accumulate
+from math import floor, log2
 from typing import Optional
 
 import numpy as np
 
+from .config import size_cap
 from .errors import (DomainError, LamtoolError, PreconditionError,
-                     UnderEnumerationError)
-from .graphs import CollapseData, MarkedMetricGraph, project_path
+                     SizeCapExceeded, UnderEnumerationError)
+from .graphs import (CollapseData, MarkedMetricGraph, maximal_subtree,
+                     project_path)
 from .graphmaps import (GraphSelfMap, analyze_matrix, is_train_track,
                         orientability, transition_matrix)
 from .substitutions import (EquivalenceWitness, Substitution, complexity_counts,
@@ -186,10 +189,6 @@ class TransportReport:
     tight_stretch: Optional[int]
     tight_c0: Optional[int]
     witness: EquivalenceWitness
-    rose_language: LaminaryLanguage
-
-    def base_counts(self):
-        return [row.p_base for row in self.rows]
 
     def rose_counts(self):
         return [row.p_rose for row in self.rows]
@@ -256,7 +255,7 @@ def transport_compare(lang: LaminaryLanguage, cd: CollapseData, n_max: int,
         [rose_lang.p(n) for n in range(1, n_max + 1)],
         c_max)
     return TransportReport(cd.diameter, stretch, c0, tuple(rows), all_ok,
-                           tight_stretch, tight_c0, witness, rose_lang)
+                           tight_stretch, tight_c0, witness)
 
 
 def fiber_counts(lang: LaminaryLanguage, cd: CollapseData):
@@ -274,12 +273,14 @@ def fiber_counts(lang: LaminaryLanguage, cd: CollapseData):
 # ---------------------------------------------------------------------------
 
 class LanguageSource:
-    """Common surface over the ways a complexity table can be produced."""
+    """Every table the CLI prints: subclasses count ``p`` (``_count``) and,
+    where they can, members (``materialize``) and non-uniform metric counts
+    (``_metric_beta``); the rest is derived here."""
 
     description: str = ""
     graph: Optional[MarkedMetricGraph] = None
-    extendable: bool = False
-    symmetric: bool = False
+    extendable: bool = True    # tables can be counted past any depth
+    substitutive: bool = False  # a primitive substitution's factor language
     _table: list[int] = []  # the deepest p table counted so far
 
     def p_counts(self, n_max: int) -> list[int]:
@@ -293,52 +294,51 @@ class LanguageSource:
         raise NotImplementedError
 
     def beta_counts(self, n_max: int) -> list[int]:
-        counts = self.p_counts(n_max)
-        out = []
-        total = 0
-        for p in counts:
-            total += p
-            out.append(total)
-        return out
+        return list(accumulate(self.p_counts(n_max)))
 
     def metric_beta(self, n_max: int) -> list[int]:
-        """beta_{L,J}(n) for integer n = 1..n_max."""
-        raise NotImplementedError
+        """beta_{L,J}(n) for integer n = 1..n_max: beta(floor(n / l)) when
+        every edge has length l (l = 1 without a graph)."""
+        lengths = set(self.graph.lengths) if self.graph is not None else {1}
+        if len(lengths) > 1:
+            return self._metric_beta(n_max)
+        ell = Fraction(lengths.pop())
+        betas = [0] + self.beta_counts(floor(n_max / ell))
+        return [betas[floor(n / ell)] for n in range(1, n_max + 1)]
+
+    def _metric_beta(self, n_max: int) -> list[int]:
+        """Metric counts over the members of the materialized language."""
+        lang = self.materialize(max(floor(n_max / self.graph.min_length()), 1))
+        return [beta_metric(lang, n) for n in range(1, n_max + 1)]
+
+    def materialize(self, depth: int) -> LaminaryLanguage:
+        """The language with its members, enumerated to ``depth``."""
+        raise PreconditionError("collapse needs a map or lamlang section")
+
+    def transport(self, cd: CollapseData, n_max: int, c_max=64) -> TransportReport:
+        """The collapse comparison onto the rose of ``cd`` for n <= n_max."""
+        lang = self.materialize(cd.lift_stretch * n_max)
+        return transport_compare(lang, cd, n_max, c_max)
+
+    def rose_counts(self, n_max: int) -> list[int]:
+        """p(n) for n = 1..n_max of the language carried to the rose of a
+        maximal subtree (the language itself on a rose or without a graph)."""
+        if self.graph is None or self.graph.is_rose():
+            return self.p_counts(n_max)
+        return self.transport(maximal_subtree(self.graph), n_max).rose_counts()
 
     def max_edge_length(self) -> Fraction:
-        if self.graph is None:
-            return Fraction(1)
-        return self.graph.max_length()
-
-    def _uniform_length(self) -> Optional[Fraction]:
-        if self.graph is None:
-            return Fraction(1)
-        lengths = set(self.graph.lengths)
-        return lengths.pop() if len(lengths) == 1 else None
-
-
-def _scaled_metric_beta(source: LanguageSource, n_max: int) -> list[int]:
-    """Metric counts when every edge has one common length."""
-    ell = source._uniform_length()
-    assert ell is not None
-    depth = floor(Fraction(n_max) / ell)
-    betas = source.beta_counts(depth) if depth >= 1 else []
-    out = []
-    for n in range(1, n_max + 1):
-        k = floor(Fraction(n) / ell)
-        out.append(betas[k - 1] if k >= 1 else 0)
-    return out
+        return Fraction(1) if self.graph is None else self.graph.max_length()
 
 
 class MaterializedSource(LanguageSource):
     """A fully enumerated language (user file or attracting language)."""
+    extendable = False
 
-    def __init__(self, lang: LaminaryLanguage, description=""):
+    def __init__(self, lang: LaminaryLanguage):
         self.lang = lang
         self.graph = lang.graph
-        self.symmetric = lang.symmetric
-        self.description = description or lang.origin
-        self.extendable = False
+        self.description = lang.origin
 
     def _count(self, n_max):
         if n_max > self.lang.complete_to:
@@ -348,35 +348,33 @@ class MaterializedSource(LanguageSource):
                 achieved=self.lang.complete_to, required=n_max)
         return [self.lang.p(n) for n in range(1, n_max + 1)]
 
-    def metric_beta(self, n_max):
-        return [beta_metric(self.lang, n) for n in range(1, n_max + 1)]
+    # members at hand: count them, naming the first bound past the depth
+    metric_beta = LanguageSource._metric_beta
+
+    def materialize(self, depth):
+        return self.lang
 
 
 class SubstitutionSource(LanguageSource):
     """Factor language of a primitive substitution (letters have length 1)."""
+    description = "substitution language"
+    substitutive = True
 
-    def __init__(self, sub: Substitution, description=""):
+    def __init__(self, sub: Substitution):
         self.sub = sub
-        self.graph = None
-        self.description = description or "substitution language"
-        self.extendable = True
 
     def _count(self, n_max):
         return [int(v) for v in complexity_counts(self.sub, n_max)[1:]]
 
-    def metric_beta(self, n_max):
-        return self.beta_counts(n_max)
-
 
 class AttractingSource(LanguageSource):
     """Attracting language of an expanding primitive train track map."""
+    description = "attracting language"
+    substitutive = True
 
-    def __init__(self, gsm: GraphSelfMap, description=""):
+    def __init__(self, gsm: GraphSelfMap):
         self.gsm = gsm
         self.graph = gsm.graph
-        self.symmetric = True
-        self.extendable = True
-        self.description = description or "attracting language"
         self.orientation, self.sub = _oriented_substitution(gsm)
         self._multiplier = 2 if self.orientation.orientable else 1
         self._materialize_limit = 600
@@ -389,70 +387,60 @@ class AttractingSource(LanguageSource):
         return _language_from_substitution(self.gsm, self.orientation,
                                            self.sub, n_max)
 
-    def metric_beta(self, n_max):
-        if self._uniform_length() is not None:
-            return _scaled_metric_beta(self, n_max)
+    def _metric_beta(self, n_max):
         depth = floor(Fraction(n_max) / self.graph.min_length())
         if depth > self._materialize_limit:
             raise UnderEnumerationError(
                 f"metric counts to n={n_max} need enumeration depth {depth}, "
                 f"beyond the materialization limit {self._materialize_limit}",
                 achieved=self._materialize_limit, required=depth)
-        lang = self.materialize(max(depth, 1))
-        return [beta_metric(lang, n) for n in range(1, n_max + 1)]
+        return super()._metric_beta(n_max)
 
 
 class FullShiftSource(LanguageSource):
     """All reduced edge paths of a graph; the exponential contrast case."""
+    description = "full reduced-word language"
 
-    def __init__(self, graph: MarkedMetricGraph, description=""):
+    def __init__(self, graph: MarkedMetricGraph):
         self.graph = graph
-        self.symmetric = True
-        self.extendable = True
-        self.description = description or "full reduced-word language"
 
     def _count(self, n_max):
-        letters = list(self.graph.alphabet.letters())
-        compatible = {
-            d: [e for e in letters
-                if self.graph.terminus(d) == self.graph.origin(e) and e != d ^ 1]
-            for d in letters}
-        vec = {d: 1 for d in letters}
-        counts = []
-        for _ in range(n_max):
-            counts.append(sum(vec.values()))
-            vec = {d: sum(vec[prev] for prev in letters if d in compatible[prev])
-                   for d in letters}
-        return counts
+        return self._walks([1] * self.graph.alphabet.size, n_max)
 
-    def metric_beta(self, n_max):
-        if self._uniform_length() is not None:
-            return _scaled_metric_beta(self, n_max)
-        letters = list(self.graph.alphabet.letters())
-        den = self.graph.length_unit
-        weight = {d: self.graph.weight((d,)) for d in letters}
-        top = n_max * den
-        # exact path counts by scaled metric weight, ending letter by letter
-        table = [dict.fromkeys(letters, 0) for _ in range(top + 1)]
-        for d in letters:
-            if weight[d] <= top:
-                table[weight[d]][d] += 1
+    def _metric_beta(self, n_max):
+        unit = self.graph.length_unit
+        weights = [self.graph.weight((d,)) for d in self.graph.alphabet.letters()]
+        totals = list(accumulate(self._walks(weights, n_max * unit)))
+        return [totals[n * unit - 1] for n in range(1, n_max + 1)]
+
+    def materialize(self, depth):
+        raise PreconditionError("collapse compares enumerated languages; "
+                                "closure=fullshift has no finite strata")
+
+    def _walks(self, weights: list[int], top: int) -> list[int]:
+        """How many reduced paths weigh w = 1..top, a path weighing the sum
+        of its letters' ``weights``.  Those of weight w ending in d extend
+        those of weight w - weights[d] by a reduced step, so a ring of
+        ``max(weights) + 1`` rows of per-letter counts suffices."""
+        letters = self.graph.alphabet.letters()
+        # p(n) <= 2m (2m - 1)^(n - 1): bound the table's int32 words up front
+        depth = top // min(weights)
+        need = depth + log2(len(letters) - 1) / 32 * depth * (depth + 1) / 2
+        cap = size_cap()
+        if need > cap:
+            raise SizeCapExceeded(
+                f"full-shift counts to depth {depth} need about {int(need)} "
+                f"int32 words, over the cap {cap}", attempted=int(need), cap=cap)
+        steps = [(weights[d], [p for p in letters
+                               if self.graph.is_reduced_path((p, d))])
+                 for d in letters]
+        span = max(weights) + 1
+        ring = [[0] * len(letters) for _ in range(span)]
+        totals = []
         for w in range(1, top + 1):
-            for d in letters:
-                wd = weight[d]
-                if wd < w:
-                    prev = table[w - wd]
-                    total = 0
-                    for p in letters:
-                        if self.graph.terminus(p) == self.graph.origin(d) and d != p ^ 1:
-                            total += prev[p]
-                    table[w][d] += total
-        running = 0
-        out = []
-        cumulative = []
-        for w in range(top + 1):
-            running += sum(table[w].values())
-            cumulative.append(running)
-        for n in range(1, n_max + 1):
-            out.append(cumulative[n * den])
-        return out
+            row = [sum([ring[(w - weight) % span][p] for p in before])
+                   if weight < w else int(weight == w)
+                   for weight, before in steps]
+            ring[w % span] = row
+            totals.append(sum(row))
+        return totals

@@ -15,16 +15,10 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from .errors import (DomainError, MalformedInputError, PreconditionError,
                      UnderEnumerationError)
-from .kernels import tighten_codes
 
 NAME_RE = re.compile(r"\A[a-z][a-z0-9]*\Z")
-
-# below this length the list-based tighten beats the array round trip
-_KERNEL_CUTOFF = 512
 
 
 class EdgeAlphabet:
@@ -147,8 +141,6 @@ def is_reduced(codes) -> bool:
 
 def tighten_raw(codes) -> tuple[int, ...]:
     """Stack-cancellation on raw code sequences."""
-    if len(codes) >= _KERNEL_CUTOFF:
-        return tuple(int(c) for c in tighten_codes(np.asarray(codes, dtype=np.int32)))
     out = []
     for c in codes:
         if out and out[-1] == c ^ 1:

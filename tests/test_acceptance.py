@@ -2,8 +2,7 @@
 
 Each test prints a PASS line once its assertions hold (visible under
 ``pytest -s``); a failure shows up as a normal pytest failure.  Timing
-budgets are enforced with ``time.perf_counter`` after a session-scoped
-kernel warmup, so one-off JIT compilation is not billed to any criterion.
+budgets are enforced with ``time.perf_counter``.
 """
 
 import math

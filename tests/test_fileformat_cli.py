@@ -228,6 +228,29 @@ class TestDimensionCommand:
         assert len(payload["reports"]) == 2
         assert all(rep["vanishing"] for rep in payload["reports"])
 
+    def test_extension_table_counted_once(self, monkeypatch, capsys):
+        from lamtool import cli
+        requests = []
+        make_source = cli._source
+
+        def source(ai):
+            src = make_source(ai)
+            metric_beta = src.metric_beta
+
+            def counting(n_max):
+                requests.append(n_max)
+                return metric_beta(n_max)
+
+            src.metric_beta = counting
+            return src
+
+        monkeypatch.setattr(cli, "_source", source)
+        code = cli.main(["dimension", str(FIB), "--a", "2",
+                         "--delta", "0.5,0.1,0.01", "--max-n", "20"])
+        assert code == 0
+        assert capsys.readouterr().out.count("extended search to n=5000") == 3
+        assert requests == [20, 5000]
+
     def test_csv_columns(self, tmp_path):
         target = tmp_path / "series.csv"
         code, _, _ = run_cli("dimension", FIB, "--a", "2", "--delta", "0.5",
@@ -258,6 +281,15 @@ class TestSizeCapSetting:
         assert proc.returncode == 3
         assert "eigenray prefix" in proc.stderr
 
+    def test_full_shift_beyond_cap_exit_3(self):
+        env = dict(os.environ, LAMTOOL_SIZE_CAP="1000")
+        proc = subprocess.run(
+            [sys.executable, "-m", "lamtool.cli", "complexity", str(FULL),
+             "--max-n", "500"],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 3
+        assert "full-shift counts to depth 500" in proc.stderr
+
 
 class TestCollapseCommand:
     def test_size_cap_exit_3(self):
@@ -282,6 +314,26 @@ class TestCollapseCommand:
         assert code == 0
         assert "rose input" in out
         assert "witness C = 1" in out
+
+    @pytest.mark.parametrize("max_c", ["0", "-3"])
+    def test_max_c_below_one_exit_1(self, max_c):
+        code, _, err = run_cli("collapse", THETA, "--max-n", "5", "--max-c", max_c)
+        assert code == 1
+        assert "--max-c must be >= 1" in err
+
+    @pytest.mark.parametrize("text, found", [
+        ("graph\nvertex v0\nvertex v1\nedge e1 v0 v1 1\nedge e2 v0 v1 1\n"
+         "edge e3 v0 v1 1\n", "found none"),
+        (THETA.read_text() + "lamlang demo symmetric=1\ne1 e2'\n",
+         "found ['map', 'lamlang']")], ids=["graph-only", "map-and-lamlang"])
+    def test_driver_must_be_unique(self, tmp_path, text, found):
+        target = tmp_path / "input.lam"
+        target.write_text(text)
+        for args in (("collapse", target, "--max-n", "5"),
+                     ("compare", target, FIBSUB, "--max-n", "5", "--max-c", "3")):
+            code, _, err = run_cli(*args)
+            assert code == 2
+            assert "exactly one of map, sub, lamlang" in err and found in err
 
 
 class TestCompareCommand:

@@ -4,10 +4,12 @@ import pytest
 
 from lamtool import (GraphSelfMap, MarkedMetricGraph, attracting_language,
                      beta_metric, maximal_subtree, transport_compare)
-from lamtool.errors import PreconditionError, UnderEnumerationError
+from lamtool.errors import (PreconditionError, SizeCapExceeded,
+                            UnderEnumerationError)
 from lamtool.laminations import (AttractingSource, FullShiftSource,
-                                 MaterializedSource, fiber_counts,
-                                 project_language)
+                                 MaterializedSource, SubstitutionSource,
+                                 fiber_counts, project_language)
+from lamtool.substitutions import Substitution
 from lamtool.words import inverse_codes, is_reduced
 
 from conftest import naive_iterate_image
@@ -245,3 +247,56 @@ class TestSources:
         src = MaterializedSource(attracting_language(fib_map, 6))
         with pytest.raises(UnderEnumerationError):
             src.p_counts(7)
+
+    def test_full_shift_on_theta_against_brute_force(self):
+        graph = MarkedMetricGraph(
+            ["v0", "v1"], [("e1", "v0", "v1", 1), ("e2", "v0", "v1", Fraction(3, 2)),
+                           ("e3", "v0", "v1", 2)])
+        letters = graph.alphabet.letters()
+        # every reduced edge path of up to 10 letters, grown letter by letter
+        paths, level = [], [(c,) for c in letters]
+        for _ in range(10):
+            paths.extend(level)
+            level = [w + (c,) for w in level for c in letters
+                     if graph.terminus(w[-1]) == graph.origin(c) and c != w[-1] ^ 1]
+        metric = [sum((graph.lengths[c >> 1] for c in w), Fraction(0)) for w in paths]
+        src = FullShiftSource(graph)
+        assert src.p_counts(10) == [sum(1 for w in paths if len(w) == n)
+                                    for n in range(1, 11)]
+        # lengths >= 1, so a path of metric length <= 6 has at most 6 letters
+        assert src.metric_beta(6) == [sum(1 for x in metric if x <= n)
+                                      for n in range(1, 7)]
+
+    def test_full_shift_refuses_beyond_the_cap(self, monkeypatch):
+        graph = MarkedMetricGraph(
+            ["v"], [("a", "v", "v", Fraction(1, 2)), ("b", "v", "v", 1)])
+        monkeypatch.setenv("LAMTOOL_SIZE_CAP", "1000")
+        src = FullShiftSource(graph)
+        # depth 500 needs about 500 + log2(3)/32 * 500 * 501 / 2 = 6703 words
+        with pytest.raises(SizeCapExceeded):
+            src.p_counts(500)
+        # metric bound 250 reaches depth 500 through the length-1/2 edge
+        with pytest.raises(SizeCapExceeded):
+            src.metric_beta(250)
+        assert src.p_counts(50) == [4 * 3 ** (n - 1) for n in range(1, 51)]
+
+    def test_rose_counts(self, fib_map, silver_map):
+        fib = AttractingSource(fib_map)
+        assert fib.rose_counts(20) == fib.p_counts(20)
+        sub = SubstitutionSource(Substitution.from_tokens({"a": ["a", "b"], "b": ["a"]}))
+        assert sub.rose_counts(20) == sub.p_counts(20) == [n + 1 for n in range(1, 21)]
+        cd = maximal_subtree(silver_map.graph)
+        lang = attracting_language(silver_map, cd.lift_stretch * 12)
+        expected = transport_compare(lang, cd, 12).rose_counts()
+        assert AttractingSource(silver_map).rose_counts(12) == expected
+        assert MaterializedSource(lang).rose_counts(12) == expected
+
+    def test_materialize_by_source(self, fib_map, rose2):
+        lang = attracting_language(fib_map, 6)
+        assert MaterializedSource(lang).materialize(3) is lang
+        assert AttractingSource(fib_map).materialize(6).strata == lang.strata
+        with pytest.raises(PreconditionError, match="fullshift"):
+            FullShiftSource(rose2).materialize(3)
+        sub = SubstitutionSource(Substitution.from_tokens({"a": ["a", "b"], "b": ["a"]}))
+        with pytest.raises(PreconditionError, match="map or lamlang"):
+            sub.materialize(3)

@@ -60,6 +60,13 @@ class TestTighten:
             once = tighten_raw(word)
             assert once == naive_tighten(word)
             assert tighten_raw(once) == once
+        # long words as well
+        for length in (511, 512, 513, 1000, 2000):
+            for size in (2, 5):
+                word = random_word(rng, size, length)
+                once = tighten_raw(word)
+                assert once == naive_tighten(word)
+                assert tighten_raw(once) == once
 
     def test_length_non_increasing_and_inverse_kills(self, ab):
         rng = random.Random(7)
