@@ -27,9 +27,10 @@ class PreconditionError(LamtoolError):
 
 
 class SizeCapExceeded(LamtoolError):
-    """An intermediate word grew past the configured letter cap."""
+    """A word or table would need more int32 words than the size cap
+    (``LAMTOOL_SIZE_CAP``); raised by ``config.check_size`` before allocating."""
 
-    def __init__(self, message, attempted=None, cap=None):
+    def __init__(self, message, attempted, cap):
         super().__init__(message)
         self.attempted = attempted
         self.cap = cap

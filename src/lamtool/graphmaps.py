@@ -16,10 +16,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import size_cap
 from .errors import DomainError, MalformedInputError
 from .graphs import MarkedMetricGraph
-from .kernels import expand_capped, image_tables, tighten_codes
+from .kernels import expand_capped, image_tables
 from .words import EdgePath, cyclic_tighten_raw, is_reduced, tighten_raw
 
 __all__ = [
@@ -109,22 +108,21 @@ def compose(outer: GraphSelfMap, inner: GraphSelfMap) -> GraphSelfMap:
     return GraphSelfMap(inner.graph, vimg, images)
 
 
-def apply_power_raw(gsm: GraphSelfMap, codes, k: int, cap=None) -> tuple[int, ...]:
+def apply_power_raw(gsm: GraphSelfMap, codes, k: int) -> tuple[int, ...]:
     if k < 0:
         raise DomainError("power must be >= 0")
-    cap = size_cap(cap)
     current = tuple(codes)
     if k == 0:
         return tighten_raw(current)
-    arr = np.asarray(current, dtype=np.int32)
     for _ in range(k):
-        arr = tighten_codes(expand_capped(arr, gsm.tables(), cap, "intermediate word"))
-    return tuple(int(c) for c in arr)
+        image = expand_capped(current, gsm.tables(), "intermediate word")
+        current = tighten_raw(image.tolist())
+    return current
 
 
-def apply_power(gsm: GraphSelfMap, path: EdgePath, k: int, cap=None) -> EdgePath:
+def apply_power(gsm: GraphSelfMap, path: EdgePath, k: int) -> EdgePath:
     """tighten(f^k(path)), computed by k substitution+tighten rounds."""
-    return EdgePath(gsm.graph.alphabet, apply_power_raw(gsm, path.letters, k, cap))
+    return EdgePath(gsm.graph.alphabet, apply_power_raw(gsm, path.letters, k))
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +427,7 @@ class ConjugacyGrowth:
     rate_estimate: float
 
 
-def conjugacy_growth(gsm: GraphSelfMap, w: EdgePath, n_max: int, cap=None) -> ConjugacyGrowth:
+def conjugacy_growth(gsm: GraphSelfMap, w: EdgePath, n_max: int) -> ConjugacyGrowth:
     """Cyclically reduced lengths of iterated images of a loop, plus the
     ratio of the last two as a growth-rate estimate."""
     if n_max < 1:
@@ -439,11 +437,10 @@ def conjugacy_growth(gsm: GraphSelfMap, w: EdgePath, n_max: int, cap=None) -> Co
         raise DomainError("growth of the trivial loop is undefined")
     if gsm.graph.origin(word[0]) != gsm.graph.terminus(word[-1]):
         raise DomainError("conjugacy growth expects a loop")
-    cap = size_cap(cap)
     lengths = [(0, len(cyclic_tighten_raw(word)))]
     current = word
     for n in range(1, n_max + 1):
-        current = apply_power_raw(gsm, current, 1, cap)
+        current = apply_power_raw(gsm, current, 1)
         lengths.append((n, len(cyclic_tighten_raw(current))))
     last, prev = lengths[-1][1], lengths[-2][1]
     rate = last / prev if prev else 0.0

@@ -47,9 +47,9 @@ class MarkedMetricGraph:
     """
 
     __slots__ = ("vertices", "alphabet", "lengths", "length_unit", "_origin",
-                 "_vindex", "_steps", "_reduced_steps", "_weights", "intermediate")
+                 "_vindex", "_steps", "_reduced_steps", "_weights")
 
-    def __init__(self, vertices: Iterable[str], edges: Sequence[tuple], intermediate: bool = False):
+    def __init__(self, vertices: Iterable[str], edges: Sequence[tuple]):
         self.vertices = tuple(sorted(set(vertices)))
         if not self.vertices:
             raise MalformedInputError("graph needs at least one vertex")
@@ -66,7 +66,6 @@ class MarkedMetricGraph:
             lengths.append(_parse_length(length))
         self._origin = tuple(origin)
         self.lengths = tuple(lengths)
-        self.intermediate = intermediate
         # every length is an integer weight times 1 / length_unit
         self.length_unit = lcm(*(length.denominator for length in self.lengths))
         self._weights = {c: int(self.lengths[c >> 1] * self.length_unit)
@@ -179,11 +178,10 @@ def validate(graph: MarkedMetricGraph) -> ValidationReport:
     rank = graph.betti()
     if rank < 2:
         violations.append(f"first Betti number {rank} is below the minimum rank 2")
-    if not graph.intermediate:
-        for i, v in enumerate(graph.vertices):
-            deg = graph.degree(i)
-            if deg < 3:
-                violations.append(f"vertex {v} has degree {deg} < 3")
+    for i, v in enumerate(graph.vertices):
+        deg = graph.degree(i)
+        if deg < 3:
+            violations.append(f"vertex {v} has degree {deg} < 3")
     for i, length in enumerate(graph.lengths):
         if length <= 0:
             violations.append(f"edge {graph.alphabet.names[i]} has nonpositive length")

@@ -3,20 +3,20 @@
 Words are packed into ``int32`` numpy arrays.  For involutive (edge)
 alphabets the letter with topological index i and its inverse occupy codes
 ``2i`` and ``2i + 1``, so inversion is ``code ^ 1``; plain substitution
-alphabets just use ``0 .. sigma-1`` and never call the cancellation kernel.
+alphabets just use ``0 .. sigma-1``.  Cancellation is ``words.tighten_raw``.
 
-There is one backend; ``BACKEND`` names it for run records.
+:func:`expand_capped` asks ``config.check_size`` before it expands.  There
+is one backend; ``BACKEND`` names it for run records.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import SizeCapExceeded
+from .config import check_size
 
 __all__ = [
     "BACKEND",
-    "tighten_codes",
     "image_tables",
     "expand_codes",
     "expand_capped",
@@ -24,17 +24,6 @@ __all__ = [
 ]
 
 BACKEND = "python"
-
-
-def tighten_codes(codes):
-    """Cancel adjacent inverse pairs; returns the reduced int32 array."""
-    out = []
-    for c in np.asarray(codes, dtype=np.int32).tolist():
-        if out and out[-1] == c ^ 1:
-            out.pop()
-        else:
-            out.append(c)
-    return np.asarray(out, dtype=np.int32)
 
 
 def expand_codes(codes, offsets, data):
@@ -60,16 +49,13 @@ def image_tables(images):
     return np.asarray(offsets, dtype=np.int64), np.asarray(data, dtype=np.int32)
 
 
-def expand_capped(codes, tables, cap, what):
+def expand_capped(codes, tables, what):
     """:func:`expand_codes` over ``tables = (offsets, data)``, refused before
-    anything is expanded when the result would exceed ``cap`` letters; the
-    :class:`SizeCapExceeded` message calls the result ``what``."""
+    anything is expanded when the result is over the size cap; the refusal
+    calls the result ``what``."""
     offsets, data = tables
     arr = np.asarray(codes, dtype=np.int32)
-    predicted = int((offsets[arr + 1] - offsets[arr]).sum()) if arr.size else 0
-    if predicted > cap:
-        raise SizeCapExceeded(f"{what} of {predicted} letters exceeds the cap {cap}",
-                              attempted=predicted, cap=cap)
+    check_size(int((offsets[arr + 1] - offsets[arr]).sum()) if arr.size else 0, what)
     return expand_codes(arr, offsets, data)
 
 

@@ -21,9 +21,9 @@ from typing import Optional
 
 import numpy as np
 
-from .config import size_cap
+from .config import check_size
 from .errors import (DomainError, LamtoolError, PreconditionError,
-                     SizeCapExceeded, UnderEnumerationError)
+                     UnderEnumerationError)
 from .graphs import (CollapseData, MarkedMetricGraph, maximal_subtree,
                      project_path)
 from .graphmaps import (GraphSelfMap, analyze_matrix, is_train_track,
@@ -111,12 +111,12 @@ def _oriented_substitution(gsm: GraphSelfMap):
 
 
 def _language_from_substitution(gsm: GraphSelfMap, orn, sub: Substitution,
-                                n_max: int, cap=None) -> LaminaryLanguage:
+                                n_max: int) -> LaminaryLanguage:
     """Relabel the factor language onto edge codes and close it under
     inversion, one stratum at a time as a block of rows."""
     alphabet = gsm.graph.alphabet
     code_of = np.asarray([alphabet.index(tok) for tok in sub.letters], dtype=np.int32)
-    flang = factor_language(sub, n_max, cap)
+    flang = factor_language(sub, n_max)
     strata = [frozenset()]
     for n in range(1, n_max + 1):
         rows = code_of[np.asarray(list(flang.strata[n]), dtype=np.int32).reshape(-1, n)]
@@ -133,7 +133,7 @@ def _language_from_substitution(gsm: GraphSelfMap, orn, sub: Substitution,
                             origin="attracting-lamination")
 
 
-def attracting_language(gsm: GraphSelfMap, n_max: int, cap=None) -> LaminaryLanguage:
+def attracting_language(gsm: GraphSelfMap, n_max: int) -> LaminaryLanguage:
     """The laminary language of the map's attracting lamination, materialized
     to depth ``n_max``.
 
@@ -145,7 +145,7 @@ def attracting_language(gsm: GraphSelfMap, n_max: int, cap=None) -> LaminaryLang
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     orn, sub = _oriented_substitution(gsm)
-    return _language_from_substitution(gsm, orn, sub, n_max, cap)
+    return _language_from_substitution(gsm, orn, sub, n_max)
 
 
 def beta_metric(lang: LaminaryLanguage, n) -> int:
@@ -423,14 +423,12 @@ class FullShiftSource(LanguageSource):
         those of weight w - weights[d] by a reduced step, so a ring of
         ``max(weights) + 1`` rows of per-letter counts suffices."""
         letters = self.graph.alphabet.letters()
-        # p(n) <= 2m (2m - 1)^(n - 1): bound the table's int32 words up front
-        depth = top // min(weights)
-        need = depth + log2(len(letters) - 1) / 32 * depth * (depth + 1) / 2
-        cap = size_cap()
-        if need > cap:
-            raise SizeCapExceeded(
-                f"full-shift counts to depth {depth} need about {int(need)} "
-                f"int32 words, over the cap {cap}", attempted=int(need), cap=cap)
+        # a path of weight w has at most w / min(weights) letters, and there
+        # are at most 2m (2m - 1)^(letters - 1) such paths: bound the int32
+        # words of the top totals kept, at least one each, up front
+        shortest = min(weights)
+        need = top + log2(len(letters) - 1) / 32 * top * (top + 1) / (2 * shortest)
+        check_size(need, f"full-shift counts to depth {top // shortest}")
         steps = [(weights[d], [p for p in letters
                                if self.graph.is_reduced_path((p, d))])
                  for d in letters]

@@ -3,8 +3,7 @@
 Two enumeration routes are provided and cross-checked in the tests:
 
 * :func:`factor_language` materializes the length strata up to ``n_max`` by
-  iterating the substitution on every letter until a full extra round adds
-  nothing;
+  iterating the substitution on every letter until a round adds nothing;
 * :func:`complexity_counts` only counts: the length-2-factor certificate
   (:func:`counting_certificate`) names an eigenray prefix theta^k(Q) that
   holds every factor of length <= ``n_max``, and the distinct-substring
@@ -23,9 +22,9 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .config import size_cap
+from .config import check_size
 from .errors import (DomainError, InsufficientDataError, MalformedInputError,
-                     NotAnEigenletterError, PreconditionError, SizeCapExceeded)
+                     NotAnEigenletterError, PreconditionError)
 from .graphmaps import GraphSelfMap, OrientationResult, analyze_matrix
 from .kernels import expand_capped, expand_codes, image_tables, substring_counts
 from .words import Stratified
@@ -102,9 +101,9 @@ class Substitution:
             self._tables = image_tables(self.images)
         return self._tables
 
-    def apply(self, codes, cap=None) -> np.ndarray:
+    def apply(self, codes) -> np.ndarray:
         """One substitution round on a word of letter codes."""
-        return expand_capped(codes, self.tables(), size_cap(cap), "substituted word")
+        return expand_capped(codes, self.tables(), "substituted word")
 
     def occurrence_matrix(self) -> np.ndarray:
         """Entry (i, j) counts letter i in the image of letter j."""
@@ -188,7 +187,7 @@ def eigen_exponent(sub: Substitution, seed: int) -> int:
     return k
 
 
-def eigenray_prefix(sub: Substitution, seed, target_len: int, cap=None) -> np.ndarray:
+def eigenray_prefix(sub: Substitution, seed, target_len: int) -> np.ndarray:
     """The prefix of length target_len of the eigenray of ``seed``.
 
     Successive iterates of theta^k extend each other, and the image of a
@@ -201,11 +200,7 @@ def eigenray_prefix(sub: Substitution, seed, target_len: int, cap=None) -> np.nd
     if target_len < 1:
         raise DomainError("target length must be >= 1")
     k = eigen_exponent(sub, seed)
-    cap = size_cap(cap)
-    if target_len > cap:
-        raise SizeCapExceeded(
-            f"eigenray prefix of {target_len} letters exceeds the cap {cap}",
-            attempted=target_len, cap=cap)
+    check_size(target_len, "eigenray prefix")
     offsets, data = sub.tables()
     word = np.asarray([seed], dtype=np.int32)
     while word.size < target_len:
@@ -229,13 +224,22 @@ class FactorLanguage(Stratified):
     source: str
 
 
-def factor_language(sub: Substitution, n_max: int, cap=None) -> FactorLanguage:
+def factor_language(sub: Substitution, n_max: int) -> FactorLanguage:
     """All factors of length <= n_max of the substitution language.
 
-    Iterates the substitution on every letter, harvesting factors each
-    round; stops once a full extra round adds nothing and every iterate is
-    either stable or has length at least twice ``n_max``.  Primitivity is
-    required for the stabilization guarantee.
+    Iterates the substitution on every letter, harvesting the factors of
+    length <= n_max of each iterate, and stops at the first round that adds
+    none.  No later round could add one: suppose round j + 1 adds nothing,
+    and take a factor u of theta^(j+2)(c) with |u| <= n_max.  Every image is
+    nonempty, so u lies in theta(v) for some factor v of theta^(j+1)(c) with
+    |v| <= |u|.  So v was already harvested from some theta^i(c') with
+    i <= j, and u is a factor of theta^(i+1)(c'), which was harvested too.
+    Primitivity is required: it makes these iterates carry the language of
+    every eigenray.
+
+    A factor of length n_max needs an iterate of at least n_max letters,
+    which the size cap refuses, so ``n_max`` over the cap is refused before
+    any stratum is allocated.  The cap bounds the iterates, not the strata.
 
     A factor is harvested as the bytes of its int32 codes, a slice of its
     word's buffer, so each length of each word costs one set comprehension
@@ -247,7 +251,7 @@ def factor_language(sub: Substitution, n_max: int, cap=None) -> FactorLanguage:
         raise DomainError("n_max must be >= 1")
     if not sub.is_primitive():
         raise DomainError("factor enumeration requires a primitive substitution")
-    cap = size_cap(cap)
+    check_size(n_max, "factor strata")
     width = np.dtype(np.int32).itemsize
     strata = [set() for _ in range(n_max + 1)]
 
@@ -264,21 +268,8 @@ def factor_language(sub: Substitution, n_max: int, cap=None) -> FactorLanguage:
         return added
 
     words = [np.asarray([c], dtype=np.int32) for c in range(sub.sigma)]
-    prev_lengths = [w.size for w in words]
-    for w in words:
-        harvest(w)
-    while True:
-        words = [sub.apply(w, cap) for w in words]
-        lengths = [w.size for w in words]
-        added = False
-        for w in words:
-            if harvest(w):
-                added = True
-        grown_enough = all(n >= 2 * n_max for n in lengths)
-        stable = lengths == prev_lengths
-        prev_lengths = lengths
-        if not added and (grown_enough or stable):
-            break
+    while any([harvest(w) for w in words]):  # a list, so every word is harvested
+        words = [sub.apply(w) for w in words]
 
     def decode(stratum, n) -> frozenset:
         rows = np.frombuffer(b"".join(stratum), dtype=np.int32).reshape(-1, n)
@@ -416,7 +407,7 @@ def counting_certificate(sub: Substitution, n_max: int) -> CountingCertificate:
     return best
 
 
-def complexity_counts(sub: Substitution, n_max: int, cap=None) -> np.ndarray:
+def complexity_counts(sub: Substitution, n_max: int) -> np.ndarray:
     """Exact p(n) for n = 1..n_max without materializing the language.
 
     Expands the eigenray prefix that :func:`counting_certificate` proves
@@ -433,7 +424,7 @@ def complexity_counts(sub: Substitution, n_max: int, cap=None) -> np.ndarray:
     if not sub.is_primitive():
         raise DomainError("complexity counting requires a primitive substitution")
     cert = counting_certificate(sub, n_max)
-    ray = eigenray_prefix(cert.sub, cert.seed, cert.letters, cap)
+    ray = eigenray_prefix(cert.sub, cert.seed, cert.letters)
     separator = np.asarray([-1], dtype=np.int32)
     pieces = [piece for start, stop in cert.slices
               for piece in (separator, ray[start:stop])]
@@ -500,7 +491,9 @@ class EquivalenceWitness:
 
 def growth_equivalence_witness(f_values, g_values, c_max: int) -> EquivalenceWitness:
     """Least C <= c_max with f(n) <= C*g(C*n) and g(n) <= C*f(C*n) on the
-    overlap of the two tables; reports the first violation per C otherwise.
+    overlap of the two tables; reports the first violation per C otherwise,
+    up to the first C whose window n <= n_max / C is empty (so is every
+    larger C's).
 
     A success is evidence on the finite window, not a proof.
     """
@@ -514,7 +507,7 @@ def growth_equivalence_witness(f_values, g_values, c_max: int) -> EquivalenceWit
         limit = n_max // c
         if limit < 1:
             frontier.append((c, 0, "window empty"))
-            continue
+            break
         violation = None
         for n in range(1, limit + 1):
             if f_vals[n - 1] > c * g_vals[c * n - 1]:

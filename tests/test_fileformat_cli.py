@@ -290,6 +290,15 @@ class TestSizeCapSetting:
         assert proc.returncode == 3
         assert "full-shift counts to depth 500" in proc.stderr
 
+    def test_near_equal_lengths_full_shift_exit_3(self, tmp_path):
+        # lengths 1 and 1.001 make 1000 weight rows per unit of metric length
+        source = tmp_path / "near.lam"
+        source.write_text("graph\nvertex v\nedge a v v 1\nedge b v v 1.001\n"
+                          "lamlang fullshift symmetric=1 closure=fullshift\n")
+        code, _, err = run_cli("complexity", source, "--max-n", "1000")
+        assert code == 3
+        assert "full-shift counts to depth 1000" in err
+
 
 class TestCollapseCommand:
     def test_size_cap_exit_3(self):
@@ -372,3 +381,39 @@ class TestDeterminism:
         second = run_cli(*args)
         assert first == second
         assert first[0] == 0
+
+
+class TestExtremeArguments:
+    """Every command on every sample with extreme argument values exits with
+    a code of the contract and no traceback.  Depths between 10^4 and 10^7
+    are left out: there a count is legitimately long."""
+
+    MAX_N = ["0", "-1", "1", "2", "3", "7", "100000000", "1000000000000000000",
+             "abc", "1e308", "nan"]
+    MAX_C = ["0", "1", "6", "100000000"]
+    A = ["nan", "inf", "-inf", "0", "-2", "1", "1.000001", "1e308", "1e-308"]
+    DELTA = ["nan", "0", "1e-308", "1e308", "0.5", "0.5,,0.1", ","]
+
+    def argvs(self, command, path):
+        if command == "complexity":
+            return [[path, "--max-n", n] for n in self.MAX_N]
+        if command in ("collapse", "compare"):
+            files = [path] if command == "collapse" else [path, str(FULL)]
+            return [files + ["--max-n", n, "--max-c", c]
+                    for n in self.MAX_N for c in self.MAX_C]
+        pairs = ([(a, "0.5") for a in self.A] + [("2", d) for d in self.DELTA])
+        return [[path, "--a", a, "--delta", d, "--max-n", n]
+                for n in self.MAX_N for a, d in pairs]
+
+    @pytest.mark.parametrize("command",
+                             ["complexity", "collapse", "compare", "dimension"])
+    def test_exit_code_in_contract(self, command, capsys):
+        from lamtool import cli
+        bad = []
+        for path in ALL_SAMPLES:
+            for argv in self.argvs(command, str(path)):
+                code = cli.main([command] + argv)
+                err = capsys.readouterr().err
+                if code not in range(5) or "Traceback" in err:
+                    bad.append((argv, code, err))
+        assert bad == []

@@ -52,9 +52,10 @@ class TestApplyPower:
                    for k in range(5)]
         assert lengths == [1, 2, 3, 5, 8]
 
-    def test_size_cap(self, fib_map, rose2):
+    def test_size_cap(self, fib_map, rose2, monkeypatch):
+        monkeypatch.setenv("LAMTOOL_SIZE_CAP", "1000")
         with pytest.raises(SizeCapExceeded):
-            apply_power(fib_map, rose2.path("a"), 40, cap=1000)
+            apply_power(fib_map, rose2.path("a"), 40)
 
 
 class TestTrainTrack:

@@ -6,7 +6,8 @@ import random
 import numpy as np
 
 from lamtool import kernels
-from lamtool.kernels import expand_codes, substring_counts, tighten_codes
+from lamtool.kernels import expand_codes, substring_counts
+from lamtool.words import tighten_raw
 
 from conftest import fibonacci_word, naive_tighten, random_word
 
@@ -71,23 +72,25 @@ def test_backend_is_reported():
 
 
 class TestTighten:
+    """``words.tighten_raw`` on expanded int32 words, as map iterates feed it."""
+
     def test_matches_python_reference(self):
         rng = random.Random(1)
         for _ in range(300):
             word = np.array(random_word(rng, 3, rng.randint(0, 200)),
                             dtype=np.int32)
-            out = tighten_codes(word)
-            assert out.dtype == np.int32
-            assert tuple(out) == naive_tighten(tuple(word))
+            out = tighten_raw(word.tolist())
+            assert all(type(c) is int for c in out)
+            assert out == naive_tighten(tuple(word))
 
     def test_large_word(self):
         rng = random.Random(2)
         word = np.array(random_word(rng, 2, 100_000), dtype=np.int32)
-        out = tighten_codes(word)
+        out = np.asarray(tighten_raw(word.tolist()), dtype=np.int32)
         assert not np.any(out[1:] == (out[:-1] ^ 1))
         # cancelling a reduced word's inverse against it leaves nothing
-        inverse = (out[::-1] ^ 1).astype(np.int32)
-        assert tighten_codes(np.concatenate([out, inverse])).size == 0
+        inverse = out[::-1] ^ 1
+        assert tighten_raw(np.concatenate([out, inverse]).tolist()) == ()
 
 
 class TestExpand:

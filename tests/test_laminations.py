@@ -230,9 +230,9 @@ class TestSources:
         depths = []
         count = laminations.complexity_counts
 
-        def counting(sub, n_max, cap=None):
+        def counting(sub, n_max):
             depths.append(n_max)
-            return count(sub, n_max, cap)
+            return count(sub, n_max)
 
         monkeypatch.setattr(laminations, "complexity_counts", counting)
         src = AttractingSource(silver_map)

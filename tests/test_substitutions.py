@@ -123,6 +123,16 @@ class TestFactorLanguage:
         with pytest.raises(DomainError):
             factor_language(sub, 3)
 
+    def test_depth_over_the_cap_refused_before_expanding(self, fib, monkeypatch):
+        def no_expand(*args):
+            raise AssertionError("expanded past the cap")
+
+        monkeypatch.setattr(Substitution, "apply", no_expand)
+        monkeypatch.setenv("LAMTOOL_SIZE_CAP", "1000")
+        with pytest.raises(SizeCapExceeded) as err:
+            factor_language(fib, 1001)
+        assert err.value.attempted == 1001
+
     def test_members_match_brute_force_on_long_prefix(self, fib):
         lang = factor_language(fib, 6)
         oracle = {f for f in string_factors(fibonacci_word(400), 6)}
@@ -198,6 +208,12 @@ class TestGrowthEquivalence:
         assert len(witness.frontier) == 6
         for c, n, side in witness.frontier:
             assert g[n - 1] > c * f[c * n - 1]
+
+    def test_frontier_stops_at_the_first_empty_window(self):
+        # g(1) > f(1) fails C = 1, and the window n <= 1 / C is empty for C > 1
+        witness = growth_equivalence_witness([2], [4], 10 ** 6)
+        assert witness.constant is None
+        assert witness.frontier == ((1, 1, "g(n) > C*f(Cn)"), (2, 0, "window empty"))
 
     def test_empty_tables_rejected(self):
         with pytest.raises(InsufficientDataError):
@@ -350,11 +366,13 @@ class TestCertifiedCounting:
             raise AssertionError("expanded past the cap")
 
         monkeypatch.setattr(substitutions, "expand_codes", no_expand)
+        monkeypatch.setenv("LAMTOOL_SIZE_CAP", str(letters - 1))
         with pytest.raises(SizeCapExceeded) as err:
-            complexity_counts(fib, 1000, cap=letters - 1)
+            complexity_counts(fib, 1000)
         assert err.value.attempted == letters
 
-    def test_cap_equal_to_the_prefix_suffices(self, fib):
+    def test_cap_equal_to_the_prefix_suffices(self, fib, monkeypatch):
         letters = counting_certificate(fib, 1000).letters
-        counts = complexity_counts(fib, 1000, cap=letters)
+        monkeypatch.setenv("LAMTOOL_SIZE_CAP", str(letters))
+        counts = complexity_counts(fib, 1000)
         assert np.array_equal(counts[1:], np.arange(2, 1002))
