@@ -164,14 +164,10 @@ class CoverBoundReport:
 
 
 def _log_int(value: int) -> float:
-    """math.log for arbitrarily large integers."""
+    """math.log of a count; math.log takes a Python int of any size."""
     if value <= 0:
         raise DomainError("log of a nonpositive count")
-    try:
-        return math.log(value)
-    except OverflowError:
-        bits = value.bit_length() - 1
-        return bits * math.log(2.0) + math.log(value / (1 << bits))
+    return math.log(value)
 
 
 def cover_bound_series(beta_values: Sequence[int], a, delta, c0) -> CoverBoundReport:
@@ -186,10 +182,10 @@ def cover_bound_series(beta_values: Sequence[int], a, delta, c0) -> CoverBoundRe
         raise DomainError("visual parameter must satisfy a > 1")
     if not float(delta) > 0:
         raise DomainError("delta must be positive")
-    if not float(c0) > 0:
+    if not c0 > 0:
         raise DomainError("c0 must be positive")
     n_max = len(beta_values)
-    start = max(1, math.ceil(2 * float(c0)))
+    start = max(1, math.ceil(2 * c0))  # exact for a Fraction beyond float range
     if n_max < start:
         raise InsufficientDataError(
             f"beta table reaches n={n_max}, below the start n={start}")

@@ -205,10 +205,11 @@ def _cmd_complexity(args) -> int:
     print(f"language: {source.description}")
     print(f"depth: {args.max_n}, beta({args.max_n}) = {beta[-1]}")
     if source.substitutive:
+        # C is the largest p(n)/n on the window, so the bound holds there by
+        # construction; checking it again in floats can only err by rounding
         fit = linear_fit_constant(p)
-        ok = all(p[n - 1] <= fit * n for n in range(1, args.max_n + 1))
         print(f"linear fit: p(n) <= C*n holds on the window with C = {_fmt(fit)} "
-              f"({'pass' if ok else 'fail'}; evidence, not a proof)")
+              "(pass; evidence, not a proof)")
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as handle:
             handle.write(csv_text)
@@ -250,17 +251,23 @@ def _cmd_dimension(args) -> int:
     dim = dim_upper_estimate(table, args.a, window)
 
     reports = []
-    all_series = [cover_bound_series(table, args.a, d, float(c0)) for d in deltas]
+    all_series = [cover_bound_series(table, args.a, d, c0) for d in deltas]
+    extend = source.extendable and args.max_n < _EXTENSION_LIMIT
     big = None  # the extension table, counted once for every delta
     for delta, series in zip(deltas, all_series):
         n_star = series.first_below
         vanishing = series.vanishing
         extended_to = None
-        if (not vanishing and source.extendable
-                and args.max_n < _EXTENSION_LIMIT):
-            if big is None:
+        if not vanishing and extend and big is None:
+            try:
                 big = source.metric_beta(_EXTENSION_LIMIT)
-            extended = cover_bound_series(big, args.a, delta, float(c0))
+            except SizeCapExceeded as exc:
+                # the extension is optional: keep the window's answer
+                print(f"note: search not extended to n={_EXTENSION_LIMIT}: "
+                      f"size cap exceeded: {exc}", file=sys.stderr)
+                extend = False
+        if not vanishing and extend:
+            extended = cover_bound_series(big, args.a, delta, c0)
             vanishing = extended.vanishing
             n_star = extended.first_below
             extended_to = _EXTENSION_LIMIT

@@ -192,22 +192,17 @@ def parse(text: str) -> AnalysisInput:
     result = AnalysisInput()
     result.sha256 = hashlib.sha256(text.encode()).hexdigest()
 
-    if saw_graph or edges or vertices:
-        try:
+    try:
+        if saw_graph or edges or vertices:
             result.graph = MarkedMetricGraph(vertices, edges)
-        except MalformedInputError as exc:
-            raise ParseError(str(exc))
-
-    if saw_map or emap or vmap:
-        if result.graph is None:
-            raise ParseError("map section requires a graph section")
-        result.graph_map = _build_map(result.graph, vmap, emap)
-
-    if sub_rules:
-        try:
+        if saw_map or emap or vmap:
+            if result.graph is None:
+                raise ParseError("map section requires a graph section")
+            result.graph_map = _build_map(result.graph, vmap, emap)
+        if sub_rules:
             result.substitution = Substitution.from_tokens(sub_rules)
-        except MalformedInputError as exc:
-            raise ParseError(str(exc))
+    except MalformedInputError as exc:
+        raise ParseError(str(exc))
 
     if language is not None:
         if language.closure == "fullshift":
@@ -232,10 +227,7 @@ def _build_map(graph, vmap, emap) -> GraphSelfMap:
     for name in graph.alphabet.names:
         if name not in emap:
             raise ParseError(f"map section misses edge {name!r}")
-        try:
-            images.append(graph.alphabet.parse(" ".join(emap[name])))
-        except MalformedInputError as exc:
-            raise ParseError(str(exc))
+        images.append(graph.alphabet.parse(" ".join(emap[name])))
     for name in emap:
         if name not in graph.alphabet.names:
             raise ParseError(f"map rule for unknown edge {name!r}")
@@ -246,10 +238,7 @@ def _build_map(graph, vmap, emap) -> GraphSelfMap:
         if vmap[v] not in vindex:
             raise ParseError(f"vmap target {vmap[v]!r} is not a vertex")
         vertex_image.append(vindex[vmap[v]])
-    try:
-        return GraphSelfMap(graph, vertex_image, images)
-    except MalformedInputError as exc:
-        raise ParseError(str(exc))
+    return GraphSelfMap(graph, vertex_image, images)
 
 
 def build_language(spec: LanguageSpec, graph) -> LaminaryLanguage:

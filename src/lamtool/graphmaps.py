@@ -272,12 +272,11 @@ def _power_iteration(matrix: np.ndarray, tol=1e-12, max_iter=1_000_000):
     lam = 0.0
     residual = np.inf
     for it in range(1, max_iter + 1):
+        # callers pass a primitive matrix (A, or A + I for an irreducible A):
+        # it has no zero row, so w stays positive
         w = a @ v
-        norm = np.abs(w).max()
-        if norm == 0.0:
-            return 0.0, 0.0, it, True
-        lam = norm
-        w = w / norm
+        lam = np.abs(w).max()
+        w = w / lam
         residual = np.abs(a @ w - lam * w).max()
         v = w
         if residual <= tol * max(lam, 1.0):

@@ -12,11 +12,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import floor, lcm
 from typing import Iterable, Sequence
 
 from .errors import DomainError, MalformedInputError, PreconditionError
-from .words import EdgeAlphabet, EdgePath
+from .words import EdgeAlphabet, EdgePath, inverse_codes, tighten_raw
 
 __all__ = [
     "MarkedMetricGraph",
@@ -140,23 +140,21 @@ class MarkedMetricGraph:
     def metric_length(self, codes) -> Fraction:
         return Fraction(self.weight(codes), self.length_unit)
 
+    def weight_bound(self, bound) -> int:
+        """The largest weight a path of metric length at most ``bound`` can
+        have, in units of ``1 / length_unit``."""
+        return floor(bound * self.length_unit)
+
+    def depth(self, bound) -> int:
+        """The most letters a path of metric length at most ``bound`` can have."""
+        return self.weight_bound(bound) // min(self._weights.values())
+
     def path(self, text: str) -> EdgePath:
         return EdgePath.from_text(self.alphabet, text)
 
     def base_vertex(self) -> int:
         """Deterministic basepoint: the lexicographically least vertex."""
         return 0
-
-    def _connected(self) -> bool:
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            v = queue.popleft()
-            for c in self.alphabet.letters():
-                if self._origin[c] == v and self.terminus(c) not in seen:
-                    seen.add(self.terminus(c))
-                    queue.append(self.terminus(c))
-        return len(seen) == len(self.vertices)
 
     def __repr__(self):
         return (f"MarkedMetricGraph(|V|={len(self.vertices)}, "
@@ -170,10 +168,26 @@ class ValidationReport:
     violations: tuple[str, ...]
 
 
+def _root_paths(graph: MarkedMetricGraph) -> dict[int, tuple[int, ...]]:
+    """One breadth-first search from the base vertex, letters in canonical
+    order: each reached vertex maps to the letters of the path that first
+    reached it.  The last letters of these paths span a tree, and the paths
+    are its paths from the base vertex."""
+    paths = {graph.base_vertex(): ()}
+    queue = deque(paths)
+    while queue:
+        v = queue.popleft()
+        for c in graph.alphabet.letters():
+            if graph.origin(c) == v and graph.terminus(c) not in paths:
+                paths[graph.terminus(c)] = paths[v] + (c,)
+                queue.append(graph.terminus(c))
+    return paths
+
+
 def validate(graph: MarkedMetricGraph) -> ValidationReport:
     """Structural checks; returns violations instead of raising."""
     violations = []
-    if not graph._connected():
+    if len(_root_paths(graph)) < len(graph.vertices):
         violations.append("graph is not connected")
     rank = graph.betti()
     if rank < 2:
@@ -211,28 +225,7 @@ class CollapseData:
 
     @property
     def lift_stretch(self) -> int:
-        return self.diameter + 1 if self.diameter >= 1 else 1
-
-
-def _tree_geodesics(graph: MarkedMetricGraph, tree_edges: frozenset[int]):
-    """All-pairs geodesics inside the subtree, as base letter sequences."""
-    n = len(graph.vertices)
-    paths = {}
-    for root in range(n):
-        # BFS restricted to tree letters
-        prev = {root: ()}
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for c in graph.alphabet.letters():
-                if (c >> 1) in tree_edges and graph.origin(c) == v:
-                    w = graph.terminus(c)
-                    if w not in prev:
-                        prev[w] = prev[v] + (c,)
-                        queue.append(w)
-        for target, path in prev.items():
-            paths[(root, target)] = path
-    return paths
+        return self.diameter + 1
 
 
 def maximal_subtree(graph: MarkedMetricGraph) -> CollapseData:
@@ -247,19 +240,11 @@ def maximal_subtree(graph: MarkedMetricGraph) -> CollapseData:
         raise PreconditionError(
             "cannot collapse an invalid graph: " + "; ".join(report.violations))
 
-    tree: set[int] = set()
-    seen = {graph.base_vertex()}
-    queue = deque([graph.base_vertex()])
-    while queue:
-        v = queue.popleft()
-        for c in graph.alphabet.letters():
-            if graph.origin(c) == v and graph.terminus(c) not in seen:
-                seen.add(graph.terminus(c))
-                tree.add(c >> 1)
-                queue.append(graph.terminus(c))
-    tree = frozenset(tree)
-
-    geodesics = _tree_geodesics(graph, tree)
+    paths = _root_paths(graph)
+    tree = frozenset(path[-1] >> 1 for path in paths.values() if path)
+    # a tree has one reduced path from u to v: via the base, then tightened
+    geodesics = {(u, v): tighten_raw(inverse_codes(paths[u]) + paths[v])
+                 for u in paths for v in paths}
     diameter = max((len(p) for p in geodesics.values()), default=0)
     n_vertices = len(graph.vertices)
     multiplicity = n_vertices * n_vertices if tree else 1

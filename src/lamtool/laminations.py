@@ -16,7 +16,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import floor, log2
+from math import log2
 from typing import Optional
 
 import numpy as np
@@ -158,12 +158,12 @@ def beta_metric(lang: LaminaryLanguage, n) -> int:
     bound = Fraction(n)
     if bound < 0:
         raise DomainError("metric bound must be nonnegative")
-    required = floor(bound / lang.graph.min_length())
+    required = lang.graph.depth(bound)
     if required > lang.complete_to:
         raise UnderEnumerationError(
             f"beta_metric({n}) needs depth {required}, enumerated {lang.complete_to}",
             achieved=lang.complete_to, required=required)
-    return bisect_right(lang.metric_lengths(), floor(bound * lang.graph.length_unit))
+    return bisect_right(lang.metric_lengths(), lang.graph.weight_bound(bound))
 
 
 # ---------------------------------------------------------------------------
@@ -297,18 +297,19 @@ class LanguageSource:
         return list(accumulate(self.p_counts(n_max)))
 
     def metric_beta(self, n_max: int) -> list[int]:
-        """beta_{L,J}(n) for integer n = 1..n_max: beta(floor(n / l)) when
-        every edge has length l (l = 1 without a graph)."""
-        lengths = set(self.graph.lengths) if self.graph is not None else {1}
-        if len(lengths) > 1:
+        """beta_{L,J}(n) for integer n = 1..n_max: beta(graph.depth(n)) when
+        every edge has the same length (beta(n) without a graph)."""
+        if self.graph is None:
+            return self.beta_counts(n_max)
+        if len(set(self.graph.lengths)) > 1:
             return self._metric_beta(n_max)
-        ell = Fraction(lengths.pop())
-        betas = [0] + self.beta_counts(floor(n_max / ell))
-        return [betas[floor(n / ell)] for n in range(1, n_max + 1)]
+        depth = self.graph.depth
+        betas = [0] + self.beta_counts(depth(n_max))
+        return [betas[depth(n)] for n in range(1, n_max + 1)]
 
     def _metric_beta(self, n_max: int) -> list[int]:
         """Metric counts over the members of the materialized language."""
-        lang = self.materialize(max(floor(n_max / self.graph.min_length()), 1))
+        lang = self.materialize(max(self.graph.depth(n_max), 1))
         return [beta_metric(lang, n) for n in range(1, n_max + 1)]
 
     def materialize(self, depth: int) -> LaminaryLanguage:
@@ -388,7 +389,7 @@ class AttractingSource(LanguageSource):
                                            self.sub, n_max)
 
     def _metric_beta(self, n_max):
-        depth = floor(Fraction(n_max) / self.graph.min_length())
+        depth = self.graph.depth(n_max)
         if depth > self._materialize_limit:
             raise UnderEnumerationError(
                 f"metric counts to n={n_max} need enumeration depth {depth}, "
@@ -408,10 +409,10 @@ class FullShiftSource(LanguageSource):
         return self._walks([1] * self.graph.alphabet.size, n_max)
 
     def _metric_beta(self, n_max):
-        unit = self.graph.length_unit
+        weight_bound = self.graph.weight_bound
         weights = [self.graph.weight((d,)) for d in self.graph.alphabet.letters()]
-        totals = list(accumulate(self._walks(weights, n_max * unit)))
-        return [totals[n * unit - 1] for n in range(1, n_max + 1)]
+        totals = list(accumulate(self._walks(weights, weight_bound(n_max))))
+        return [totals[weight_bound(n) - 1] for n in range(1, n_max + 1)]
 
     def materialize(self, depth):
         raise PreconditionError("collapse compares enumerated languages; "
@@ -421,18 +422,21 @@ class FullShiftSource(LanguageSource):
         """How many reduced paths weigh w = 1..top, a path weighing the sum
         of its letters' ``weights``.  Those of weight w ending in d extend
         those of weight w - weights[d] by a reduced step, so a ring of
-        ``max(weights) + 1`` rows of per-letter counts suffices."""
+        ``max(weights) + 1`` rows of per-letter counts suffices (``top + 1``
+        when a letter weighs more than ``top`` and so is in no path)."""
         letters = self.graph.alphabet.letters()
         # a path of weight w has at most w / min(weights) letters, and there
         # are at most 2m (2m - 1)^(letters - 1) such paths: bound the int32
-        # words of the top totals kept, at least one each, up front
+        # words of the top totals kept, at least one each, up front, in
+        # Fractions, which no length unit overflows
         shortest = min(weights)
-        need = top + log2(len(letters) - 1) / 32 * top * (top + 1) / (2 * shortest)
+        bits = Fraction(log2(len(letters) - 1))
+        need = top + bits / 32 * top * (top + 1) / (2 * shortest)
         check_size(need, f"full-shift counts to depth {top // shortest}")
         steps = [(weights[d], [p for p in letters
                                if self.graph.is_reduced_path((p, d))])
                  for d in letters]
-        span = max(weights) + 1
+        span = min(max(weights), top) + 1
         ring = [[0] * len(letters) for _ in range(span)]
         totals = []
         for w in range(1, top + 1):

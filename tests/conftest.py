@@ -3,6 +3,8 @@ against.  Oracles are deliberately naive re-implementations: repeated-scan
 cancellation, hand recursions for the classic words, exhaustive searches."""
 
 import random
+from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -112,6 +114,26 @@ def random_reduced_word(rng, alphabet_size, length):
                    if not word or c != word[-1] ^ 1]
         word.append(rng.choice(choices))
     return tuple(word)
+
+
+def lamlang_tables(paths, lengths, n_max):
+    """p, beta and beta_metric for n = 1..n_max of the symmetric lamlang
+    language of ``paths`` (token strings such as "a b'"): every factor of a
+    path and its inverse, spelled as tokens; ``lengths`` maps edge names to
+    lengths."""
+    def inverse(word):
+        return tuple(t[:-1] if t.endswith("'") else t + "'" for t in reversed(word))
+
+    members = set()
+    for text in paths:
+        word = tuple(text.split())
+        members |= {word[i:j] for i in range(len(word))
+                    for j in range(i + 1, len(word) + 1)}
+    members |= {inverse(m) for m in members}
+    metric = [sum(Fraction(lengths[t.rstrip("'")]) for t in m) for m in members]
+    p = [sum(1 for m in members if len(m) == n) for n in range(1, n_max + 1)]
+    return (p, list(accumulate(p)),
+            [sum(1 for x in metric if x <= n) for n in range(1, n_max + 1)])
 
 
 def random_word(rng, alphabet_size, length):

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -8,8 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from lamtool import cli
 from lamtool.errors import ParseError
 from lamtool.fileformat import build_language, format_length, parse, serialize
+
+from conftest import lamlang_tables
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
 
@@ -23,11 +27,28 @@ TMSUB = SAMPLES / "thue_morse_sub.lam"
 
 ALL_SAMPLES = [FIB, PERM, NONOR, THETA, FULL, FIBSUB, TMSUB]
 
+# the full 2-rose with lengths 1 and 1.001: 1000 weight rows per unit length
+NEAR_FULL_SHIFT = FULL.read_text().replace("edge b v v 1\n", "edge b v v 1.001\n")
+# theta_collapse's map with edge lengths 1, 3/2 and 2
+THETA_METRIC = (THETA.read_text().replace("edge e2 v0 v1 1\n", "edge e2 v0 v1 1.5\n")
+                .replace("edge e3 v0 v1 1\n", "edge e3 v0 v1 2\n"))
+
 
 def run_cli(*args):
     proc = subprocess.run([sys.executable, "-m", "lamtool.cli", *map(str, args)],
                           capture_output=True, text=True)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_main(capsys, *args):
+    """``run_cli`` in-process."""
+    code = cli.main(list(map(str, args)))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def table_rows(out):
+    return [line for line in out.splitlines() if line[:1].isdigit()]
 
 
 class TestParser:
@@ -176,6 +197,15 @@ class TestComplexityCommand:
         code, _, err = run_cli("complexity", shallow, "--max-n", "10")
         assert code == 4 and "depth" in err
 
+    def test_linear_fit_holds_by_construction(self, tmp_path, capsys):
+        # C = p(200)/200 = 4.975, and 4.975*200 is 994.9999999999999 in floats
+        source = tmp_path / "fit.lam"
+        source.write_text("sub\nsub a = c b\nsub b = a\nsub c = b\n")
+        code, out, _ = run_main(capsys, "complexity", source, "--max-n", "200")
+        assert code == 0
+        assert table_rows(out)[-1].startswith("200,995,")
+        assert "with C = 4.975 (pass; evidence, not a proof)" in out
+
     def test_csv_file_output(self, tmp_path):
         target = tmp_path / "out.csv"
         code, _, _ = run_cli("complexity", FIBSUB, "--max-n", "5",
@@ -251,6 +281,33 @@ class TestDimensionCommand:
         assert capsys.readouterr().out.count("extended search to n=5000") == 3
         assert requests == [20, 5000]
 
+    def test_extension_over_the_cap_keeps_the_window_answer(self, tmp_path,
+                                                            capsys):
+        # the table to n = 14 fits the cap, the extension to n = 5000 does not
+        source = tmp_path / "near.lam"
+        source.write_text(NEAR_FULL_SHIFT)
+        argv = ["dimension", source, "--a", "3", "--delta", "0.5", "--max-n", "14"]
+        code, out, err = run_main(capsys, *argv)
+        assert code == 0
+        assert "delta=0.5: vanishing=no, first bound < 1e-06 at n* = -, final bound " \
+               "at n=14: 2526.71763783\n" in out
+        assert "extended search" not in out
+        assert err.count("\n") == 1
+        assert err.startswith("note: search not extended to n=5000: size cap exceeded")
+        code, out, _ = run_main(capsys, *argv, "--json")
+        assert code == 0
+        assert json.loads(out)["reports"][0]["extended_to"] is None
+
+    def test_metric_extension_refuses_at_the_materialization_limit(self, tmp_path,
+                                                                   capsys):
+        source = tmp_path / "theta_metric.lam"
+        source.write_text(THETA_METRIC)
+        code, out, err = run_main(capsys, "dimension", source, "--a", "2",
+                                  "--delta", "0.5", "--max-n", "50")
+        assert code == 4
+        assert out == ""
+        assert "beyond the materialization limit 600" in err
+
     def test_csv_columns(self, tmp_path):
         target = tmp_path / "series.csv"
         code, _, _ = run_cli("dimension", FIB, "--a", "2", "--delta", "0.5",
@@ -293,8 +350,7 @@ class TestSizeCapSetting:
     def test_near_equal_lengths_full_shift_exit_3(self, tmp_path):
         # lengths 1 and 1.001 make 1000 weight rows per unit of metric length
         source = tmp_path / "near.lam"
-        source.write_text("graph\nvertex v\nedge a v v 1\nedge b v v 1.001\n"
-                          "lamlang fullshift symmetric=1 closure=fullshift\n")
+        source.write_text(NEAR_FULL_SHIFT)
         code, _, err = run_cli("complexity", source, "--max-n", "1000")
         assert code == 3
         assert "full-shift counts to depth 1000" in err
@@ -416,4 +472,133 @@ class TestExtremeArguments:
                 err = capsys.readouterr().err
                 if code not in range(5) or "Traceback" in err:
                     bad.append((argv, code, err))
+        assert bad == []
+
+
+class TestLamlangTables:
+    """complexity and compare on lamlang files, inside their depth, against
+    an independent count of the subword and inverse closure."""
+
+    @pytest.mark.parametrize("lengths, paths", [
+        ({"a": "1", "b": "1"}, ["a b a b' a' b' a b", "b a b a b a"]),
+        ({"a": "1", "b": "1.5"}, ["a b a b' a'", "b a b a"])],
+        ids=["unit", "lengths-1-3/2"])
+    def test_tables_match_the_closure(self, tmp_path, monkeypatch, capsys,
+                                      lengths, paths):
+        source = tmp_path / "lang.lam"
+        source.write_text("graph\nvertex v\n"
+                          + "".join(f"edge {e} v v {x}\n" for e, x in lengths.items())
+                          + "lamlang demo symmetric=1\n" + "\n".join(paths) + "\n")
+        # every length is at least 1, so the depth bounds the metric counts too
+        depth = max(len(text.split()) for text in paths)
+        p, beta, metric = lamlang_tables(paths, lengths, depth)
+        code, out, _ = run_main(capsys, "complexity", source, "--max-n", depth)
+        assert code == 0
+        assert table_rows(out) == [f"{n},{p[n - 1]},{beta[n - 1]},{metric[n - 1]}"
+                                   for n in range(1, depth + 1)]
+
+        tables = []
+        witness = cli.growth_equivalence_witness
+        monkeypatch.setattr(cli, "growth_equivalence_witness",
+                            lambda first, second, c_max: tables.append((first, second))
+                            or witness(first, second, c_max))
+        code, out, _ = run_main(capsys, "compare", source, source,
+                                "--max-n", depth, "--max-c", "1")
+        assert code == 0
+        assert tables == [(p, p)]
+        assert "witness C = 1" in out
+
+
+class TestExtremeLengths:
+    """Edge lengths beyond float range, or far apart, are counted exactly
+    and stay inside the exit-code contract."""
+
+    @pytest.mark.parametrize("length, command, code, message", [
+        ("1e400", "complexity", 0, ""),
+        ("1e20", "complexity", 0, ""),
+        ("1e400", "dimension", 4, "below the start n=2" + "0" * 400 + "\n"),
+        ("1e-400", "complexity", 3, "size cap exceeded: full-shift counts"),
+        ("1e-400", "dimension", 3, "size cap exceeded: full-shift counts")],
+        ids=["huge-complexity", "far-apart-complexity", "huge-dimension",
+             "tiny-complexity", "tiny-dimension"])
+    def test_full_shift(self, tmp_path, capsys, length, command, code, message):
+        source = tmp_path / "extreme.lam"
+        source.write_text(FULL.read_text().replace("edge b v v 1\n",
+                                                   f"edge b v v {length}\n"))
+        args = (["--max-n", "8"] if command == "complexity" else
+                ["--a", "2", "--delta", "0.5", "--max-n", "8"])
+        got, out, err = run_main(capsys, command, source, *args)
+        assert got == code
+        assert message in err
+        if code == 0:
+            # a path through b is longer than 8: only the powers of a and a'
+            assert [int(r.split(",")[3]) for r in table_rows(out)] == \
+                [2 * n for n in range(1, 9)]
+
+    def test_map_with_a_long_edge(self, tmp_path, capsys):
+        source = tmp_path / "extreme.lam"
+        source.write_text(FIB.read_text().replace("edge b v v 1\n", "edge b v v 1e400\n"))
+        code, _, err = run_main(capsys, "dimension", source, "--a", "2",
+                                "--delta", "0.5", "--max-n", "8")
+        assert code == 4
+        assert "below the start n=2" + "0" * 400 + "\n" in err
+
+
+class TestMutatedInputs:
+    """Sample files with lines and tokens dropped, repeated or replaced from
+    a pool of keywords, names, inverse tokens, options and lengths: every
+    command exits with a code of the contract and no traceback."""
+
+    POOL = ["graph", "vertex", "edge", "map", "vmap", "sub", "lamlang", "=",
+            "a", "b", "c", "v", "v0", "v1", "e1", "e2", "e3", "demo",
+            "a'", "b'", "e1'", "e2'", "v'",
+            "0", "-1", "1", "0.5", "1.001", "1e400", "1e-400", "1/0", "nan",
+            "symmetric=0", "symmetric=1", "closure=fullshift", "closure=subwords"]
+
+    def mutate(self, rng, lines):
+        lines = list(lines)
+        for _ in range(rng.randint(1, 3)):
+            op = rng.choice(["drop", "duplicate", "insert", "replace-token",
+                             "insert-token", "drop-token"])
+            i = rng.randrange(len(lines)) if lines else 0
+            if op == "insert" or not lines:
+                lines.insert(i, " ".join(rng.choices(self.POOL, k=rng.randint(1, 5))))
+            elif op == "drop":
+                del lines[i]
+            elif op == "duplicate":
+                lines.insert(i, lines[i])
+            else:
+                tokens = lines[i].split()
+                k = rng.randrange(len(tokens) + 1)
+                if op == "insert-token" or not tokens:
+                    tokens.insert(k, rng.choice(self.POOL))
+                elif op == "replace-token":
+                    tokens[min(k, len(tokens) - 1)] = rng.choice(self.POOL)
+                else:
+                    del tokens[min(k, len(tokens) - 1)]
+                lines[i] = " ".join(tokens)
+        return lines
+
+    def test_exit_code_in_contract(self, tmp_path, capsys):
+        rng = random.Random(20240913)
+        samples = [path.read_text().splitlines() for path in ALL_SAMPLES]
+        source = str(tmp_path / "mutated.lam")
+        bad = []
+        for _ in range(170):  # six commands each: about 1000 runs
+            text = "\n".join(self.mutate(rng, rng.choice(samples))) + "\n"
+            with open(source, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            for argv in (["analyze", source], ["analyze", source, "--json"],
+                         ["complexity", source, "--max-n", "8"],
+                         ["dimension", source, "--a", "2", "--delta", "0.5",
+                          "--max-n", "8"],
+                         ["collapse", source, "--max-n", "4"],
+                         ["compare", source, source, "--max-n", "6", "--max-c", "3"]):
+                try:
+                    code = cli.main(argv)
+                except Exception as exc:  # escaped main: a traceback for the user
+                    code = f"{type(exc).__name__}: {exc}"
+                err = capsys.readouterr().err
+                if code not in range(5) or "Traceback" in err:
+                    bad.append((argv[0], code, text))
         assert bad == []

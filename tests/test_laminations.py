@@ -243,6 +243,25 @@ class TestSources:
         assert src.p_counts(401)[:400] == deep
         assert depths == [400, 401]
 
+    @pytest.mark.parametrize("vertices, images, lengths", [
+        (["v0", "v1"], ["e2", "e3 e2' e1", "e1 e2' e3"], [1, Fraction(3, 2), 2]),
+        (["v0", "v1"], ["e2", "e3 e2' e1", "e1 e2' e3"], [1, Fraction(1, 2), 2]),
+        (["v"], ["e1 e2", "e1"], [Fraction(1, 2)] * 2)],
+        ids=["theta-1-3/2-2", "theta-1-1/2-2", "fibonacci-halves"])
+    def test_metric_counts_match_members_weighed_exactly(self, vertices, images,
+                                                          lengths):
+        # theta_collapse's map and the Fibonacci map on non-unit metrics
+        graph = MarkedMetricGraph(vertices, [(f"e{i}", vertices[0], vertices[-1], x)
+                                             for i, x in enumerate(lengths, 1)])
+        al = graph.alphabet
+        gsm = GraphSelfMap(graph, list(range(len(vertices))),
+                           [al.parse(image) for image in images])
+        # a member of metric length <= 12 has at most 12 / min(lengths) letters
+        lang = attracting_language(gsm, int(12 / min(lengths)))
+        weighed = [graph.metric_length(m) for m in lang.all_members()]
+        assert AttractingSource(gsm).metric_beta(12) == \
+            [sum(1 for x in weighed if x <= n) for n in range(1, 13)]
+
     def test_materialized_source_depth_guard(self, fib_map):
         src = MaterializedSource(attracting_language(fib_map, 6))
         with pytest.raises(UnderEnumerationError):
