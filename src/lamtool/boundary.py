@@ -158,6 +158,9 @@ class CoverBoundReport:
     vanishing: bool
     first_below: Optional[int]
     tail_decreasing: bool
+    # the natural log of each row's bound, finite where the bound is past
+    # float range and reads inf
+    log_bounds: tuple[float, ...]
 
     def final_bound(self) -> float:
         return self.rows[-1][2]
@@ -192,19 +195,22 @@ def cover_bound_series(beta_values: Sequence[int], a, delta, c0) -> CoverBoundRe
     log_a = math.log(float(a))
     shift = float(c0) * float(delta) * log_a
     rows = []
+    log_bounds = []
     first_below = None
     for n in range(start, n_max + 1):
         beta = int(beta_values[n - 1])
         log_bound = _log_int(beta) - n * float(delta) * log_a + shift
         bound = math.exp(log_bound) if log_bound < 700 else math.inf
         rows.append((n, beta, bound))
+        log_bounds.append(log_bound)
         if first_below is None and bound < EPSILON:
             first_below = n
     tail = [r[2] for r in rows[-max(1, len(rows) // 4):]]
     monotone = all(tail[i + 1] <= tail[i] for i in range(len(tail) - 1))
     vanishing = monotone and tail[-1] < EPSILON
     return CoverBoundReport(float(a), float(delta), float(c0),
-                            tuple(rows), vanishing, first_below, monotone)
+                            tuple(rows), vanishing, first_below, monotone,
+                            tuple(log_bounds))
 
 
 def dim_upper_estimate(beta_values: Sequence[int], a, window) -> float:

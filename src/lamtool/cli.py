@@ -28,7 +28,7 @@ from .config import size_cap
 from .errors import (DomainError, InsufficientDataError, LamtoolError,
                      MalformedInputError, ParseError, PreconditionError,
                      SizeCapExceeded, UnderEnumerationError, UsageError)
-from .fileformat import AnalysisInput, build_language, parse
+from .fileformat import AnalysisInput, build_language, format_length, parse
 from .graphmaps import (analyze_matrix, is_train_track, orientability,
                         transition_matrix)
 from .graphs import maximal_subtree, validate
@@ -47,6 +47,18 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
+
+
+def _fmt_bound(bound: float, log_bound: float) -> str:
+    """A covering bound as ``_fmt`` prints it, or, when it is past float
+    range, from its natural log as a decimal mantissa and exponent."""
+    if not math.isinf(bound) or not math.isfinite(log_bound):
+        return _fmt(bound)
+    exponent, fraction = divmod(log_bound / math.log(10), 1)
+    mantissa = _fmt(10 ** fraction)
+    if mantissa == "10":  # 10 ** fraction rounded up to the next decade
+        mantissa, exponent = "1", exponent + 1
+    return f"{mantissa}e+{int(exponent)}"
 
 
 def _load(path: str) -> AnalysisInput:
@@ -248,7 +260,18 @@ def _cmd_dimension(args) -> int:
     table = source.metric_beta(args.max_n)
 
     window = (max(1, math.ceil(args.max_n / 2)), args.max_n)
-    dim = dim_upper_estimate(table, args.a, window)
+    try:
+        dim = dim_upper_estimate(table, args.a, window)
+    except DomainError:
+        # the estimate takes the log of every count in the window
+        empty = [n for n in range(window[0], window[1] + 1) if not table[n - 1]]
+        if not empty:
+            raise
+        raise PreconditionError(
+            f"beta_metric({empty[-1]}) = 0 in the dimension window "
+            f"[{window[0]}, {window[1]}]: no path of the language has metric "
+            f"length <= {empty[-1]} (the shortest edge has length "
+            f"{format_length(source.graph.min_length())}); raise --max-n") from None
 
     reports = []
     all_series = [cover_bound_series(table, args.a, d, c0) for d in deltas]
@@ -277,7 +300,8 @@ def _cmd_dimension(args) -> int:
             "c0": _fmt(float(c0)),
             "vanishing": vanishing,
             "n_star": n_star,
-            "final_bound": _fmt(series.final_bound()),
+            "final_bound": _fmt_bound(series.final_bound(),
+                                      series.log_bounds[-1]),
             "extended_to": extended_to,
             "dim_estimate": _fmt(dim),
         })
@@ -307,8 +331,9 @@ def _cmd_dimension(args) -> int:
             path = args.csv if len(deltas) == 1 else f"{args.csv}.delta{i}"
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write("n,beta,bound\n")
-                for n, beta, bound in series.rows:
-                    handle.write(f"{n},{beta},{_fmt(bound)}\n")
+                for (n, beta, bound), log_bound in zip(series.rows,
+                                                       series.log_bounds):
+                    handle.write(f"{n},{beta},{_fmt_bound(bound, log_bound)}\n")
     return 0
 
 

@@ -116,10 +116,15 @@ class MarkedMetricGraph:
     # -- paths ---------------------------------------------------------------
 
     def _within(self, codes, steps) -> bool:
+        """Whether every two-letter step of ``codes`` is in ``steps``.
+
+        is_edge_path and is_reduced_path test the steps by membership, one
+        at a time, and build no set of them.  A single letter need only be
+        in the alphabet."""
         codes = tuple(codes)
         if len(codes) == 1:
             return self.alphabet.contains(codes[0])
-        return set(zip(codes, codes[1:])) <= steps
+        return steps.issuperset(zip(codes, codes[1:]))
 
     def is_edge_path(self, codes) -> bool:
         """Every letter is in the alphabet and each ends where the next starts."""

@@ -113,13 +113,14 @@ def _oriented_substitution(gsm: GraphSelfMap):
 def _language_from_substitution(gsm: GraphSelfMap, orn, sub: Substitution,
                                 n_max: int) -> LaminaryLanguage:
     """Relabel the factor language onto edge codes and close it under
-    inversion, one stratum at a time as a block of rows."""
+    inversion, one stratum at a time, as the block of rows it was
+    harvested in."""
     alphabet = gsm.graph.alphabet
     code_of = np.asarray([alphabet.index(tok) for tok in sub.letters], dtype=np.int32)
     flang = factor_language(sub, n_max)
     strata = [frozenset()]
     for n in range(1, n_max + 1):
-        rows = code_of[np.asarray(list(flang.strata[n]), dtype=np.int32).reshape(-1, n)]
+        rows = code_of[flang.rows[n]]
         forward = set(map(tuple, rows.tolist()))
         inverse = set(map(tuple, (rows[:, ::-1] ^ 1).tolist()))
         if orn.orientable:

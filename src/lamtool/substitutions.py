@@ -18,6 +18,7 @@ The second route is what makes covering-bound tables to n = 5000 cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -215,13 +216,20 @@ def eigenray_prefix(sub: Substitution, seed, target_len: int) -> np.ndarray:
 # factor languages (materialized strata)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class FactorLanguage(Stratified):
-    """Length-stratified factor set of a language generator."""
+    """Length-stratified factor set of a language generator, held as int32
+    row blocks: ``rows[n]`` is the (p(n), n) array of the factors of length
+    n, index 0 empty.  The tuple strata are decoded from them on first use,
+    so a caller that relabels the blocks never builds them."""
 
-    letters: tuple[str, ...]
-    strata: tuple[frozenset, ...]  # strata[n] = factors of length n, index 0 empty
-    source: str
+    def __init__(self, letters, rows, source: str):
+        self.letters = tuple(letters)
+        self.rows = tuple(rows)
+        self.source = source
+
+    @cached_property
+    def strata(self) -> tuple[frozenset, ...]:
+        return tuple(frozenset(map(tuple, block.tolist())) for block in self.rows)
 
 
 def factor_language(sub: Substitution, n_max: int) -> FactorLanguage:
@@ -237,15 +245,26 @@ def factor_language(sub: Substitution, n_max: int) -> FactorLanguage:
     Primitivity is required: it makes these iterates carry the language of
     every eigenray.
 
+    A word is harvested by its windows, the factor of length
+    min(n_max, letters left) at each position.  A factor of length <= n_max
+    is a prefix of the window at its start: in a word of length >= n_max it
+    is a prefix of a length-n_max window or lies in the last window.  So the
+    strata hold, at every point, exactly the factors of the words harvested
+    so far, a factor-closed set; a window already there brings nothing new,
+    and a word adds a factor exactly when it adds a window.  A long word
+    costs one set comprehension over its length-n_max windows and a lookup
+    of each shorter one, and only the prefixes of new windows are added.
+    The rounds that add a factor are the rounds that add a window, so the
+    stop rule, and with it every iterate, is the one above.
+
     A factor of length n_max needs an iterate of at least n_max letters,
     which the size cap refuses, so ``n_max`` over the cap is refused before
     any stratum is allocated.  The cap bounds the iterates, not the strata.
 
     A factor is harvested as the bytes of its int32 codes, a slice of its
-    word's buffer, so each length of each word costs one set comprehension
-    and one subset test; each stratum is decoded to int tuples once, at the
-    end.  This route shares no code with :func:`complexity_counts`, which
-    is tested against it.
+    word's buffer, and each stratum is read back as one block of rows.  This
+    route shares no code with :func:`complexity_counts`, which is tested
+    against it.
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
@@ -253,31 +272,31 @@ def factor_language(sub: Substitution, n_max: int) -> FactorLanguage:
         raise DomainError("factor enumeration requires a primitive substitution")
     check_size(n_max, "factor strata")
     width = np.dtype(np.int32).itemsize
+    top = n_max * width
     strata = [set() for _ in range(n_max + 1)]
 
     def harvest(word) -> bool:
         data = word.tobytes()
-        added = False
-        for n in range(1, min(n_max, word.size) + 1):
+        size = len(data)
+        new = {data[i:i + top] for i in range(0, size - top + 1, width)}
+        new -= strata[n_max]
+        for i in range(max(0, size - top + width), size, width):
+            if data[i:] not in strata[(size - i) // width]:
+                new.add(data[i:])
+        if not new:
+            return False
+        for n in range(1, n_max + 1):
             span = n * width
-            found = {data[i:i + span]
-                     for i in range(0, len(data) - span + 1, width)}
-            if not found <= strata[n]:
-                strata[n] |= found
-                added = True
-        return added
+            strata[n].update([w[:span] for w in new if len(w) >= span])
+        return True
 
     words = [np.asarray([c], dtype=np.int32) for c in range(sub.sigma)]
     while any([harvest(w) for w in words]):  # a list, so every word is harvested
         words = [sub.apply(w) for w in words]
 
-    def decode(stratum, n) -> frozenset:
-        rows = np.frombuffer(b"".join(stratum), dtype=np.int32).reshape(-1, n)
-        return frozenset(map(tuple, rows.tolist()))
-
-    return FactorLanguage(sub.letters,
-                          (frozenset(),) + tuple(decode(strata[n], n)
-                                                 for n in range(1, n_max + 1)),
+    rows = [np.frombuffer(b"".join(stratum), dtype=np.int32).reshape(len(stratum), n)
+            for n, stratum in enumerate(strata)]
+    return FactorLanguage(sub.letters, rows,
                           source=f"substitution over {len(sub.letters)} letters")
 
 

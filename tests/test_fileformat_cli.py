@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import re
@@ -307,6 +308,43 @@ class TestDimensionCommand:
         assert code == 4
         assert out == ""
         assert "beyond the materialization limit 600" in err
+
+    def test_window_below_the_shortest_edge_exit_2(self, tmp_path, capsys):
+        source = tmp_path / "long_edges.lam"
+        source.write_text(FIB.read_text().replace(" 1\n", " 10\n"))
+        code, out, err = run_main(capsys, "dimension", source, "--a", "2",
+                                  "--delta", "0.5", "--max-n", "8")
+        assert code == 2
+        assert out == ""
+        assert "beta_metric(8) = 0 in the dimension window [4, 8]" in err
+        assert "no path of the language has metric length <= 8" in err
+        assert "the shortest edge has length 10)" in err
+        code, out, _ = run_main(capsys, "dimension", source, "--a", "2",
+                                "--delta", "0.5", "--max-n", "40")
+        assert code == 0
+        assert "vanishing=yes" in out
+
+    def test_bound_past_float_range_printed_from_its_log(self, tmp_path,
+                                                          capsys):
+        target = tmp_path / "series.csv"
+        code, out, _ = run_main(capsys, "dimension", FULL, "--a", "3",
+                                "--delta", "0.5", "--max-n", "3000",
+                                "--csv", target)
+        assert code == 0
+        assert "inf" not in out
+        final = out.split("final bound at n=3000: ")[1].split(",")[0]
+        mantissa, exponent = final.split("e+")
+        assert 1 <= float(mantissa) < 10
+        # beta(3000) * 3^(-1500) * 3^(1/2), with beta(n) = 2 (3^n - 1)
+        expected = (math.log10(2 * (3 ** 3000 - 1)) - 1500 * math.log10(3)
+                    + 0.5 * math.log10(3))
+        assert int(exponent) == 716
+        assert abs(math.log10(float(mantissa)) + int(exponent) - expected) < 1e-9
+        rows = target.read_text().splitlines()
+        assert rows[-1].endswith("," + final)
+        assert not any(row.endswith(",inf") for row in rows)
+        # bounds a float holds print as before: 16 * 3^(-2/2) * 3^(1/2)
+        assert rows[1] == "2,16,9.23760430703"
 
     def test_csv_columns(self, tmp_path):
         target = tmp_path / "series.csv"

@@ -15,6 +15,32 @@ from lamtool.words import inverse_codes, is_reduced
 from conftest import naive_iterate_image
 
 
+def relabelled_oracle(gsm, n_max):
+    """The attracting language from factor_language's tuples: each member
+    relabelled by edge token, and its inverse added."""
+    from lamtool.graphmaps import orientability
+    from lamtool.substitutions import factor_language, from_train_track
+
+    sub = from_train_track(gsm, orientability(gsm))
+    code_of = [gsm.graph.alphabet.index(tok) for tok in sub.letters]
+    flang = factor_language(sub, n_max)
+    strata = [set() for _ in range(n_max + 1)]
+    for m in flang.all_members():
+        word = tuple(code_of[c] for c in m)
+        strata[len(word)].update((word, inverse_codes(word)))
+    return strata
+
+
+class TestRelabelledRows:
+    @pytest.mark.parametrize("name", ["fib_map", "silver_map"])
+    def test_matches_the_tuple_oracle(self, request, name):
+        gsm = request.getfixturevalue(name)
+        lang = attracting_language(gsm, 20)
+        oracle = relabelled_oracle(gsm, 20)
+        for n in range(1, 21):
+            assert lang.strata[n] == oracle[n]
+
+
 class TestAttractingLanguage:
     def test_fibonacci_members_to_depth_two(self, fib_map, rose2):
         lang = attracting_language(fib_map, 2)

@@ -293,6 +293,74 @@ class TestFactorLanguageOracle:
         assert (255, 256, 0) in lang.strata[3]
 
 
+class TestWindowHarvest:
+    """factor_language harvests each iterate by its windows, with the stop
+    rule, and so the iterates, of a harvest of every length."""
+
+    @staticmethod
+    def counted_apply(monkeypatch):
+        calls = []
+        apply = Substitution.apply
+
+        def counting(self, word):
+            calls.append(len(word))
+            return apply(self, word)
+
+        monkeypatch.setattr(Substitution, "apply", counting)
+        return calls
+
+    def test_words_shorter_than_n_max_for_several_rounds(self):
+        # a -> b -> c -> ab: the iterates stay below 12 letters for 8 rounds
+        sub = Substitution.from_tokens({"a": ["b"], "b": ["c"], "c": ["a", "b"]})
+        lang = factor_language(sub, 12)
+        assert set(lang.all_members()) == brute_force_factors(sub, 12)
+
+    @pytest.mark.parametrize("rules, n", [
+        ({"a": "ab", "b": "a"}, 17),
+        ({"a": "ab", "b": "ba"}, 20),
+        ({"a": "abc", "b": "c", "c": "a"}, 15)])
+    def test_n_max_above_every_early_iterate(self, rules, n):
+        sub = Substitution.from_tokens({k: list(v) for k, v in rules.items()})
+        lang = factor_language(sub, n)
+        assert set(lang.all_members()) == brute_force_factors(sub, n)
+
+    def test_non_growing_substitution(self, monkeypatch):
+        calls = self.counted_apply(monkeypatch)
+        lang = factor_language(Substitution.from_tokens({"a": ["a"]}), 5)
+        assert lang.p_counts() == [1, 0, 0, 0, 0]
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("n, rounds", [(60, 48), (40, 42), (30, 42)])
+    def test_apply_calls_on_theta_collapse(self, silver_map, monkeypatch, n,
+                                           rounds):
+        sub = from_train_track(silver_map, orientability(silver_map))
+        calls = self.counted_apply(monkeypatch)
+        factor_language(sub, n)
+        assert len(calls) == rounds
+
+    def test_apply_calls_on_short_iterates(self, monkeypatch):
+        sub = Substitution.from_tokens({"a": ["b"], "b": ["c"], "c": ["a", "b"]})
+        calls = self.counted_apply(monkeypatch)
+        factor_language(sub, 12)
+        assert len(calls) == 48
+
+    def test_rows_hold_the_strata(self, fib):
+        lang = factor_language(fib, 8)
+        for n in range(1, 9):
+            assert lang.rows[n].shape == (lang.p(n), n)
+            assert set(map(tuple, lang.rows[n].tolist())) == lang.strata[n]
+
+    def test_independent_of_the_counting_route(self, fib, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("factor_language used the counting route")
+
+        for name in ("counting_certificate", "eigenray_prefix",
+                     "complexity_counts", "substring_counts"):
+            monkeypatch.setattr(substitutions, name, refuse)
+        lang = factor_language(fib, 30)
+        assert lang.p_counts() == [n + 1 for n in range(1, 31)]
+
+
 class TestCertifiedCounting:
     @settings(max_examples=60, deadline=None)
     @given(primitive_substitutions())
