@@ -69,6 +69,14 @@ def _load(path: str) -> AnalysisInput:
         raise UsageError(f"cannot read {path}: {exc}")
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}")
+
+
 def _source(ai: AnalysisInput) -> LanguageSource:
     drivers = ai.drivers()
     if len(drivers) != 1:
@@ -223,8 +231,7 @@ def _cmd_complexity(args) -> int:
         print(f"linear fit: p(n) <= C*n holds on the window with C = {_fmt(fit)} "
               "(pass; evidence, not a proof)")
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as handle:
-            handle.write(csv_text)
+        _write(args.csv, csv_text)
         print(f"csv written to {args.csv}")
     else:
         sys.stdout.write(csv_text)
@@ -329,11 +336,10 @@ def _cmd_dimension(args) -> int:
     if args.csv:
         for i, series in enumerate(all_series):
             path = args.csv if len(deltas) == 1 else f"{args.csv}.delta{i}"
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write("n,beta,bound\n")
+            _write(path, "n,beta,bound\n" + "".join(
+                f"{n},{beta},{_fmt_bound(bound, log_bound)}\n"
                 for (n, beta, bound), log_bound in zip(series.rows,
-                                                       series.log_bounds):
-                    handle.write(f"{n},{beta},{_fmt_bound(bound, log_bound)}\n")
+                                                       series.log_bounds)))
     return 0
 
 

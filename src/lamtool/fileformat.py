@@ -36,7 +36,7 @@ from .graphs import MarkedMetricGraph
 from .graphmaps import GraphSelfMap
 from .laminations import LaminaryLanguage
 from .substitutions import Substitution
-from .words import NAME_RE, inverse_codes, iter_factors_raw
+from .words import NAME_RE, inverse_codes, iter_factors_raw, sorted_blocks
 
 _KEYWORDS = {"graph", "vertex", "edge", "map", "vmap", "sub", "lamlang"}
 
@@ -262,12 +262,8 @@ def build_language(spec: LanguageSpec, graph) -> LaminaryLanguage:
         closed.update(iter_factors_raw(m, len(m)))
     if spec.symmetric:
         closed.update(inverse_codes(m) for m in list(closed))
-    depth = max(len(m) for m in closed)
-    strata = [set() for _ in range(depth + 1)]
-    for m in closed:
-        strata[len(m)].add(m)
-    return LaminaryLanguage(graph, strata, spec.symmetric,
-                            origin=f"user-supplied({spec.name})")
+    return LaminaryLanguage(graph, sorted_blocks(closed, max(map(len, closed))),
+                            spec.symmetric, origin=f"user-supplied({spec.name})")
 
 
 def serialize(ai: AnalysisInput) -> str:

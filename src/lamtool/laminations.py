@@ -31,7 +31,7 @@ from .graphmaps import (GraphSelfMap, analyze_matrix, is_train_track,
 from .substitutions import (EquivalenceWitness, Substitution, complexity_counts,
                             factor_language, from_train_track,
                             growth_equivalence_witness)
-from .words import Stratified, inverse_codes, is_reduced
+from .words import Stratified, inverse_codes, is_reduced, sorted_blocks
 
 __all__ = [
     "LaminaryLanguage",
@@ -50,9 +50,9 @@ __all__ = [
 class LaminaryLanguage(Stratified):
     """Length-stratified set of reduced nonempty edge words of a graph."""
 
-    def __init__(self, graph: MarkedMetricGraph, strata, symmetric: bool, origin: str):
+    def __init__(self, graph: MarkedMetricGraph, rows, symmetric: bool, origin: str):
         self.graph = graph
-        self.strata = tuple(frozenset(s) for s in strata)
+        self.rows = tuple(rows)
         self.symmetric = symmetric
         self.origin = origin
         self._metric_lengths = None
@@ -113,24 +113,26 @@ def _oriented_substitution(gsm: GraphSelfMap):
 def _language_from_substitution(gsm: GraphSelfMap, orn, sub: Substitution,
                                 n_max: int) -> LaminaryLanguage:
     """Relabel the factor language onto edge codes and close it under
-    inversion, one stratum at a time, as the block of rows it was
-    harvested in."""
+    inversion, block by block: an orientable map's blocks gain their
+    inverse rows, disjoint from them, and a non-orientable map's already
+    hold them.  Both are decided by counting the distinct rows, as bytes,
+    of a block and its inverse together: twice the block's, or as many."""
     alphabet = gsm.graph.alphabet
     code_of = np.asarray([alphabet.index(tok) for tok in sub.letters], dtype=np.int32)
     flang = factor_language(sub, n_max)
-    strata = [frozenset()]
+    rows = [flang.rows[0]]
     for n in range(1, n_max + 1):
-        rows = code_of[flang.rows[n]]
-        forward = set(map(tuple, rows.tolist()))
-        inverse = set(map(tuple, (rows[:, ::-1] ^ 1).tolist()))
+        forward = code_of[flang.rows[n]]
+        both = np.concatenate([forward, forward[:, ::-1] ^ 1])
+        distinct = len(set(both.view(f"V{both.itemsize * n}").ravel().tolist()))
         if orn.orientable:
-            if not forward.isdisjoint(inverse):
+            if distinct < len(both):
                 raise LamtoolError("positive and inverse parts must be disjoint")
-            forward |= inverse
-        if not inverse <= forward:
+            forward = both
+        elif distinct > len(forward):
             raise LamtoolError("attracting language failed inverse closure")
-        strata.append(forward)
-    return LaminaryLanguage(gsm.graph, strata, symmetric=True,
+        rows.append(forward)
+    return LaminaryLanguage(gsm.graph, rows, symmetric=True,
                             origin="attracting-lamination")
 
 
@@ -196,21 +198,45 @@ class TransportReport:
 
 
 def project_language(lang: LaminaryLanguage, cd: CollapseData) -> LaminaryLanguage:
-    """Image of the language on the collapse rose; empty projections are
-    dropped, and the result is certified subword-closed."""
+    """Image of the language on the collapse rose: the images of length
+    1..depth, depth = ``complete_to // lift_stretch``, certified subword-closed.
+
+    Each stratum is checked to hold reduced edge paths in one block test,
+    with :func:`~lamtool.graphs.project_path`'s messages.  Then only members
+    that start and end outside the tree, with at most ``depth`` letters
+    outside it, are projected.  This is exact: an image has one letter per
+    member letter outside the tree, and a member's image is that of the
+    member trimmed of its leading and trailing tree letters, which is a
+    member too: lamlang and attracting languages are subword-closed.  And
+    each call gives a new rose word: between two letters outside the tree a
+    reduced path follows the unique tree geodesic, so such a member is
+    determined by its image.
+    """
+    base = cd.base
+    size = base.alphabet.size
     depth = lang.complete_to // cd.lift_stretch
-    strata = [set() for _ in range(depth + 1)]
-    for m in lang.all_members():
-        image = project_path(cd, m)
-        if 0 < len(image) <= depth:
-            strata[len(image)].add(image)
-    projected = LaminaryLanguage(cd.rose, strata, symmetric=lang.symmetric,
-                                 origin=f"transported({lang.origin})")
-    for m in projected.all_members():
-        if len(m) > 1 and (m[1:] not in projected.strata[len(m) - 1]
-                           or m[:-1] not in projected.strata[len(m) - 1]):
-            raise LamtoolError("projected language is not subword closed")
-    return projected
+    kind = np.zeros((size, size), dtype=np.int8)  # 0: no step, 1: backtrack, 2: reduced
+    for step in base._steps:
+        kind[step] = 2 if step in base._reduced_steps else 1
+    outside = np.zeros(size, dtype=bool)
+    outside[list(cd.base_to_rose)] = True
+    images = set()
+    for block in lang.rows[1:]:
+        in_alphabet = block.min(initial=0) >= 0 and block.max(initial=0) < size
+        worst = kind[block[:, :-1], block[:, 1:]].min(initial=2) if in_alphabet else 0
+        if worst == 0:
+            raise PreconditionError(
+                "project_path expects an edge path in the base graph")
+        if worst == 1:
+            raise PreconditionError("project_path expects a reduced path")
+        letters = outside[block]
+        ends = letters[:, 0] & letters[:, -1] & (letters.sum(axis=1) <= depth)
+        images.update(project_path(cd, row) for row in block[ends].tolist())
+    if any(len(m) > 1 and (m[1:] not in images or m[:-1] not in images)
+           for m in images):
+        raise LamtoolError("projected language is not subword closed")
+    return LaminaryLanguage(cd.rose, sorted_blocks(images, depth), lang.symmetric,
+                            f"transported({lang.origin})")
 
 
 def transport_compare(lang: LaminaryLanguage, cd: CollapseData, n_max: int,

@@ -18,7 +18,6 @@ The second route is what makes covering-bound tables to n = 5000 cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -217,19 +216,13 @@ def eigenray_prefix(sub: Substitution, seed, target_len: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class FactorLanguage(Stratified):
-    """Length-stratified factor set of a language generator, held as int32
-    row blocks: ``rows[n]`` is the (p(n), n) array of the factors of length
-    n, index 0 empty.  The tuple strata are decoded from them on first use,
-    so a caller that relabels the blocks never builds them."""
+    """Length-stratified factor set of a language generator, held as the
+    int32 row blocks it was harvested in."""
 
     def __init__(self, letters, rows, source: str):
         self.letters = tuple(letters)
         self.rows = tuple(rows)
         self.source = source
-
-    @cached_property
-    def strata(self) -> tuple[frozenset, ...]:
-        return tuple(frozenset(map(tuple, block.tolist())) for block in self.rows)
 
 
 def factor_language(sub: Substitution, n_max: int) -> FactorLanguage:

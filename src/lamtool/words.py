@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import (DomainError, MalformedInputError, PreconditionError,
                      UnderEnumerationError)
@@ -219,27 +222,32 @@ def factors(word: EdgePath, n: int) -> set[EdgePath]:
 class Stratified:
     """Accessors shared by the length-stratified languages.
 
-    A subclass stores ``strata``, with ``strata[n]`` the set of its words of
-    length n and ``strata[0]`` unused; the language is complete to the last
-    stratum.
+    A subclass stores ``rows``, with ``rows[n]`` the duplicate-free
+    (p(n), n) int32 block of its words of length n and ``rows[0]`` empty;
+    the language is complete to the last block.  The tuple ``strata`` are
+    decoded from the blocks on first read.
     """
+
+    @cached_property
+    def strata(self) -> tuple[frozenset, ...]:
+        return tuple(frozenset(map(tuple, block.tolist())) for block in self.rows)
 
     @property
     def complete_to(self) -> int:
-        return len(self.strata) - 1
+        return len(self.rows) - 1
 
     def p(self, n: int) -> int:
         if not 1 <= n <= self.complete_to:
             raise UnderEnumerationError(
                 f"p({n}) not enumerated (depth {self.complete_to})",
                 achieved=self.complete_to, required=n)
-        return len(self.strata[n])
+        return self.rows[n].shape[0]
 
     def beta(self, n: int) -> int:
         return sum(self.p(m) for m in range(1, n + 1))
 
     def p_counts(self) -> list[int]:
-        return [len(self.strata[n]) for n in range(1, len(self.strata))]
+        return [block.shape[0] for block in self.rows[1:]]
 
     def members(self, n: int):
         return sorted(self.strata[n])
@@ -247,3 +255,13 @@ class Stratified:
     def all_members(self):
         for n in range(1, len(self.strata)):
             yield from self.strata[n]
+
+
+def sorted_blocks(words, depth: int) -> list[np.ndarray]:
+    """Distinct words of length at most ``depth`` as the sorted int32 blocks
+    ``rows[0..depth]`` of :class:`Stratified`."""
+    strata = [[] for _ in range(depth + 1)]
+    for word in sorted(words):
+        strata[len(word)].append(word)
+    return [np.asarray(s, dtype=np.int32).reshape(len(s), n)
+            for n, s in enumerate(strata)]

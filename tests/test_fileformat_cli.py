@@ -214,6 +214,15 @@ class TestComplexityCommand:
         assert code == 0
         assert target.read_text().splitlines()[0] == "n,p,beta,beta_metric"
 
+    @pytest.mark.parametrize("target", ["missing/out.csv", "."],
+                             ids=["no-parent", "directory"])
+    def test_unwritable_csv_exit_1(self, tmp_path, target):
+        path = tmp_path / target
+        code, _, err = run_cli("complexity", FIBSUB, "--max-n", "5", "--csv", path)
+        assert code == 1
+        assert err.startswith(f"usage error: cannot write {path}: ")
+        assert "Traceback" not in err
+
 
 class TestDimensionCommand:
     def test_fibonacci_vanishing_with_extension(self):
@@ -353,6 +362,16 @@ class TestDimensionCommand:
         assert code == 0
         lines = target.read_text().splitlines()
         assert lines[0] == "n,beta,bound"
+
+    @pytest.mark.parametrize("target", ["missing/out.csv", "."],
+                             ids=["no-parent", "directory"])
+    def test_unwritable_csv_exit_1(self, tmp_path, target):
+        path = tmp_path / target
+        code, _, err = run_cli("dimension", FIB, "--a", "2", "--delta", "0.5",
+                               "--max-n", "30", "--csv", path)
+        assert code == 1
+        assert err.startswith(f"usage error: cannot write {path}: ")
+        assert "Traceback" not in err
 
 
 class TestSizeCapSetting:

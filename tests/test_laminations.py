@@ -1,16 +1,23 @@
+import re
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from lamtool import (GraphSelfMap, MarkedMetricGraph, attracting_language,
-                     beta_metric, maximal_subtree, transport_compare)
-from lamtool.errors import (PreconditionError, SizeCapExceeded,
+                     beta_metric, laminations, maximal_subtree, project_path,
+                     transport_compare)
+from lamtool.errors import (LamtoolError, PreconditionError, SizeCapExceeded,
                             UnderEnumerationError)
+from lamtool.fileformat import LanguageSpec, build_language, parse
 from lamtool.laminations import (AttractingSource, FullShiftSource,
-                                 MaterializedSource, SubstitutionSource,
-                                 fiber_counts, project_language)
-from lamtool.substitutions import Substitution
-from lamtool.words import inverse_codes, is_reduced
+                                 LaminaryLanguage, MaterializedSource,
+                                 SubstitutionSource, fiber_counts,
+                                 project_language)
+from lamtool.substitutions import FactorLanguage, Substitution
+from lamtool.words import inverse_codes, is_reduced, sorted_blocks
 
 from conftest import naive_iterate_image
 
@@ -215,6 +222,174 @@ class TestTransport:
         lang = attracting_language(silver_map, 10)
         with pytest.raises(UnderEnumerationError):
             transport_compare(lang, cd, 10)
+
+
+SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
+
+
+def sample_map(name, lengths=None):
+    text = (SAMPLES / f"{name}.lam").read_text()
+    for edge, length in (lengths or {}).items():
+        text = re.sub(rf"(?m)^(edge {edge} \S+ \S+) 1$", rf"\g<1> {length}", text)
+    return parse(text).graph_map
+
+
+def relabelled(gsm, names, flips):
+    """``gsm`` with positive edge i renamed ``names[i]`` and reversed where
+    ``flips[i]``: the same map up to isomorphism, on another spanning tree."""
+    graph = gsm.graph
+    edges = []
+    for i, name in enumerate(names):
+        ends = [graph.vertices[graph.origin(2 * i)],
+                graph.vertices[graph.terminus(2 * i)]]
+        edges.append((name, *ends[::-1 if flips[i] else 1], graph.lengths[i]))
+    new = MarkedMetricGraph(graph.vertices, edges)
+
+    def code(c):
+        return new.alphabet.index(names[c >> 1]) ^ (c & 1) ^ flips[c >> 1]
+
+    images = []
+    for name in new.alphabet.names:
+        i = names.index(name)
+        images.append([code(c) for c in gsm.image(2 * i + flips[i])])
+    return GraphSelfMap(new, gsm.vertex_image, images)
+
+
+def lamlang_language(gsm, symmetric, depth=24, count=40):
+    """A lamlang language on ``gsm``'s graph listing ``count`` members of
+    length ``depth`` of its attracting language."""
+    al = gsm.graph.alphabet
+    members = attracting_language(gsm, depth).members(depth)[:count]
+    paths = [al.format(m) for m in members]
+    return build_language(LanguageSpec("demo", symmetric, "subwords", paths), gsm.graph)
+
+
+def projection_oracle(lang, cd):
+    """The projection by its definition: every member through project_path,
+    keeping the images of length 1..depth."""
+    depth = lang.complete_to // cd.lift_stretch
+    strata = [set() for _ in range(depth + 1)]
+    for m in lang.all_members():
+        image = project_path(cd, m)
+        if 0 < len(image) <= depth:
+            strata[len(image)].add(image)
+    return strata
+
+
+def theta_language(name, silver_map):
+    """A depth-24 language on the theta graph, by name."""
+    theta = sample_map("theta_collapse")
+    if name.startswith("lamlang"):
+        return lamlang_language(theta, name == "lamlang_symmetric")
+    metric = sample_map("theta_collapse", {"e2": "1.5", "e3": "2"})
+    maps = {"theta_collapse": theta, "theta_metric": metric,
+            "theta_renamed": relabelled(theta, ["x", "e2", "a"], [1, 0, 1]),
+            "theta_metric_flipped": relabelled(metric, ["e3", "e1", "e2"], [0, 1, 1]),
+            "silver_map": silver_map}
+    return attracting_language(maps[name], 24)
+
+
+class TestBlockProjection:
+    """project_language checks every member on blocks and projects only the
+    members that start and end outside the tree."""
+
+    @pytest.mark.parametrize("name", [
+        "theta_collapse", "theta_metric", "theta_renamed", "theta_metric_flipped",
+        "silver_map", "lamlang_symmetric", "lamlang_asymmetric"])
+    def test_matches_the_projection_of_every_member(self, monkeypatch, silver_map,
+                                                    name):
+        lang = theta_language(name, silver_map)
+        cd = maximal_subtree(lang.graph)
+        calls = []
+        original = laminations.project_path
+        monkeypatch.setattr(laminations, "project_path",
+                            lambda cd, codes: calls.append(1) or original(cd, codes))
+        for n in range(1, 13):
+            shallow = LaminaryLanguage(lang.graph, lang.rows[:cd.lift_stretch * n + 1],
+                                       lang.symmetric, lang.origin)
+            calls.clear()
+            rose = project_language(shallow, cd)
+            assert rose.complete_to == n
+            assert list(rose.strata) == projection_oracle(shallow, cd)
+            assert len(calls) == sum(rose.p_counts())
+
+    def test_backtracking_member_inside_the_tree_is_refused(self, silver_map):
+        graph = silver_map.graph
+        cd = maximal_subtree(graph)
+        # e1 spans the tree; this member starts and ends on it
+        word = graph.alphabet.parse("e1 e2' e2 e1'")
+        assert word[0] >> 1 in cd.subtree and word[-1] >> 1 in cd.subtree
+        lang = LaminaryLanguage(graph, sorted_blocks({word}, 4), True, "by hand")
+        with pytest.raises(PreconditionError,
+                           match="project_path expects a reduced path"):
+            project_language(lang, cd)
+
+    @pytest.mark.parametrize("word", [(0, 0), (0, 99)], ids=["e1 e1", "no letter"])
+    def test_member_that_is_no_edge_path_is_refused(self, silver_map, word):
+        cd = maximal_subtree(silver_map.graph)
+        lang = LaminaryLanguage(silver_map.graph, sorted_blocks({word}, 2), True,
+                                "by hand")
+        with pytest.raises(PreconditionError,
+                           match="project_path expects an edge path in the base graph"):
+            project_language(lang, cd)
+
+
+class TestRelabellingRefusals:
+    """_language_from_substitution decides both refusals on the rows."""
+
+    def _build(self, monkeypatch, silver_map, orientable, stratum):
+        _, sub = laminations._oriented_substitution(silver_map)
+        rows = [np.zeros((0, 0), dtype=np.int32), np.asarray(stratum, dtype=np.int32)]
+        monkeypatch.setattr(laminations, "factor_language",
+                            lambda sub, n_max: FactorLanguage(sub.letters, rows, "test"))
+        return laminations._language_from_substitution(
+            silver_map, SimpleNamespace(orientable=orientable), sub, 1)
+
+    def test_overlapping_parts_refused(self, monkeypatch, silver_map):
+        # substitution letters 0 and 1 are e1 and e1'
+        with pytest.raises(LamtoolError,
+                           match="positive and inverse parts must be disjoint"):
+            self._build(monkeypatch, silver_map, True, [[0], [1]])
+
+    def test_missing_inverse_refused(self, monkeypatch, silver_map):
+        with pytest.raises(LamtoolError,
+                           match="attracting language failed inverse closure"):
+            self._build(monkeypatch, silver_map, False, [[0]])
+        assert self._build(monkeypatch, silver_map, False, [[0], [1]]).p(1) == 2
+
+
+class TestBlockRepresentation:
+    """The blocks against the tuple sets they hold."""
+
+    @staticmethod
+    def _cases(fib_map, silver_map):
+        rose = fib_map.graph
+        theta = sample_map("theta_collapse")
+        spec = LanguageSpec("demo", True, "subwords", ["a b", "b a"])
+        cases = [(build_language(spec, rose), [set(), {(0,), (1,), (2,), (3,)},
+                                               {(0, 2), (2, 0), (3, 1), (1, 3)}]),
+                 (attracting_language(fib_map, 10), relabelled_oracle(fib_map, 10)),
+                 (attracting_language(theta, 10), relabelled_oracle(theta, 10))]
+        for symmetric in (True, False):
+            lang = lamlang_language(theta, symmetric, depth=10, count=12)
+            paths = attracting_language(theta, 10).members(10)[:12]
+            closed = {m[i:j] for m in paths for i in range(10) for j in range(i + 1, 11)}
+            if symmetric:
+                closed |= {inverse_codes(m) for m in closed}
+            cases.append((lang, [{m for m in closed if len(m) == n} for n in range(11)]))
+        return cases
+
+    def test_blocks_hold_the_tuple_sets(self, fib_map, silver_map):
+        for lang, oracle in self._cases(fib_map, silver_map):
+            assert lang.complete_to == len(oracle) - 1
+            assert list(lang.strata) == oracle
+            assert lang.p_counts() == [len(s) for s in oracle[1:]]
+            assert lang.metric_lengths() == sorted(
+                lang.graph.weight(m) for s in oracle for m in s)
+            assert lang.check_invariants() == []
+            for n, block in enumerate(lang.rows):
+                assert block.dtype == np.int32 and block.shape == (len(oracle[n]), n)
+                assert len(np.unique(block, axis=0)) == len(block)
 
 
 class TestSources:
