@@ -11,8 +11,8 @@ Commands::
 Exit codes: 0 success, 1 usage or parse error, 2 precondition violation,
 3 resource cap, 4 under-enumeration.  LAMTOOL_SIZE_CAP, the only setting of
 the size cap, counts int32 words (one per letter); the cap bounds expanded
-words, the eigenray prefix the counting automaton reads, full-shift tables
-and the depth of materialized strata.
+words, the eigenray prefix whose slices the counting automaton reads (and
+so its input), full-shift tables and the depth of materialized strata.
 """
 
 from __future__ import annotations

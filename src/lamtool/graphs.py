@@ -47,7 +47,8 @@ class MarkedMetricGraph:
     """
 
     __slots__ = ("vertices", "alphabet", "lengths", "length_unit", "_origin",
-                 "_vindex", "_steps", "_reduced_steps", "_weights")
+                 "_vindex", "_steps", "_reduced_steps", "_weights",
+                 "_min_weight")
 
     def __init__(self, vertices: Iterable[str], edges: Sequence[tuple]):
         self.vertices = tuple(sorted(set(vertices)))
@@ -70,6 +71,7 @@ class MarkedMetricGraph:
         self.length_unit = lcm(*(length.denominator for length in self.lengths))
         self._weights = {c: int(self.lengths[c >> 1] * self.length_unit)
                          for c in self.alphabet.letters()}
+        self._min_weight = min(self._weights.values())
         # the two-letter words an edge path, and a reduced one, may contain
         self._steps = frozenset(
             (x, y) for x in self.alphabet.letters() for y in self.alphabet.letters()
@@ -152,7 +154,7 @@ class MarkedMetricGraph:
 
     def depth(self, bound) -> int:
         """The most letters a path of metric length at most ``bound`` can have."""
-        return self.weight_bound(bound) // min(self._weights.values())
+        return self.weight_bound(bound) // self._min_weight
 
     def path(self, text: str) -> EdgePath:
         return EdgePath.from_text(self.alphabet, text)

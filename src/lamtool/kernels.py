@@ -11,6 +11,8 @@ is one backend; ``BACKEND`` names it for run records.
 
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as np
 
 from .config import check_size
@@ -80,9 +82,19 @@ def substring_counts(codes, sigma, n_max):
     ``length[link[v]] + 1 .. length[v]``, and the counts are a difference
     array over those ranges.  Returns ``counts`` with ``counts[n]`` the
     number of distinct length-n factors (index 0 is 0).
+
+    A state costs ``sigma + 2`` list slots (its transitions, link and
+    length) and one int object, its number: a length is taken from one
+    shared list of the ints up to the longest word, not made anew.  The
+    transition list is dropped before the count arrays are built.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    codes = np.asarray(codes, dtype=np.int32)
+    words = [word[1:] if word.size and word[0] < 0 else word
+             for word in np.split(codes, np.flatnonzero(codes < 0))]
+    # one shared int per length, for the states' lengths
+    sizes = list(range(max(word.size for word in words) + 1))
     blank = [-1] * sigma
     trans = list(blank)
     link = [-1]
@@ -92,7 +104,7 @@ def substring_counts(codes, sigma, n_max):
         """Clone q at length length[p] + 1 and move p's suffix path to it."""
         clone = len(length)
         trans.extend(trans[q * sigma:(q + 1) * sigma])
-        length.append(length[p] + 1)
+        length.append(sizes[length[p] + 1])
         link.append(link[q])
         while p != -1 and trans[p * sigma + c] == q:
             trans[p * sigma + c] = clone
@@ -100,9 +112,8 @@ def substring_counts(codes, sigma, n_max):
         link[q] = clone
         return clone
 
-    codes = np.asarray(codes, dtype=np.int32)
-    for word in np.split(codes, np.flatnonzero(codes < 0)):
-        word = word[1:].tolist() if word.size and word[0] < 0 else word.tolist()
+    for word in words:
+        word = word.tolist()
         # the word's known prefix: walk, splitting where a state is too long
         last = start = 0
         for c in word:
@@ -112,10 +123,10 @@ def substring_counts(codes, sigma, n_max):
             last = q if length[q] == length[last] + 1 else split(last, q, c)
             start += 1
         # then the one-word construction, one new state per letter
-        for c in word[start:]:
+        for c, size in zip(word[start:], islice(sizes, start + 1, None)):
             cur = len(length)
             trans += blank
-            length.append(length[last] + 1)
+            length.append(size)
             link.append(0)
             p = last
             while p != -1 and trans[p * sigma + c] == -1:
@@ -125,8 +136,9 @@ def substring_counts(codes, sigma, n_max):
                 q = trans[p * sigma + c]
                 link[cur] = q if length[p] + 1 == length[q] else split(p, q, c)
             last = cur
+    del trans
     length = np.asarray(length, dtype=np.int64)
-    lo = length[np.asarray(link[1:], dtype=np.int64)] + 1
+    lo = length[np.asarray(link, dtype=np.int64)[1:]] + 1
     hi = np.minimum(length[1:], n_max)
     keep = lo <= n_max
     diff = (np.bincount(lo[keep], minlength=n_max + 2)

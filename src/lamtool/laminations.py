@@ -60,9 +60,13 @@ class LaminaryLanguage(Stratified):
     def metric_lengths(self) -> list[int]:
         """The members' metric lengths, sorted, as integers in units of
         ``1 / graph.length_unit`` (the lcm of the edge length denominators),
-        so that sums and comparisons are exact without a Fraction per member."""
+        so that sums and comparisons are exact without a Fraction per member.
+        Each block's rows are weighed as lists of Python ints, so the tuple
+        strata are never decoded and no sum can overflow."""
         if self._metric_lengths is None:
-            self._metric_lengths = sorted(map(self.graph.weight, self.all_members()))
+            weight = self.graph.weight
+            self._metric_lengths = sorted(weight(row) for block in self.rows[1:]
+                                          for row in block.tolist())
         return self._metric_lengths
 
     def check_invariants(self) -> list[str]:

@@ -10,7 +10,9 @@ Two enumeration routes are provided and cross-checked in the tests:
   kernel runs once, over the slices of that prefix that can hold a factor:
   the block theta^k(x) of the first occurrence of each letter x in Q, and
   ``n_max - 1`` letters on each side of the block boundary at the first
-  occurrence of each pair of letters in Q.
+  occurrence of each pair of letters in Q.  :func:`eigenray_prefix` expands
+  only those slices, so the work and the memory follow the slices, not the
+  prefix.
 
 The second route is what makes covering-bound tables to n = 5000 cheap.
 """
@@ -187,28 +189,77 @@ def eigen_exponent(sub: Substitution, seed: int) -> int:
     return k
 
 
-def eigenray_prefix(sub: Substitution, seed, target_len: int) -> np.ndarray:
-    """The prefix of length target_len of the eigenray of ``seed``.
+def _checked_windows(windows, target_len) -> list:
+    """``windows`` as a list of pairs, by default the whole prefix; raises
+    unless they are nonempty (start, stop) pairs, sorted and disjoint,
+    inside [0, target_len]."""
+    if windows is None:
+        windows = ((0, target_len),)
+    windows = [tuple(window) for window in windows]
+    if not windows:
+        raise DomainError("windows must hold at least one (start, stop) pair")
+    last = 0
+    for window in windows:
+        if len(window) != 2 or not last <= window[0] < window[1] <= target_len:
+            raise DomainError(
+                f"windows must be sorted, disjoint, nonempty (start, stop) "
+                f"pairs in [0, {target_len}]; got {window} after {last}")
+        last = window[1]
+    return windows
 
-    Successive iterates of theta^k extend each other, and the image of a
-    prefix is a prefix of the image, so each round expands only the letters
-    whose images reach target_len.  A target beyond the cap is refused
-    before anything is expanded.
+
+def eigenray_prefix(sub: Substitution, seed, target_len: int,
+                    windows=None) -> np.ndarray:
+    """The windows of the prefix of length target_len of the eigenray of
+    ``seed``, concatenated; the default single window (0, target_len) is the
+    whole prefix.
+
+    ``windows`` are sorted, disjoint (start, stop) pairs.  With R the least
+    multiple of the eigen exponent with |theta^R(seed)| >= target_len, the
+    prefix is a prefix of theta^R(seed), and a letter c of theta^(R-j)(seed)
+    stands for a block of |theta^j(c)| letters of it.  The rounds work down
+    from the seed and keep, for each window, the run of letters whose blocks
+    meet it; only those runs are expanded, so the work and the memory follow
+    the windows, not the prefix.  A letter whose block meets two windows is
+    kept in both runs; at the last round the blocks are single letters and
+    the runs are the windows.  A target beyond the cap is refused before
+    anything is expanded.
     """
     if isinstance(seed, str):
         seed = sub.index(seed)
     if target_len < 1:
         raise DomainError("target length must be >= 1")
+    windows = _checked_windows(windows, target_len)
     k = eigen_exponent(sub, seed)
     check_size(target_len, "eigenray prefix")
     offsets, data = sub.tables()
-    word = np.asarray([seed], dtype=np.int32)
-    while word.size < target_len:
-        for _ in range(k):
-            reach = np.cumsum(offsets[word + 1] - offsets[word])
-            word = expand_codes(word[:np.searchsorted(reach, target_len) + 1],
-                                offsets, data)
-    return word[:target_len]
+    # sizes[j][c] = |theta^j(c)|, for j = 0..R
+    lengths = [1] * sub.sigma
+    sizes = [lengths]
+    while (len(sizes) - 1) % k or lengths[seed] < target_len:
+        lengths = [sum(lengths[x] for x in img) for img in sub.images]
+        sizes.append(lengths)
+    sizes = [np.asarray(level, dtype=np.int64) for level in sizes]
+    starts, stops = np.asarray(windows, dtype=np.int64).T
+    # the runs, one per window, laid end to end in ``word``; run i covers
+    # the letters [first[i], first[i] + extent[i]) of the prefix
+    word = np.full(len(windows), seed, dtype=np.int32)
+    first = np.zeros(len(windows), dtype=np.int64)
+    extent = np.full(len(windows), sizes[-1][seed])
+    for j in reversed(range(len(sizes))):
+        # a position in the prefix is its position in ``word``'s blocks
+        # plus the shift of its run
+        shift = first - (np.cumsum(extent) - extent)
+        block = sizes[j][word]
+        ends = np.cumsum(block)
+        lo = np.searchsorted(ends, starts - shift, side="right")
+        hi = np.searchsorted(ends, stops - shift) + 1
+        first = ends[lo] - block[lo] + shift
+        extent = ends[hi - 1] + shift - first
+        word = np.concatenate([word[a:b] for a, b in zip(lo.tolist(), hi.tolist())])
+        if not j:
+            return word
+        word = expand_codes(word, offsets, data)
 
 
 # ---------------------------------------------------------------------------
@@ -422,25 +473,24 @@ def counting_certificate(sub: Substitution, n_max: int) -> CountingCertificate:
 def complexity_counts(sub: Substitution, n_max: int) -> np.ndarray:
     """Exact p(n) for n = 1..n_max without materializing the language.
 
-    Expands the eigenray prefix that :func:`counting_certificate` proves
-    holds every factor of length <= n_max, cuts out its slices and counts
-    the distinct factors of all of them in one automaton, the slices joined
-    by the separator code -1.  The cap bounds that prefix, and so the
-    automaton's input, which is never longer: merged slices lie at least one
-    letter apart, and each -1 stands in for such a gap.  A prefix beyond the
-    cap is refused before anything is expanded.  Index 0 of the returned
-    array is 0.
+    Expands the slices of the eigenray prefix that
+    :func:`counting_certificate` proves holds every factor of length
+    <= n_max, and only those, and counts the distinct factors of all of them
+    in one automaton, the slices joined by the separator code -1.  The cap
+    bounds that prefix, and so the automaton's input, which is never longer:
+    merged slices lie at least one letter apart, and each -1 stands in for
+    such a gap.  A prefix beyond the cap is refused before anything is
+    expanded.  Index 0 of the returned array is 0.
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     if not sub.is_primitive():
         raise DomainError("complexity counting requires a primitive substitution")
     cert = counting_certificate(sub, n_max)
-    ray = eigenray_prefix(cert.sub, cert.seed, cert.letters)
-    separator = np.asarray([-1], dtype=np.int32)
-    pieces = [piece for start, stop in cert.slices
-              for piece in (separator, ray[start:stop])]
-    return substring_counts(np.concatenate(pieces[1:]), sub.sigma, n_max)
+    slices = eigenray_prefix(cert.sub, cert.seed, cert.letters, cert.slices)
+    cuts = np.cumsum([stop - start for start, stop in cert.slices[:-1]],
+                     dtype=np.int64)
+    return substring_counts(np.insert(slices, cuts, -1), sub.sigma, n_max)
 
 
 # ---------------------------------------------------------------------------

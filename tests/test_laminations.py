@@ -123,6 +123,12 @@ class TestBetaMetric:
         for n in (1, 3, 7, 10):
             assert beta_metric(lang, n) == lang.beta(n)
 
+    def test_metric_lengths_leave_the_strata_undecoded(self, silver_map):
+        lang = attracting_language(silver_map, 12)
+        lengths = lang.metric_lengths()
+        assert "strata" not in vars(lang)
+        assert lengths == sorted(map(lang.graph.weight, lang.all_members()))
+
     def test_half_lengths_rescale(self):
         rose = MarkedMetricGraph(
             ["v"], [("a", "v", "v", Fraction(1, 2)), ("b", "v", "v", Fraction(1, 2))])

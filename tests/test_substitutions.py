@@ -104,6 +104,85 @@ class TestEigenrays:
             thue_morse_word(512)
 
 
+@st.composite
+def eigenray_windows(draw):
+    """A primitive substitution, one of its eigenletters, a target length
+    and sorted, disjoint, nonempty windows of the prefix of that length."""
+    sub = draw(primitive_substitutions())
+    seeds = []
+    for seed in range(sub.sigma):
+        try:
+            eigen_exponent(sub, seed)
+        except NotAnEigenletterError:
+            continue
+        seeds.append(seed)
+    assume(seeds)
+    target = draw(st.integers(1, 400))
+    bounds = sorted(draw(st.sets(st.integers(0, target), min_size=2, max_size=8)))
+    if draw(st.booleans()):
+        bounds = sorted({0, target, *bounds})
+    windows = list(zip(bounds[::2], bounds[1::2]))
+    return sub, draw(st.sampled_from(seeds)), target, windows
+
+
+class TestEigenrayWindows:
+    @settings(max_examples=80, deadline=None)
+    @given(eigenray_windows())
+    def test_windows_are_the_sliced_prefix(self, case):
+        sub, seed, target, windows = case
+        whole = eigenray_prefix(sub, seed, target)
+        assert whole.size == target
+        got = eigenray_prefix(sub, seed, target, windows)
+        want = [whole[start:stop] for start, stop in windows]
+        assert np.array_equal(got, np.concatenate(want))
+
+    def test_touching_windows_at_both_ends(self, fib):
+        word = fibonacci_word(500)
+        got = eigenray_prefix(fib, "a", 500, [(0, 3), (7, 20), (20, 21), (497, 500)])
+        assert word_str(fib, got) == word[:3] + word[7:21] + word[497:]
+
+    @pytest.mark.parametrize("windows", [
+        [(5, 9), (0, 3)],      # unsorted
+        [(0, 6), (5, 9)],      # overlapping
+        [(3, 3)],              # empty
+        [(-1, 4)],             # before the prefix
+        [(8, 21)],             # past its end
+        [(1, 2, 3)],           # not a pair
+        []])                   # none
+    def test_bad_windows_refused(self, fib, windows):
+        with pytest.raises(DomainError, match="windows must"):
+            eigenray_prefix(fib, "a", 20, windows)
+
+    def test_bad_windows_refused_before_expanding(self, fib, monkeypatch):
+        def no_expand(*args):
+            raise AssertionError("expanded before checking the windows")
+
+        monkeypatch.setattr(substitutions, "expand_codes", no_expand)
+        with pytest.raises(DomainError):
+            eigenray_prefix(fib, "a", 20, [(4, 8), (2, 3)])
+
+    def test_counting_expands_about_the_slices(self, monkeypatch):
+        # expanding all of theta^k(Q) writes 10 times the slices' letters
+        # over its rounds; only the letters whose blocks meet a slice are
+        # expanded
+        six = Substitution.from_tokens(
+            {k: list(v) for k, v in dict(a="abc", b="cd", c="ea", d="fb",
+                                         e="afd", f="ba").items()})
+        letters = []
+        expand = substitutions.expand_codes
+
+        def counted(*args):
+            out = expand(*args)
+            letters.append(out.size)
+            return out
+
+        monkeypatch.setattr(substitutions, "expand_codes", counted)
+        cert = counting_certificate(six, 2000)
+        complexity_counts(six, 2000)
+        assert cert.letters > 3 * cert.slice_letters
+        assert sum(letters) <= 2 * cert.slice_letters
+
+
 class TestFactorLanguage:
     def test_fibonacci_counts(self, fib):
         lang = factor_language(fib, 3)
@@ -412,10 +491,24 @@ class TestCertifiedCounting:
         bounds = [b for window in cert.slices for b in window]
         assert bounds == sorted(bounds) and len(set(bounds)) == len(bounds)
         assert 0 <= bounds[0] and bounds[-1] <= cert.letters
-        counts = complexity_counts(sub, n)
+        read = []
+
+        def recorded(codes, sigma, n_max):
+            read.append(codes)
+            return substring_counts(codes, sigma, n_max)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(substitutions, "substring_counts", recorded)
+            counts = complexity_counts(sub, n)
         assert list(counts[1:]) == factor_language(sub, n).p_counts()
         ray = eigenray_prefix(cert.sub, cert.seed, cert.letters)
         assert np.array_equal(counts, substring_counts(ray, sub.sigma, n))
+        # the automaton reads the slices of the whole prefix, joined by -1
+        separator = np.asarray([-1], dtype=np.int32)
+        pieces = [piece for start, stop in cert.slices
+                  for piece in (separator, ray[start:stop])]
+        assert read[0].dtype == np.int32
+        assert read[0].tobytes() == np.concatenate(pieces[1:]).tobytes()
 
     def test_fibonacci_slices(self, fib):
         cert = counting_certificate(fib, 1000)
