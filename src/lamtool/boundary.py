@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
-import numpy as np
-
 from .errors import (DomainError, InsufficientDataError, PreconditionError)
 from .graphs import MarkedMetricGraph
 from .substitutions import Substitution, eigenray_prefix
@@ -215,7 +213,10 @@ def cover_bound_series(beta_values: Sequence[int], a, delta, c0) -> CoverBoundRe
 
 def dim_upper_estimate(beta_values: Sequence[int], a, window) -> float:
     """Least-squares slope of log beta(n) against n*log(a) on the window,
-    clamped to be nonnegative; an upper box-dimension proxy."""
+    clamped to be nonnegative; an upper box-dimension proxy.
+
+    The slope is the closed form sum((x - mean x)(y - mean y)) /
+    sum((x - mean x)^2), each sum taken with ``math.fsum``."""
     if not float(a) > 1:
         raise DomainError("visual parameter must satisfy a > 1")
     lo, hi = window
@@ -226,7 +227,11 @@ def dim_upper_estimate(beta_values: Sequence[int], a, window) -> float:
     if len(ns) < 4:
         raise InsufficientDataError("dimension window needs at least 4 points")
     log_a = math.log(float(a))
-    xs = np.array([n * log_a for n in ns])
-    ys = np.array([_log_int(int(beta_values[n - 1])) for n in ns])
-    slope = float(np.polyfit(xs, ys, 1)[0])
+    xs = [n * log_a for n in ns]
+    ys = [_log_int(int(beta_values[n - 1])) for n in ns]
+    x_mean = math.fsum(xs) / len(xs)
+    y_mean = math.fsum(ys) / len(ys)
+    dx = [x - x_mean for x in xs]
+    slope = (math.fsum(d * (y - y_mean) for d, y in zip(dx, ys))
+             / math.fsum(d * d for d in dx))
     return max(slope, 0.0)

@@ -140,7 +140,7 @@ def _cmd_analyze(args) -> int:
         },
         "transition_matrix": {
             "edges": list(tm.edge_names),
-            "rows": [[int(v) for v in row] for row in tm.matrix],
+            "rows": [list(row) for row in tm.matrix],
         },
         "matrix_analysis": {
             "irreducible": analysis.irreducible,
@@ -172,7 +172,7 @@ def _cmd_analyze(args) -> int:
     print(f"graph: valid, rank {report.rank}")
     print(f"train track: {'yes' if tt.is_train_track else 'no'} ({tt.reason})")
     for name, row in zip(tm.edge_names, tm.matrix):
-        print(f"  A[{name}] = {' '.join(str(int(v)) for v in row)}")
+        print(f"  A[{name}] = {' '.join(map(str, row))}")
     witness_k = analysis.primitivity_exponent
     print(f"irreducible: {_yn(analysis.irreducible)}; "
           f"primitive: {_yn(analysis.primitive)}"

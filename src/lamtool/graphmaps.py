@@ -11,10 +11,11 @@ image, so the test agrees with brute-force iteration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Real
+from operator import index
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .errors import DomainError, MalformedInputError
 from .graphs import MarkedMetricGraph
@@ -187,21 +188,22 @@ def is_train_track(gsm: GraphSelfMap) -> TrainTrackResult:
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    matrix: np.ndarray  # shape (m, m), entry (i, j) = occurrences of edge i^{+-1} in f(e_j)
+    # m rows of m ints, entry (i, j) = occurrences of edge i^{+-1} in f(e_j)
+    matrix: tuple[tuple[int, ...], ...]
     edge_names: tuple[str, ...]
 
     @property
     def dimension(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.matrix)
 
 
 def transition_matrix(gsm: GraphSelfMap) -> TransitionMatrix:
     m = gsm.graph.num_topological_edges
-    mat = np.zeros((m, m), dtype=np.int64)
+    mat = [[0] * m for _ in range(m)]
     for j, img in enumerate(gsm.edge_images):
         for c in img:
-            mat[c >> 1, j] += 1
-    return TransitionMatrix(mat, gsm.graph.alphabet.names)
+            mat[c >> 1][j] += 1
+    return TransitionMatrix(tuple(map(tuple, mat)), gsm.graph.alphabet.names)
 
 
 @dataclass(frozen=True)
@@ -216,45 +218,60 @@ class MatrixAnalysis:
     converged: bool
 
 
-def _strongly_connected(support: np.ndarray) -> bool:
-    m = support.shape[0]
-
-    def reach(adj):
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w in range(m):
-                if adj[v, w] and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == m
-
-    return reach(support) and reach(support.T)
+def _support(mat) -> list[int]:
+    """Row i's support as the bitmask with bit j set where mat[i][j] > 0."""
+    return [sum(1 << j for j, v in enumerate(row) if v) for row in mat]
 
 
-def _primitivity_exponent(support: np.ndarray) -> Optional[int]:
-    """Least k with A^k > 0, scanned up to the Wielandt bound (m-1)^2 + 1."""
-    m = support.shape[0]
-    bound = (m - 1) ** 2 + 1
-    power = support.copy()
-    for k in range(1, bound + 1):
-        if power.all():
+def _image(mask: int, rows: list[int]) -> int:
+    """The union of the bitmask rows named by the set bits of ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _reaches_all(rows: list[int]) -> bool:
+    """Every vertex is reached from vertex 0 along the bitmask rows."""
+    seen = frontier = 1
+    while frontier:
+        frontier = _image(frontier, rows) & ~seen
+        seen |= frontier
+    return seen == (1 << len(rows)) - 1
+
+
+def _strongly_connected(support: list[int]) -> bool:
+    m = len(support)
+    transpose = [sum(1 << i for i in range(m) if support[i] >> j & 1)
+                 for j in range(m)]
+    return _reaches_all(support) and _reaches_all(transpose)
+
+
+def _primitivity_exponent(support: list[int]) -> Optional[int]:
+    """Least k with A^k > 0, scanned up to the Wielandt bound (m-1)^2 + 1.
+    Row i of ``power`` is the bitmask of the j with A^k[i][j] > 0."""
+    m = len(support)
+    full = (1 << m) - 1
+    power = support
+    for k in range(1, (m - 1) ** 2 + 2):
+        if all(row == full for row in power):
             return k
-        power = (power.astype(np.int64) @ support.astype(np.int64)) > 0
+        power = [_image(row, support) for row in power]
     return None
 
 
-def _expanding(matrix: np.ndarray) -> bool:
+def _expanding(mat) -> bool:
     """Every column eventually maps over >= 2 edges.
 
     A column with sum 1 feeds a chain j -> (the unique edge it maps over);
     an edge fails to expand exactly when that chain never leaves the set of
     sum-1 columns, i.e. runs into a cycle inside it.
     """
-    colsums = matrix.sum(axis=0)
-    stay = {j for j in range(matrix.shape[1]) if colsums[j] == 1}
-    nxt = {j: int(np.nonzero(matrix[:, j])[0][0]) for j in stay}
+    columns = list(zip(*mat))
+    stay = {j for j, col in enumerate(columns) if sum(col) == 1}
+    nxt = {j: columns[j].index(1) for j in stay}
     for j in stay:
         seen = set()
         v = j
@@ -266,35 +283,61 @@ def _expanding(matrix: np.ndarray) -> bool:
     return True
 
 
-def _power_iteration(matrix: np.ndarray, tol=1e-12, max_iter=1_000_000):
-    a = matrix.astype(np.float64)
-    v = np.ones(a.shape[0])
+def _power_iteration(mat, tol=1e-12, max_iter=1_000_000):
+    a = [[float(v) for v in row] for row in mat]
+    v = [1.0] * len(a)
     lam = 0.0
-    residual = np.inf
+    residual = math.inf
     for it in range(1, max_iter + 1):
         # callers pass a primitive matrix (A, or A + I for an irreducible A):
         # it has no zero row, so w stays positive
-        w = a @ v
-        lam = np.abs(w).max()
-        w = w / lam
-        residual = np.abs(a @ w - lam * w).max()
+        w = [sum(x * y for x, y in zip(row, v)) for row in a]
+        lam = max(map(abs, w))
+        w = [x / lam for x in w]
+        residual = max(abs(sum(x * y for x, y in zip(row, w)) - lam * wi)
+                       for row, wi in zip(a, w))
         v = w
         if residual <= tol * max(lam, 1.0):
-            return float(lam), float(residual), it, True
-    return float(lam), float(residual), max_iter, False
+            return lam, residual, it, True
+    return lam, residual, max_iter, False
+
+
+def _entry(value) -> int:
+    """A matrix entry as a Python int; an integral float such as 2.0 is
+    taken, a non-integer such as 1.5 refused."""
+    try:
+        return index(value)
+    except TypeError:
+        if isinstance(value, Real) and float(value).is_integer():
+            return int(value)
+    raise DomainError(f"transition matrix entries must be integers; got {value!r}")
+
+
+def _checked_matrix(matrix) -> list[list[int]]:
+    """``matrix`` as m rows of m Python ints; raises unless it is square,
+    integer, nonnegative and not zero."""
+    try:
+        rows = [list(row) for row in matrix]
+    except TypeError:
+        rows = []
+    if not rows or any(len(row) != len(rows) for row in rows):
+        raise DomainError("transition matrix must be square")
+    mat = [[_entry(v) for v in row] for row in rows]
+    if any(v < 0 for row in mat for v in row):
+        raise DomainError("transition matrix must be nonnegative")
+    if not any(map(any, mat)):
+        raise DomainError("zero matrix has no Perron-Frobenius analysis")
+    return mat
 
 
 def analyze_matrix(matrix) -> MatrixAnalysis:
-    """Irreducibility, primitivity, expansion and the dominant eigenvalue."""
-    mat = matrix.matrix if isinstance(matrix, TransitionMatrix) else np.asarray(matrix)
-    mat = mat.astype(np.int64)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise DomainError("transition matrix must be square")
-    if (mat < 0).any():
-        raise DomainError("transition matrix must be nonnegative")
-    if not mat.any():
-        raise DomainError("zero matrix has no Perron-Frobenius analysis")
-    support = mat > 0
+    """Irreducibility, primitivity, expansion and the dominant eigenvalue.
+
+    ``matrix`` is a :class:`TransitionMatrix` or m rows of m nonnegative
+    integers, not all zero."""
+    mat = _checked_matrix(matrix.matrix if isinstance(matrix, TransitionMatrix)
+                          else matrix)
+    support = _support(mat)
     irreducible = _strongly_connected(support)
     exponent = _primitivity_exponent(support) if irreducible else None
     primitive = exponent is not None
@@ -304,13 +347,16 @@ def analyze_matrix(matrix) -> MatrixAnalysis:
     elif irreducible:
         # power iteration oscillates on imprimitive matrices; A + I is
         # primitive with the same Perron vector and eigenvalue shifted by 1
-        shifted = mat + np.eye(mat.shape[0], dtype=np.int64)
+        shifted = [[v + (i == j) for j, v in enumerate(row)]
+                   for i, row in enumerate(mat)]
         lam, residual, iterations, converged = _power_iteration(shifted)
         lam -= 1.0
     else:
         # reducible: the dominant eigenvalue may be defective, where power
         # iteration only converges polynomially; use the dense spectrum
-        lam = float(np.abs(np.linalg.eigvals(mat.astype(np.float64))).max())
+        import numpy as np
+
+        lam = float(np.abs(np.linalg.eigvals(np.array(mat, dtype=np.float64))).max())
         residual, iterations, converged = 0.0, 0, True
     return MatrixAnalysis(irreducible, primitive, exponent, expanding,
                           lam, residual, iterations, converged)

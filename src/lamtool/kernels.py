@@ -5,6 +5,11 @@ alphabets the letter with topological index i and its inverse occupy codes
 ``2i`` and ``2i + 1``, so inversion is ``code ^ 1``; plain substitution
 alphabets just use ``0 .. sigma-1``.  Cancellation is ``words.tighten_raw``.
 
+numpy is imported inside each function that builds or reads such an array,
+here and in ``words``, ``substitutions`` and ``laminations``, never when a
+module loads: the commands that build no word array (``--version``,
+``analyze`` and every command on a full shift) start without it.
+
 :func:`expand_capped` asks ``config.check_size`` before it expands.  There
 is one backend; ``BACKEND`` names it for run records.
 """
@@ -12,8 +17,6 @@ is one backend; ``BACKEND`` names it for run records.
 from __future__ import annotations
 
 from itertools import islice
-
-import numpy as np
 
 from .config import check_size
 
@@ -30,6 +33,8 @@ BACKEND = "python"
 
 def expand_codes(codes, offsets, data):
     """Concatenate ``data[offsets[c]:offsets[c+1]]`` for every code."""
+    import numpy as np
+
     codes = np.asarray(codes, dtype=np.int32)
     offsets = np.asarray(offsets, dtype=np.int64)
     data = np.asarray(data, dtype=np.int32)
@@ -43,6 +48,8 @@ def expand_codes(codes, offsets, data):
 def image_tables(images):
     """The images flattened into ``(offsets, data)`` for :func:`expand_codes`:
     the image of code c is ``data[offsets[c]:offsets[c + 1]]``."""
+    import numpy as np
+
     offsets = [0]
     data = []
     for img in images:
@@ -55,6 +62,8 @@ def expand_capped(codes, tables, what):
     """:func:`expand_codes` over ``tables = (offsets, data)``, refused before
     anything is expanded when the result is over the size cap; the refusal
     calls the result ``what``."""
+    import numpy as np
+
     offsets, data = tables
     arr = np.asarray(codes, dtype=np.int32)
     check_size(int((offsets[arr + 1] - offsets[arr]).sum()) if arr.size else 0, what)
@@ -88,6 +97,8 @@ def substring_counts(codes, sigma, n_max):
     shared list of the ints up to the longest word, not made anew.  The
     transition list is dropped before the count arrays are built.
     """
+    import numpy as np
+
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     codes = np.asarray(codes, dtype=np.int32)

@@ -19,8 +19,6 @@ from itertools import accumulate
 from math import log2
 from typing import Optional
 
-import numpy as np
-
 from .config import check_size
 from .errors import (DomainError, LamtoolError, PreconditionError,
                      UnderEnumerationError)
@@ -121,6 +119,8 @@ def _language_from_substitution(gsm: GraphSelfMap, orn, sub: Substitution,
     inverse rows, disjoint from them, and a non-orientable map's already
     hold them.  Both are decided by counting the distinct rows, as bytes,
     of a block and its inverse together: twice the block's, or as many."""
+    import numpy as np
+
     alphabet = gsm.graph.alphabet
     code_of = np.asarray([alphabet.index(tok) for tok in sub.letters], dtype=np.int32)
     flang = factor_language(sub, n_max)
@@ -216,6 +216,8 @@ def project_language(lang: LaminaryLanguage, cd: CollapseData) -> LaminaryLangua
     reduced path follows the unique tree geodesic, so such a member is
     determined by its image.
     """
+    import numpy as np
+
     base = cd.base
     size = base.alphabet.size
     depth = lang.complete_to // cd.lift_stretch

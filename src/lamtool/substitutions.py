@@ -20,9 +20,8 @@ The second route is what makes covering-bound tables to n = 5000 cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
-
-import numpy as np
+from typing import (TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional,
+                    Sequence)
 
 from .config import check_size
 from .errors import (DomainError, InsufficientDataError, MalformedInputError,
@@ -30,6 +29,9 @@ from .errors import (DomainError, InsufficientDataError, MalformedInputError,
 from .graphmaps import GraphSelfMap, OrientationResult, analyze_matrix
 from .kernels import expand_capped, expand_codes, image_tables, substring_counts
 from .words import Stratified
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Substitution",
@@ -107,13 +109,10 @@ class Substitution:
         """One substitution round on a word of letter codes."""
         return expand_capped(codes, self.tables(), "substituted word")
 
-    def occurrence_matrix(self) -> np.ndarray:
+    def occurrence_matrix(self) -> tuple[tuple[int, ...], ...]:
         """Entry (i, j) counts letter i in the image of letter j."""
-        mat = np.zeros((self.sigma, self.sigma), dtype=np.int64)
-        for j, img in enumerate(self.images):
-            for c in img:
-                mat[c, j] += 1
-        return mat
+        return tuple(tuple(img.count(i) for img in self.images)
+                     for i in range(self.sigma))
 
     def analysis(self):
         if self._analysis is None:
@@ -225,6 +224,8 @@ def eigenray_prefix(sub: Substitution, seed, target_len: int,
     the runs are the windows.  A target beyond the cap is refused before
     anything is expanded.
     """
+    import numpy as np
+
     if isinstance(seed, str):
         seed = sub.index(seed)
     if target_len < 1:
@@ -310,6 +311,8 @@ def factor_language(sub: Substitution, n_max: int) -> FactorLanguage:
     route shares no code with :func:`complexity_counts`, which is tested
     against it.
     """
+    import numpy as np
+
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     if not sub.is_primitive():
@@ -482,6 +485,8 @@ def complexity_counts(sub: Substitution, n_max: int) -> np.ndarray:
     such a gap.  A prefix beyond the cap is refused before anything is
     expanded.  Index 0 of the returned array is 0.
     """
+    import numpy as np
+
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     if not sub.is_primitive():
@@ -532,6 +537,8 @@ class EntropyEstimate:
 
 def entropy_estimate(lang) -> EntropyEstimate:
     """The sequence log p(n)/n and the mean of its last quartile."""
+    import numpy as np
+
     values = _p_values(lang)
     if len(values) < 4:
         raise InsufficientDataError("entropy estimate needs a table of length >= 4")

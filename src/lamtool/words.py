@@ -14,12 +14,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import (DomainError, MalformedInputError, PreconditionError,
                      UnderEnumerationError)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 NAME_RE = re.compile(r"\A[a-z][a-z0-9]*\Z")
 
@@ -260,6 +261,8 @@ class Stratified:
 def sorted_blocks(words, depth: int) -> list[np.ndarray]:
     """Distinct words of length at most ``depth`` as the sorted int32 blocks
     ``rows[0..depth]`` of :class:`Stratified`."""
+    import numpy as np
+
     strata = [[] for _ in range(depth + 1)]
     for word in sorted(words):
         strata[len(word)].append(word)

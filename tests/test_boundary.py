@@ -1,6 +1,8 @@
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from lamtool import (BoundaryRay, MarkedMetricGraph, Substitution,
@@ -176,6 +178,24 @@ class TestDimUpperEstimate:
             dim_upper_estimate([1, 2, 3, 4, 5, 6], 2, (2, 4))
         with pytest.raises(InsufficientDataError):
             dim_upper_estimate([1, 2, 3], 2, (1, 6))
+
+    def test_agrees_with_polyfit_on_random_tables(self):
+        rng = random.Random(4321)
+        for _ in range(500):
+            n = rng.randint(4, 300)
+            growth = rng.choice([0.01, 0.5, 1, 2, 6])
+            table, total = [], rng.randint(1, 10)
+            for _ in range(n):
+                total += rng.randint(1, max(1, int(total * growth)))
+                table.append(total)
+            a = rng.uniform(1.05, 10)
+            lo = rng.randint(1, n - 3)
+            hi = rng.randint(lo + 3, n)
+            xs = np.array([k * math.log(a) for k in range(lo, hi + 1)])
+            ys = np.array([math.log(table[k - 1]) for k in range(lo, hi + 1)])
+            oracle = float(np.polyfit(xs, ys, 1)[0])
+            est = dim_upper_estimate(table, a, (lo, hi))
+            assert abs(est - oracle) <= 1e-12 * oracle, (table, a, lo, hi)
 
     def test_huge_counts_do_not_overflow(self):
         table = [3 ** n for n in range(1, 801)]

@@ -479,6 +479,43 @@ class TestCompareCommand:
         assert "witness C = 1" in out
 
 
+# Runs each argv through ``cli.main`` in one fresh interpreter and prints,
+# per argv, its exit code and whether numpy has been imported by then.
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+from lamtool import cli
+results = [["import lamtool.cli", 0, "numpy" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([" ".join(argv), code, "numpy" in sys.modules])
+print(json.dumps(results))
+"""
+
+
+class TestImportBudget:
+    """Commands that build no word array start without numpy."""
+
+    def test_numpy_loads_only_for_word_arrays(self):
+        light = [["--version"]]
+        for path in (FIB, PERM, NONOR, THETA):
+            light += [["analyze", str(path)], ["analyze", str(path), "--json"]]
+        light.append(["dimension", str(FULL), "--a", "3", "--delta", "0.5",
+                      "--max-n", "14"])
+        heavy = [["complexity", str(FIBSUB), "--max-n", "25"]]
+        proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE,
+                               json.dumps(light + heavy)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        results = json.loads(proc.stdout)
+        assert [code for _, code, _ in results] == [0] * len(results)
+        assert not any(loaded for _, _, loaded in results[:-1]), results
+        assert results[-1][2], "complexity builds word arrays, so it loads numpy"
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("args", [
         ("analyze", FIB, "--json"),

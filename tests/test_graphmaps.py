@@ -99,13 +99,13 @@ class TestTrainTrack:
 
 class TestTransitionMatrix:
     def test_fibonacci_matrix(self, fib_map):
-        assert transition_matrix(fib_map).matrix.tolist() == [[1, 1], [1, 0]]
+        assert transition_matrix(fib_map).matrix == ((1, 1), (1, 0))
 
     def test_permutation_matrix(self, permutation_map):
-        assert transition_matrix(permutation_map).matrix.tolist() == [[0, 1], [1, 0]]
+        assert transition_matrix(permutation_map).matrix == ((0, 1), (1, 0))
 
     def test_counts_both_orientations(self, nonorientable_map):
-        assert transition_matrix(nonorientable_map).matrix.tolist() == [[1, 1], [1, 0]]
+        assert transition_matrix(nonorientable_map).matrix == ((1, 1), (1, 0))
 
     def test_columns_sum_to_image_lengths(self):
         rng = random.Random(606)
@@ -113,7 +113,7 @@ class TestTransitionMatrix:
             gsm = random_rose_map(rng, rng.choice([2, 3]))
             mat = transition_matrix(gsm).matrix
             for j, img in enumerate(gsm.edge_images):
-                assert mat[:, j].sum() == len(img)
+                assert sum(row[j] for row in mat) == len(img)
 
     def test_composition_power_law(self):
         rng = random.Random(31337)
@@ -153,6 +153,21 @@ class TestAnalyzeMatrix:
         with pytest.raises(DomainError):
             analyze_matrix(np.zeros((2, 2), dtype=int))
 
+    @pytest.mark.parametrize("matrix", [[[1, 2], [3]], [[1, 2]], [1, 2], []])
+    def test_ragged_or_non_square_rejected(self, matrix):
+        with pytest.raises(DomainError, match="square"):
+            analyze_matrix(matrix)
+
+    @pytest.mark.parametrize("entry", [1.5, float("nan"), float("inf"), "1"])
+    def test_non_integer_entry_rejected(self, entry):
+        with pytest.raises(DomainError, match="integers"):
+            analyze_matrix([[entry, 1], [1, 0]])
+
+    def test_integral_entries_of_any_type_accepted(self):
+        for matrix in ([[1.0, 1], [1, 0]], np.array([[1, 1], [1, 0]]),
+                       np.array([[1.0, 1.0], [1.0, 0.0]])):
+            assert analyze_matrix(matrix) == analyze_matrix([[1, 1], [1, 0]])
+
     def test_primitive_implies_irreducible_on_random_matrices(self):
         rng = random.Random(8)
         for _ in range(200):
@@ -169,6 +184,95 @@ class TestAnalyzeMatrix:
         analysis = analyze_matrix(np.array([[2, 1], [0, 3]]))
         assert not analysis.irreducible and not analysis.primitive
         assert abs(analysis.stretch_factor - 3.0) < 1e-9
+
+
+def reference_analysis(mat):
+    """The matrix analysis in numpy: boolean matrix powers to the Wielandt
+    bound, and power iteration by matrix-vector products."""
+    mat = np.asarray(mat, dtype=np.int64)
+    m = mat.shape[0]
+    support = (mat > 0).astype(np.int64)
+    reach = np.linalg.matrix_power(np.eye(m, dtype=np.int64) + support, m) > 0
+    irreducible = bool(reach.all())
+    exponent = None
+    power = support.copy()
+    for k in range(1, (m - 1) ** 2 + 2):
+        if irreducible and power.all():
+            exponent = k
+            break
+        power = (power @ support > 0).astype(np.int64)
+    stay = [j for j in range(m) if mat[:, j].sum() == 1]
+    expanding = True
+    for j in stay:
+        seen = set()
+        while j in stay and j not in seen:
+            seen.add(j)
+            j = int(np.flatnonzero(mat[:, j])[0])
+        expanding = expanding and j not in stay
+
+    def iterate(a):
+        a = a.astype(np.float64)
+        v = np.ones(m)
+        for _ in range(1_000_000):
+            w = a @ v
+            lam = np.abs(w).max()
+            w = w / lam
+            residual = np.abs(a @ w - lam * w).max()
+            v = w
+            if residual <= 1e-12 * max(lam, 1.0):
+                return float(lam), True
+        return float(lam), False
+
+    if exponent is not None:
+        lam, converged = iterate(mat)
+    elif irreducible:
+        lam, converged = iterate(mat + np.eye(m, dtype=np.int64))
+        lam -= 1.0
+    else:
+        lam = float(np.abs(np.linalg.eigvals(mat.astype(np.float64))).max())
+        converged = True
+    return [irreducible, exponent is not None, exponent, expanding, converged], lam
+
+
+def assert_agrees_with_reference(mat):
+    got = analyze_matrix(mat)
+    flags, lam = reference_analysis(mat)
+    assert [got.irreducible, got.primitive, got.primitivity_exponent,
+            got.expanding, got.converged] == flags, mat
+    assert abs(got.stretch_factor - lam) <= 1e-12 * max(lam, 1.0), mat
+    return got
+
+
+class TestAnalyzeMatrixOracle:
+    def test_agrees_with_numpy_reference_on_random_matrices(self):
+        rng = random.Random(2024)
+        kinds = set()
+        for _ in range(400):
+            m = rng.randint(1, 8)
+            density = rng.random()
+            mat = [[rng.randint(1, 3) if rng.random() < density else 0
+                    for _ in range(m)] for _ in range(m)]
+            if any(map(any, mat)):
+                got = assert_agrees_with_reference(mat)
+                kinds.add((got.irreducible, got.primitive))
+        assert kinds == {(True, True), (True, False), (False, False)}
+
+    def test_permutations_agree_with_numpy_reference(self):
+        rng = random.Random(77)
+        for _ in range(60):
+            m = rng.randint(1, 8)
+            image = rng.sample(range(m), m)
+            assert_agrees_with_reference(
+                [[int(image[j] == i) for j in range(m)] for i in range(m)])
+
+    def test_cyclic_permutation_scans_to_the_wielandt_bound(self):
+        m = 12
+        mat = [[int(i == (j + 1) % m) for j in range(m)] for i in range(m)]
+        analysis = assert_agrees_with_reference(mat)
+        assert analysis.irreducible and not analysis.primitive
+        assert analysis.primitivity_exponent is None
+        assert not analysis.expanding
+        assert abs(analysis.stretch_factor - 1.0) < 1e-12
 
 
 class TestOrientability:

@@ -45,7 +45,7 @@ class TestSubstitution:
             Substitution.from_tokens({"a": ["a", "c"]})
 
     def test_occurrence_matrix(self, fib):
-        assert fib.occurrence_matrix().tolist() == [[1, 1], [1, 0]]
+        assert fib.occurrence_matrix() == ((1, 1), (1, 0))
 
     def test_primitivity(self, fib):
         assert fib.is_primitive()
