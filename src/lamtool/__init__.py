@@ -3,33 +3,28 @@ bounds for free group automorphisms."""
 
 __version__ = "0.1.0"
 
-from .words import EdgeAlphabet, EdgePath, cyclic_tighten, factors, tighten
-from .graphs import (CollapseData, MarkedMetricGraph, lift_path,
-                     maximal_subtree, metric_length, project_path, validate)
-from .graphmaps import (GraphSelfMap, analyze_matrix, apply_power,
-                        conjugacy_growth, is_train_track, orientability,
-                        transition_matrix)
+from .words import EdgeAlphabet, EdgePath
+from .graphs import (CollapseData, MarkedMetricGraph, maximal_subtree,
+                     project_path, validate)
+from .graphmaps import (GraphSelfMap, analyze_matrix, conjugacy_growth,
+                        is_train_track, orientability, transition_matrix)
 from .substitutions import (FactorLanguage, Substitution, complexity_counts,
-                            complexity_table, entropy_estimate, eigenray_prefix,
-                            factor_language, from_train_track,
+                            eigenray_prefix, factor_language, from_train_track,
                             growth_equivalence_witness)
 from .laminations import (LaminaryLanguage, attracting_language, beta_metric,
                           transport_compare)
-from .boundary import (BoundaryRay, cover_bound_series, dim_upper_estimate,
-                       gromov_product, visual_distance)
+from .boundary import cover_bound_series, dim_upper_estimate
 
 __all__ = [
     "__version__",
-    "EdgeAlphabet", "EdgePath", "tighten", "cyclic_tighten", "factors",
+    "EdgeAlphabet", "EdgePath",
     "MarkedMetricGraph", "CollapseData", "validate", "maximal_subtree",
-    "project_path", "lift_path", "metric_length",
-    "GraphSelfMap", "apply_power", "is_train_track", "transition_matrix",
-    "analyze_matrix", "orientability", "conjugacy_growth",
+    "project_path",
+    "GraphSelfMap", "is_train_track", "transition_matrix", "analyze_matrix",
+    "orientability", "conjugacy_growth",
     "Substitution", "FactorLanguage", "from_train_track", "eigenray_prefix",
-    "factor_language", "complexity_counts", "complexity_table",
-    "entropy_estimate", "growth_equivalence_witness",
+    "factor_language", "complexity_counts", "growth_equivalence_witness",
     "LaminaryLanguage", "attracting_language", "beta_metric",
     "transport_compare",
-    "BoundaryRay", "gromov_product", "visual_distance", "cover_bound_series",
-    "dim_upper_estimate",
+    "cover_bound_series", "dim_upper_estimate",
 ]

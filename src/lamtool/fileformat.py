@@ -264,36 +264,3 @@ def build_language(spec: LanguageSpec, graph) -> LaminaryLanguage:
         closed.update(inverse_codes(m) for m in list(closed))
     return LaminaryLanguage(graph, sorted_blocks(closed, max(map(len, closed))),
                             spec.symmetric, origin=f"user-supplied({spec.name})")
-
-
-def serialize(ai: AnalysisInput) -> str:
-    """Canonical text form; parse(serialize(parse(x))) == parse(x)."""
-    out = []
-    if ai.graph is not None:
-        out.append("graph")
-        for v in ai.graph.vertices:
-            out.append(f"vertex {v}")
-        for i, name in enumerate(ai.graph.alphabet.names):
-            e = 2 * i
-            out.append(f"edge {name} {ai.graph.vertices[ai.graph.origin(e)]} "
-                       f"{ai.graph.vertices[ai.graph.terminus(e)]} "
-                       f"{format_length(ai.graph.lengths[i])}")
-    if ai.graph_map is not None:
-        out.append("map")
-        for i, v in enumerate(ai.graph.vertices):
-            out.append(f"vmap {v} = {ai.graph.vertices[ai.graph_map.vertex_image[i]]}")
-        for i, name in enumerate(ai.graph.alphabet.names):
-            image = ai.graph.alphabet.format(ai.graph_map.edge_images[i])
-            out.append(f"map {name} = {image}")
-    if ai.substitution is not None:
-        out.append("sub")
-        sub = ai.substitution
-        for letter, img in zip(sub.letters, sub.images):
-            out.append(f"sub {letter} = {' '.join(sub.letters[c] for c in img)}")
-    if ai.language is not None:
-        spec = ai.language
-        closure = "" if spec.closure == "subwords" else f" closure={spec.closure}"
-        out.append(f"lamlang {spec.name} symmetric={1 if spec.symmetric else 0}"
-                   f"{closure}")
-        out.extend(sorted(spec.paths))
-    return "\n".join(out) + "\n"

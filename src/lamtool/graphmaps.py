@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 from .errors import DomainError, MalformedInputError
 from .graphs import MarkedMetricGraph
 from .kernels import expand_capped, image_tables
-from .words import EdgePath, cyclic_tighten_raw, is_reduced, tighten_raw
+from .words import EdgePath, cyclic_tighten_raw, tighten_raw
 
 __all__ = [
     "GraphSelfMap",
@@ -29,8 +29,6 @@ __all__ = [
     "TrainTrackResult",
     "OrientationResult",
     "ConjugacyGrowth",
-    "compose",
-    "apply_power",
     "is_train_track",
     "transition_matrix",
     "analyze_matrix",
@@ -95,21 +93,8 @@ class GraphSelfMap:
         return f"GraphSelfMap({pieces})"
 
 
-def compose(outer: GraphSelfMap, inner: GraphSelfMap) -> GraphSelfMap:
-    """Formal composition e -> outer(inner(e)), without tightening."""
-    if outer.graph is not inner.graph and outer.graph.alphabet != inner.graph.alphabet:
-        raise DomainError("can only compose maps of the same graph")
-    images = []
-    for cls in range(inner.graph.num_topological_edges):
-        path = []
-        for c in inner.edge_images[cls]:
-            path.extend(outer.image(c))
-        images.append(tuple(path))
-    vimg = tuple(outer.vertex_image[v] for v in inner.vertex_image)
-    return GraphSelfMap(inner.graph, vimg, images)
-
-
 def apply_power_raw(gsm: GraphSelfMap, codes, k: int) -> tuple[int, ...]:
+    """tighten(f^k(codes)), computed by k substitution+tighten rounds."""
     if k < 0:
         raise DomainError("power must be >= 0")
     current = tuple(codes)
@@ -119,11 +104,6 @@ def apply_power_raw(gsm: GraphSelfMap, codes, k: int) -> tuple[int, ...]:
         image = expand_capped(current, gsm.tables(), "intermediate word")
         current = tighten_raw(image.tolist())
     return current
-
-
-def apply_power(gsm: GraphSelfMap, path: EdgePath, k: int) -> EdgePath:
-    """tighten(f^k(path)), computed by k substitution+tighten rounds."""
-    return EdgePath(gsm.graph.alphabet, apply_power_raw(gsm, path.letters, k))
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +171,6 @@ class TransitionMatrix:
     # m rows of m ints, entry (i, j) = occurrences of edge i^{+-1} in f(e_j)
     matrix: tuple[tuple[int, ...], ...]
     edge_names: tuple[str, ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.matrix)
 
 
 def transition_matrix(gsm: GraphSelfMap) -> TransitionMatrix:

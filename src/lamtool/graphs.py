@@ -3,8 +3,8 @@
 A graph holds its oriented edges in an :class:`~lamtool.words.EdgeAlphabet`;
 edge lengths are exact :class:`~fractions.Fraction` values so metric tables
 reproduce bit-exactly across runs.  Collapsing a maximal subtree onto a rose
-comes with the two path-rewriting maps used to compare complexity functions:
-``project_path`` deletes tree letters, ``lift_path`` reinserts tree geodesics.
+comes with the path-rewriting map used to compare complexity functions:
+``project_path`` deletes tree letters.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ __all__ = [
     "validate",
     "maximal_subtree",
     "project_path",
-    "lift_path",
-    "metric_length",
 ]
 
 
@@ -99,18 +97,11 @@ class MarkedMetricGraph:
     def betti(self) -> int:
         return self.num_topological_edges - len(self.vertices) + 1
 
-    def edge_length(self, code: int) -> Fraction:
-        return self.lengths[code >> 1]
-
     def min_length(self) -> Fraction:
         return min(self.lengths)
 
     def max_length(self) -> Fraction:
         return max(self.lengths)
-
-    def comparability_constant(self) -> Fraction:
-        """C >= 1 with |path|/C <= metric length <= C * |path|."""
-        return max(self.max_length(), 1 / self.min_length(), Fraction(1))
 
     def is_rose(self) -> bool:
         return len(self.vertices) == 1
@@ -143,9 +134,6 @@ class MarkedMetricGraph:
         except KeyError as exc:
             raise DomainError(
                 f"letter code {exc.args[0]} does not belong to this graph") from None
-
-    def metric_length(self, codes) -> Fraction:
-        return Fraction(self.weight(codes), self.length_unit)
 
     def weight_bound(self, bound) -> int:
         """The largest weight a path of metric length at most ``bound`` can
@@ -203,9 +191,6 @@ def validate(graph: MarkedMetricGraph) -> ValidationReport:
         deg = graph.degree(i)
         if deg < 3:
             violations.append(f"vertex {v} has degree {deg} < 3")
-    for i, length in enumerate(graph.lengths):
-        if length <= 0:
-            violations.append(f"edge {graph.alphabet.names[i]} has nonpositive length")
     return ValidationReport(ok=not violations, rank=rank, violations=tuple(violations))
 
 
@@ -214,8 +199,9 @@ class CollapseData:
     """A maximal subtree Y of ``base`` and the rose obtained by collapsing it.
 
     ``diameter`` is the combinatorial diameter of Y.  ``lift_stretch`` bounds
-    the length growth of ``lift_path``: a rose path of length n lifts to at
-    most ``lift_stretch * n`` letters (n + (n-1)*diameter <= (diameter+1)*n).
+    the length growth of the lift that reinserts the tree geodesic between
+    consecutive rose letters: a rose path of length n lifts to at most
+    ``lift_stretch * n`` letters (n + (n-1)*diameter <= (diameter+1)*n).
     ``multiplicity_bound`` bounds the fibers of ``project_path`` over any
     nonempty rose word: a choice of erased tree prefix and tree suffix, each
     determined by its starting/ending vertex.
@@ -299,33 +285,3 @@ def project_path(cd: CollapseData, codes) -> tuple[int, ...]:
     assert cd.rose.is_reduced_path(out), \
         "projection of a reduced path must be reduced"
     return out
-
-
-def lift_path(cd: CollapseData, codes) -> tuple[int, ...]:
-    """Reinsert the tree geodesic between consecutive rose letters.
-
-    Injective, with ``project_path(lift_path(w)) == w`` and
-    ``len(lift) <= lift_stretch * len(w)``.
-    """
-    codes = tuple(codes)
-    if not cd.rose.is_reduced_path(codes):
-        if not cd.rose.is_edge_path(codes):
-            raise PreconditionError("lift_path expects an edge path in the rose")
-        raise PreconditionError("lift_path expects a reduced path")
-    out: list[int] = []
-    for i, c in enumerate(codes):
-        base_letter = cd.rose_to_base[c]
-        if i > 0:
-            gap = cd.geodesics[(cd.base.terminus(cd.rose_to_base[codes[i - 1]]),
-                                cd.base.origin(base_letter))]
-            out.extend(gap)
-        out.append(base_letter)
-    result = tuple(out)
-    assert cd.base.is_reduced_path(result), "lift of a reduced rose path must be reduced"
-    return result
-
-
-def metric_length(graph: MarkedMetricGraph, path) -> Fraction:
-    """Sum of edge lengths along ``path`` (0 for the empty path)."""
-    codes = path.letters if isinstance(path, EdgePath) else path
-    return graph.metric_length(codes)

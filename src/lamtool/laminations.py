@@ -29,7 +29,7 @@ from .graphmaps import (GraphSelfMap, analyze_matrix, is_train_track,
 from .substitutions import (EquivalenceWitness, Substitution, complexity_counts,
                             factor_language, from_train_track,
                             growth_equivalence_witness)
-from .words import Stratified, inverse_codes, is_reduced, sorted_blocks
+from .words import Stratified, sorted_blocks
 
 __all__ = [
     "LaminaryLanguage",
@@ -66,24 +66,6 @@ class LaminaryLanguage(Stratified):
             self._metric_lengths = sorted(weight(row) for block in self.rows[1:]
                                           for row in block.tolist())
         return self._metric_lengths
-
-    def check_invariants(self) -> list[str]:
-        """Subword closure, reducedness, nonemptiness, declared symmetry."""
-        problems = []
-        member_of = set(self.all_members())
-        for m in member_of:
-            if len(m) == 0:
-                problems.append("empty member")
-            if not is_reduced(m):
-                problems.append(f"member {m} is not reduced")
-            if not self.graph.is_edge_path(m):
-                problems.append(f"member {m} is not an edge path")
-            if len(m) > 1:
-                if m[1:] not in member_of or m[:-1] not in member_of:
-                    problems.append(f"member {m} misses a subword")
-            if self.symmetric and inverse_codes(m) not in member_of:
-                problems.append(f"member {m} misses its inverse")
-        return problems
 
     def __repr__(self):
         return (f"LaminaryLanguage({self.origin}, depth={self.complete_to}, "
@@ -289,16 +271,6 @@ def transport_compare(lang: LaminaryLanguage, cd: CollapseData, n_max: int,
         c_max)
     return TransportReport(cd.diameter, stretch, c0, tuple(rows), all_ok,
                            tight_stretch, tight_c0, witness)
-
-
-def fiber_counts(lang: LaminaryLanguage, cd: CollapseData):
-    """How many enumerated members project onto each nonempty rose word."""
-    counts: dict[tuple, int] = {}
-    for m in lang.all_members():
-        image = project_path(cd, m)
-        if image:
-            counts[image] = counts.get(image, 0) + 1
-    return counts
 
 
 # ---------------------------------------------------------------------------

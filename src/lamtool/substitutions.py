@@ -20,8 +20,7 @@ The second route is what makes covering-bound tables to n = 5000 cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional,
-                    Sequence)
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
 
 from .config import check_size
 from .errors import (DomainError, InsufficientDataError, MalformedInputError,
@@ -44,8 +43,6 @@ __all__ = [
     "counting_certificate",
     "CountingCertificate",
     "complexity_counts",
-    "complexity_table",
-    "entropy_estimate",
     "growth_equivalence_witness",
     "linear_fit_constant",
     "EquivalenceWitness",
@@ -96,9 +93,6 @@ class Substitution:
             return self._index[token]
         except KeyError:
             raise MalformedInputError(f"unknown letter {token!r}")
-
-    def format(self, codes: Iterable[int]) -> str:
-        return " ".join(self.letters[c] for c in codes)
 
     def tables(self):
         if self._tables is None:
@@ -502,49 +496,11 @@ def complexity_counts(sub: Substitution, n_max: int) -> np.ndarray:
 # tables and estimates
 # ---------------------------------------------------------------------------
 
-def _p_values(lang) -> list[int]:
-    if isinstance(lang, FactorLanguage):
-        return lang.p_counts()
-    values = list(int(v) for v in lang)
-    if values and values[0] == 0:  # counts arrays carry the unused index 0
-        values = values[1:]
-    return values
-
-
-def complexity_table(lang) -> list[tuple[int, int, int]]:
-    """Rows (n, p(n), beta(n)) with beta the running total of p."""
-    rows = []
-    beta = 0
-    for n, p in enumerate(_p_values(lang), start=1):
-        beta += p
-        rows.append((n, p, beta))
-    return rows
-
-
 def linear_fit_constant(p_values) -> float:
-    """The least C with p(n) <= C*n across the table."""
-    values = _p_values(p_values)
-    if not values:
+    """The least C with p(n) <= C*n across the table p(1..n)."""
+    if len(p_values) == 0:
         raise InsufficientDataError("empty complexity table")
-    return max(p / n for n, p in enumerate(values, start=1))
-
-
-@dataclass(frozen=True)
-class EntropyEstimate:
-    sequence: tuple[float, ...]  # log p(n) / n
-    estimate: float
-
-
-def entropy_estimate(lang) -> EntropyEstimate:
-    """The sequence log p(n)/n and the mean of its last quartile."""
-    import numpy as np
-
-    values = _p_values(lang)
-    if len(values) < 4:
-        raise InsufficientDataError("entropy estimate needs a table of length >= 4")
-    seq = tuple(float(np.log(p)) / n for n, p in enumerate(values, start=1))
-    tail = seq[-(len(seq) // 4):]
-    return EntropyEstimate(seq, float(np.mean(tail)))
+    return max(p / n for n, p in enumerate(p_values, start=1))
 
 
 @dataclass(frozen=True)
@@ -560,15 +516,13 @@ class EquivalenceWitness:
 
 def growth_equivalence_witness(f_values, g_values, c_max: int) -> EquivalenceWitness:
     """Least C <= c_max with f(n) <= C*g(C*n) and g(n) <= C*f(C*n) on the
-    overlap of the two tables; reports the first violation per C otherwise,
-    up to the first C whose window n <= n_max / C is empty (so is every
-    larger C's).
+    overlap of the tables f(1..n) and g(1..n); reports the first violation
+    per C otherwise, up to the first C whose window n <= n_max / C is empty
+    (so is every larger C's).
 
     A success is evidence on the finite window, not a proof.
     """
-    f_vals = _p_values(f_values)
-    g_vals = _p_values(g_values)
-    n_max = min(len(f_vals), len(g_vals))
+    n_max = min(len(f_values), len(g_values))
     if n_max < 1 or c_max < 1:
         raise InsufficientDataError("growth comparison needs nonempty tables")
     frontier = []
@@ -579,10 +533,10 @@ def growth_equivalence_witness(f_values, g_values, c_max: int) -> EquivalenceWit
             break
         violation = None
         for n in range(1, limit + 1):
-            if f_vals[n - 1] > c * g_vals[c * n - 1]:
+            if f_values[n - 1] > c * g_values[c * n - 1]:
                 violation = (c, n, "f(n) > C*g(Cn)")
                 break
-            if g_vals[n - 1] > c * f_vals[c * n - 1]:
+            if g_values[n - 1] > c * f_values[c * n - 1]:
                 violation = (c, n, "g(n) > C*f(Cn)")
                 break
         if violation is None:

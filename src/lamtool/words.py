@@ -1,4 +1,4 @@
-"""Involutive edge alphabets, reduced words and factor extraction.
+"""Involutive edge alphabets, reduced words and length-stratified languages.
 
 Every other module manipulates the words defined here.  A letter is an
 oriented edge; the positive edge with index i gets code ``2i`` and its
@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .errors import (DomainError, MalformedInputError, PreconditionError,
-                     UnderEnumerationError)
+from .errors import MalformedInputError, UnderEnumerationError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -65,10 +64,6 @@ class EdgeAlphabet:
     def inverse(code: int) -> int:
         return code ^ 1
 
-    @staticmethod
-    def topological(code: int) -> int:
-        return code >> 1
-
     def contains(self, code: int) -> bool:
         return 0 <= code < self.size
 
@@ -80,7 +75,7 @@ class EdgeAlphabet:
     def index(self, token: str) -> int:
         name, inv = (token[:-1], 1) if token.endswith("'") else (token, 0)
         base = self._index.get(name)
-        if base is None or not NAME_RE.match(name):
+        if base is None:
             raise MalformedInputError(f"unknown edge token {token!r}")
         return base | inv
 
@@ -163,61 +158,11 @@ def cyclic_tighten_raw(codes) -> tuple[int, ...]:
     return tuple(word[lo:hi])
 
 
-def least_rotation(codes) -> tuple[int, ...]:
-    """Lexicographically least rotation via the two-pointer scan, O(n)."""
-    word = tuple(codes)
-    n = len(word)
-    if n <= 1:
-        return word
-    i, j, k = 0, 1, 0
-    while i < n and j < n and k < n:
-        a = word[(i + k) % n]
-        b = word[(j + k) % n]
-        if a == b:
-            k += 1
-            continue
-        if a > b:
-            i += k + 1
-        else:
-            j += k + 1
-        if i == j:
-            j += 1
-        k = 0
-    start = min(i, j)
-    return word[start:] + word[:start]
-
-
-def tighten(path: EdgePath) -> EdgePath:
-    """The unique reduced word freely equal to ``path``."""
-    return EdgePath(path.alphabet, tighten_raw(path.letters))
-
-
-def cyclic_tighten(path: EdgePath) -> EdgePath:
-    """A cyclically reduced conjugate of ``path``.
-
-    Deterministic: among the rotations of the cyclically reduced core the
-    lexicographically least one is returned.
-    """
-    return EdgePath(path.alphabet, least_rotation(cyclic_tighten_raw(path.letters)))
-
-
 def iter_factors_raw(codes, n_max: int) -> Iterator[tuple[int, ...]]:
     codes = tuple(codes)
     for length in range(1, min(n_max, len(codes)) + 1):
         for start in range(len(codes) - length + 1):
             yield codes[start:start + length]
-
-
-def factors(word: EdgePath, n: int) -> set[EdgePath]:
-    """All distinct contiguous subwords of ``word`` with length in [1, n].
-
-    ``word`` must be reduced; asking for n = 0 is a domain error.
-    """
-    if n < 1:
-        raise DomainError("factor length bound must be >= 1")
-    if not word.is_reduced():
-        raise PreconditionError("factors expects a reduced word")
-    return {EdgePath(word.alphabet, f) for f in set(iter_factors_raw(word.letters, n))}
 
 
 class Stratified:

@@ -1,14 +1,18 @@
 """Shared fixtures and the independent oracles the example tests check
 against.  Oracles are deliberately naive re-implementations: repeated-scan
-cancellation, hand recursions for the classic words, exhaustive searches."""
+cancellation, hand recursions for the classic words, exhaustive searches.
+The helpers at the end (path lifting, map composition, language invariants,
+projection fibers, Gromov products and visual distances of finite words)
+are oracles that only tests need, so they live here and not in lamtool."""
 
-import random
 from fractions import Fraction
 from itertools import accumulate
 
 import pytest
 
-from lamtool import EdgeAlphabet, EdgePath, GraphSelfMap, MarkedMetricGraph
+from lamtool import GraphSelfMap, MarkedMetricGraph, project_path
+from lamtool.errors import PreconditionError
+from lamtool.words import inverse_codes, is_reduced
 
 
 @pytest.fixture
@@ -198,3 +202,80 @@ def random_rose_map(rng, petals, max_image_len=4):
     images = [random_reduced_word(rng, petals, rng.randint(1, max_image_len))
               for _ in range(petals)]
     return GraphSelfMap(rose, [0], images)
+
+
+def metric_length(graph, codes):
+    """Exact metric length of a word: its weight over the length unit."""
+    return Fraction(graph.weight(codes), graph.length_unit)
+
+
+def compose(outer, inner):
+    """Formal composition e -> outer(inner(e)), without tightening."""
+    images = [tuple(c for y in img for c in outer.image(y))
+              for img in inner.edge_images]
+    return GraphSelfMap(inner.graph,
+                        [outer.vertex_image[v] for v in inner.vertex_image],
+                        images)
+
+
+def lift_path(cd, codes):
+    """Reinsert the tree geodesic between consecutive rose letters of a
+    reduced rose path; the inverse of ``project_path`` on its image."""
+    codes = tuple(codes)
+    if not cd.rose.is_reduced_path(codes):
+        if not cd.rose.is_edge_path(codes):
+            raise PreconditionError("lift_path expects an edge path in the rose")
+        raise PreconditionError("lift_path expects a reduced path")
+    out = []
+    for i, c in enumerate(codes):
+        letter = cd.rose_to_base[c]
+        if i:
+            previous = cd.rose_to_base[codes[i - 1]]
+            out.extend(cd.geodesics[(cd.base.terminus(previous),
+                                     cd.base.origin(letter))])
+        out.append(letter)
+    return tuple(out)
+
+
+def check_invariants(lang):
+    """Problems with a laminary language: an empty, unreduced or broken
+    member, a missing subword, or, if symmetric, a missing inverse."""
+    problems = []
+    members = set(lang.all_members())
+    for m in members:
+        if not m:
+            problems.append("empty member")
+        if not is_reduced(m):
+            problems.append(f"member {m} is not reduced")
+        if not lang.graph.is_edge_path(m):
+            problems.append(f"member {m} is not an edge path")
+        if len(m) > 1 and (m[1:] not in members or m[:-1] not in members):
+            problems.append(f"member {m} misses a subword")
+        if lang.symmetric and inverse_codes(m) not in members:
+            problems.append(f"member {m} misses its inverse")
+    return problems
+
+
+def fiber_counts(lang, cd):
+    """How many enumerated members project onto each nonempty rose word."""
+    counts = {}
+    for m in lang.all_members():
+        image = project_path(cd, m)
+        if image:
+            counts[image] = counts.get(image, 0) + 1
+    return counts
+
+
+def gromov_product(graph, u, v):
+    """(u|v) at the base of the universal cover for two reduced words read
+    from it: the metric length of their longest common prefix."""
+    common = 0
+    while common < min(len(u), len(v)) and u[common] == v[common]:
+        common += 1
+    return metric_length(graph, u[:common])
+
+
+def visual_distance(graph, u, v, a):
+    """a^-(u|v): two boundary points that extend u and v, after u and v have
+    split, are this far apart in the visual metric of parameter a."""
+    return float(a) ** -float(gromov_product(graph, u, v))

@@ -5,12 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lamtool import (BoundaryRay, MarkedMetricGraph, Substitution,
-                     cover_bound_series, dim_upper_estimate, gromov_product,
-                     visual_distance)
-from lamtool.errors import (DomainError, InsufficientDataError,
-                            PreconditionError)
+from lamtool import (GraphSelfMap, MarkedMetricGraph, attracting_language,
+                     cover_bound_series, dim_upper_estimate)
+from lamtool.errors import DomainError, InsufficientDataError
 from lamtool.laminations import AttractingSource
+
+from conftest import gromov_product, metric_length, visual_distance
 
 
 @pytest.fixture
@@ -19,75 +19,39 @@ def weighted_rose():
         ["v"], [("a", "v", "v", Fraction(1, 2)), ("b", "v", "v", 2)])
 
 
-def ray(graph, text):
-    return BoundaryRay.periodic(graph, graph.alphabet.parse(text))
-
-
-class TestRays:
-    def test_periodic_ray_extends_on_demand(self, rose2):
-        r = ray(rose2, "a b")
-        r.ensure_metric(10)
-        assert len(r.prefix()) >= 10
-        assert rose2.alphabet.format(r.prefix()[:4]) == "a b a b"
-
-    def test_unreduced_loop_rejected(self, rose2):
-        with pytest.raises(DomainError):
-            ray(rose2, "a a'")
-
-    def test_eigenray_ray_matches_substitution(self, rose2):
-        sub = Substitution.from_tokens({"a": ["a", "b"], "b": ["a"]})
-        r = BoundaryRay.from_eigenray(rose2, sub, "a")
-        r.ensure_metric(8)
-        assert rose2.alphabet.format(r.prefix()[:8]) == "a b a a b a b a"
-
-    def test_finite_stub_cannot_extend(self, rose2):
-        r = BoundaryRay(rose2, rose2.alphabet.parse("a b"))
-        with pytest.raises(PreconditionError):
-            r.ensure_metric(5)
+def ray(graph, text, letters=30):
+    """The first ``letters`` letters of the periodic ray of a loop."""
+    loop = graph.alphabet.parse(text)
+    return tuple(loop[i % len(loop)] for i in range(letters))
 
 
 class TestGromovProduct:
     def test_common_prefix_length(self, rose2):
         p = ray(rose2, "a")           # aaaa...
         q = ray(rose2, "a a b")       # aab aab ...
-        got = gromov_product(p, q, 10)
-        assert got.exact and got.value == 2
-
-    def test_equal_so_far(self, rose2):
-        p = ray(rose2, "a b")
-        q = ray(rose2, "a b")
-        got = gromov_product(p, q, 12)
-        assert not got.exact
-        assert got.value >= 12
+        assert gromov_product(rose2, p, q) == 2
 
     def test_weighted_overlap(self, weighted_rose):
         p = ray(weighted_rose, "a b")
         q = ray(weighted_rose, "a a")
-        got = gromov_product(p, q, 6)
-        assert got.exact and got.value == Fraction(1, 2)
-
-    def test_mismatched_graphs_rejected(self, rose2, weighted_rose):
-        graph3 = MarkedMetricGraph(
-            ["v"], [("a", "v", "v", 1), ("b", "v", "v", 1), ("c", "v", "v", 1)])
-        with pytest.raises(DomainError):
-            gromov_product(ray(rose2, "a"), ray(graph3, "a"), 4)
+        assert gromov_product(weighted_rose, p, q) == Fraction(1, 2)
 
 
 class TestVisualDistance:
     def test_powers_of_the_base(self, rose2):
         p = ray(rose2, "a")
         q = ray(rose2, "a a b")
-        assert visual_distance(p, q, 2, 10).value == 0.25
+        assert visual_distance(rose2, p, q, 2) == 0.25
 
     def test_split_at_base_vertex(self, rose2):
-        p = ray(rose2, "a")
-        q = ray(rose2, "b")
-        got = visual_distance(p, q, 2, 10)
-        assert got.exact and got.value == 1.0
+        assert visual_distance(rose2, ray(rose2, "a"), ray(rose2, "b"), 2) == 1.0
 
-    def test_base_must_exceed_one(self, rose2):
+    def test_base_must_exceed_one(self):
+        # the visual parameter enters lamtool in these two places only
         with pytest.raises(DomainError):
-            visual_distance(ray(rose2, "a"), ray(rose2, "b"), 1.0, 4)
+            cover_bound_series([1, 2, 3], 1.0, 0.5, 1.0)
+        with pytest.raises(DomainError):
+            dim_upper_estimate([1, 2, 3, 4, 5], 1.0, (1, 5))
 
     def test_symmetry_on_random_pairs(self, rose2):
         rng = random.Random(17)
@@ -95,19 +59,72 @@ class TestVisualDistance:
         for _ in range(100):
             p = ray(rose2, rng.choice(loops))
             q = ray(rose2, rng.choice(loops))
-            d1 = visual_distance(p, q, 2, 20)
-            d2 = visual_distance(q, p, 2, 20)
-            assert d1.value == d2.value and d1.exact == d2.exact
+            assert visual_distance(rose2, p, q, 2) == visual_distance(rose2, q, p, 2)
 
     def test_tree_ultrametric_inequality(self, rose2):
         rng = random.Random(23)
         loops = ["a", "b", "a b", "a b'", "a a b", "b a'", "b b a"]
         for _ in range(200):
             p, q, r = (ray(rose2, rng.choice(loops)) for _ in range(3))
-            dpq = visual_distance(p, q, 2, 25).value
-            dqr = visual_distance(q, r, 2, 25).value
-            dpr = visual_distance(p, r, 2, 25).value
+            dpq = visual_distance(rose2, p, q, 2)
+            dqr = visual_distance(rose2, q, r, 2)
+            dpr = visual_distance(rose2, p, r, 2)
             assert dpr <= max(dpq, dqr) + 1e-12
+
+
+class TestCylinderCover:
+    """The covering that ``cover_bound_series`` sums over, built from the
+    members of an attracting language on a rose with edge lengths 1 and 3/2,
+    so c0 = 3/2.  For each n the cylinders are the members w with metric
+    length in (n - c0, n]: every longer member extends one of them, there
+    are at most beta_metric(n), and two members that extend the same w are
+    at visual distance at most a^-(n - c0).  So the sum of diam^delta over
+    the cylinders is at most beta(n) * a^(-n*delta) * a^(c0*delta), the
+    printed bound."""
+
+    A, DELTA, C0 = 2, 0.5, Fraction(3, 2)
+    WINDOW = range(3, 9)
+    DEPTH = 14  # letters: every member this long is longer than max(WINDOW)
+
+    @pytest.fixture
+    def cover(self):
+        rose = MarkedMetricGraph(
+            ["v"], [("a", "v", "v", 1), ("b", "v", "v", self.C0)])
+        al = rose.alphabet
+        gsm = GraphSelfMap(rose, [0], [al.parse("a b"), al.parse("a")])
+        lang = attracting_language(gsm, self.DEPTH)
+        source = AttractingSource(gsm)
+        assert source.max_edge_length() == self.C0  # the c0 `dimension` uses
+        report = cover_bound_series(source.metric_beta(max(self.WINDOW)),
+                                    self.A, self.DELTA, self.C0)
+        return rose, lang, {n: (beta, bound) for n, beta, bound in report.rows}
+
+    def test_cylinders_cover_and_are_counted_by_beta(self, cover):
+        rose, lang, rows = cover
+        members = list(lang.all_members())
+        for n in self.WINDOW:
+            cylinders = {w for w in members
+                         if n - self.C0 < metric_length(rose, w) <= n}
+            for m in members:
+                if metric_length(rose, m) > n:
+                    assert any(m[:k] in cylinders for k in range(1, len(m) + 1))
+            assert 0 < len(cylinders) <= rows[n][0]
+
+    def test_cylinder_diameters_obey_the_c0_shift(self, cover):
+        rose, lang, rows = cover
+        deepest = lang.members(self.DEPTH)
+        for n in self.WINDOW:
+            beta, bound = rows[n]
+            reach = self.A ** -float(n - self.C0)
+            for w in lang.all_members():
+                if not n - self.C0 < metric_length(rose, w) <= n:
+                    continue
+                extensions = [m for m in deepest if m[:len(w)] == w]
+                diameter = max((visual_distance(rose, u, v, self.A)
+                                for u in extensions for v in extensions),
+                               default=0.0)
+                assert diameter <= reach
+                assert diameter ** self.DELTA <= bound / beta * (1 + 1e-12)
 
 
 class TestCoverBoundSeries:

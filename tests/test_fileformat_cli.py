@@ -12,9 +12,9 @@ import pytest
 
 from lamtool import cli
 from lamtool.errors import ParseError
-from lamtool.fileformat import build_language, format_length, parse, serialize
+from lamtool.fileformat import build_language, format_length, parse
 
-from conftest import lamlang_tables
+from conftest import check_invariants, lamlang_tables
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
 
@@ -84,7 +84,7 @@ class TestParser:
         ai = parse(text)
         lang = build_language(ai.language, ai.graph)
         assert lang.p(1) == 4  # letters closed under inversion
-        assert lang.symmetric and not lang.check_invariants()
+        assert lang.symmetric and not check_invariants(lang)
 
     @pytest.mark.parametrize("path, fault", [
         ("e1 e2", "is not an edge path"), ("e1 e1'", "is not reduced"),
@@ -110,13 +110,6 @@ class TestParser:
     def test_format_length_round_trip(self):
         for text in ("1", "0.25", "1.5", "0.1", "3"):
             assert format_length(Fraction(text)) == text
-
-    def test_round_trip_on_shipped_corpus(self):
-        for path in ALL_SAMPLES:
-            ai = parse(path.read_text())
-            canonical = serialize(ai)
-            again = parse(canonical)
-            assert serialize(again) == canonical
 
 
 class TestAnalyzeCommand:

@@ -5,12 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lamtool import MarkedMetricGraph, maximal_subtree, metric_length, validate
-from lamtool.errors import DomainError, PreconditionError, UnderEnumerationError
-from lamtool.graphs import lift_path, project_path
+from lamtool import MarkedMetricGraph, maximal_subtree, validate
+from lamtool.errors import (DomainError, MalformedInputError, PreconditionError,
+                            UnderEnumerationError)
+from lamtool.graphs import project_path
 from lamtool.words import is_reduced
 
-from conftest import random_reduced_word
+from conftest import lift_path, metric_length, random_reduced_word
 
 
 def bfs_tree_distances(graph, tree_edges):
@@ -51,6 +52,13 @@ class TestValidate:
             ["u", "w"], [("a", "u", "w", 1), ("b", "u", "w", 1)])
         report = validate(graph)
         assert any("degree" in v for v in report.violations)
+
+    @pytest.mark.parametrize("length", [0, -1, "0", "-0.5"], ids=repr)
+    def test_nonpositive_length_refused(self, length):
+        # the one length check: validate() does not repeat it
+        with pytest.raises(MalformedInputError, match="must be positive"):
+            MarkedMetricGraph(["v"], [("a", "v", "v", length),
+                                      ("b", "v", "v", 1)])
 
 
 class TestMaximalSubtree:
@@ -209,20 +217,21 @@ class TestMetricLength:
 
     def test_foreign_letter(self, rose2):
         with pytest.raises(DomainError):
-            rose2.metric_length((11,))
+            rose2.weight((11,))
 
     def test_two_sided_comparability_bound(self):
         graph = MarkedMetricGraph(
             ["v"], [("a", "v", "v", Fraction(1, 2)), ("b", "v", "v", 3)])
-        c = graph.comparability_constant()
+        c = max(graph.max_length(), 1 / graph.min_length(), 1)
         assert c == 3
         rng = random.Random(42)
         for _ in range(500):
             word = random_reduced_word(rng, 2, rng.randint(0, 25))
-            length = graph.metric_length(word)
+            length = metric_length(graph, word)
             assert Fraction(len(word)) / c <= length <= c * len(word)
 
     def test_exact_rational_lengths(self):
         graph = MarkedMetricGraph(["v"], [("a", "v", "v", "0.1")])
         assert graph.lengths[0] == Fraction(1, 10)
-        assert graph.metric_length((0,) * 10) == 1
+        assert graph.length_unit == 10 and graph.weight((0,) * 10) == 10
+        assert metric_length(graph, (0,) * 10) == 1

@@ -1,0 +1,135 @@
+"""Source hygiene of ``src/lamtool``, read with the stdlib ``ast`` only.
+
+Every ``__all__`` entry resolves, no import goes unused, and every
+module-level function and class is named somewhere that a command, an
+acceptance test or the benchmark reaches: elsewhere in ``src/lamtool``,
+in ``tests/test_acceptance.py`` or in ``perfbench/``.  A definition that
+only unit tests call belongs in ``tests/conftest.py``, not in ``src/``.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "lamtool"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _is_all(node):
+    return (isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets))
+
+
+def _all_names(tree):
+    """The strings of the module's ``__all__`` list, or ()."""
+    for node in tree.body:
+        if _is_all(node):
+            return tuple(ast.literal_eval(node.value))
+    return ()
+
+
+def _bound_names(tree):
+    """Names bound by the module's top-level statements."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+def _annotation(node):
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return node.returns
+    if isinstance(node, (ast.arg, ast.AnnAssign)):
+        return node.annotation
+    return None
+
+
+def _references(tree, annotations=True):
+    """Names a tree refers to: ``Name`` ids and ``Attribute`` attributes.
+    Without ``annotations``, those only an annotation names are left out:
+    under ``from __future__ import annotations`` no annotation runs."""
+    found = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        skip = None if annotations else _annotation(node)
+        stack.extend(child for child in ast.iter_child_nodes(node)
+                     if child is not skip)
+    return found
+
+
+def _outside_mentions(path):
+    """Names a file outside ``src/`` mentions: references, imported names
+    and the components of dotted strings such as the span name
+    ``"laminations.AttractingSource.materialize"``."""
+    tree = _tree(path)
+    found = _references(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found.update(a.name for a in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if all(part.isidentifier() for part in node.value.split(".")):
+                found.update(node.value.split("."))
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_all_entries_resolve(path):
+    tree = _tree(path)
+    missing = set(_all_names(tree)) - _bound_names(tree)
+    assert not missing, f"{path.name}: __all__ names {sorted(missing)}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = _tree(path)
+    used = _references(tree) | set(_all_names(tree))
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used:
+                    unused.append(f"{name} (line {node.lineno})")
+    assert not unused, f"{path.name} imports without using: {unused}"
+
+
+def test_every_definition_is_reached():
+    """A module-level function or class is named in ``src/lamtool`` outside
+    its own definition, ``__init__``, ``__all__`` and annotations, or in
+    ``tests/test_acceptance.py`` or ``perfbench/``."""
+    outside = _outside_mentions(ROOT / "tests" / "test_acceptance.py")
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        outside |= _outside_mentions(path)
+    # per top-level statement of every module but __init__, the names it
+    # refers to; a definition is reached from any statement but its own
+    statements = [(path, node, _references(node, annotations=False))
+                  for path in MODULES if path.name != "__init__.py"
+                  for node in _tree(path).body if not _is_all(node)]
+    inside = Counter(name for _, _, names in statements for name in names)
+    unreached = [f"{path.name}:{node.lineno} {node.name}"
+                 for path, node, names in statements
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                 and node.name not in outside
+                 and inside[node.name] == (node.name in names)]
+    assert not unreached, ("only unit tests reach these; move oracles to "
+                           f"tests/conftest.py and delete the rest: {unreached}")

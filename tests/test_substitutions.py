@@ -1,19 +1,17 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lamtool import (Substitution, analyze_matrix, complexity_counts,
-                     complexity_table, eigenray_prefix, entropy_estimate,
-                     factor_language, from_train_track,
+                     eigenray_prefix, factor_language, from_train_track,
                      growth_equivalence_witness, orientability)
 from lamtool import substitutions
 from lamtool.errors import (DomainError, InsufficientDataError,
                             MalformedInputError, NotAnEigenletterError,
                             SizeCapExceeded)
 from lamtool.kernels import substring_counts
+from lamtool.laminations import SubstitutionSource
 from lamtool.substitutions import (counting_certificate, eigen_exponent,
                                    length2_factors, linear_fit_constant)
 from lamtool.words import iter_factors_raw
@@ -240,33 +238,15 @@ class TestFactorLanguage:
 
 class TestComplexityTable:
     def test_fibonacci_beta(self, fib):
-        rows = complexity_table(factor_language(fib, 5))
-        assert rows[-1] == (5, 6, 20)  # beta(5) = 2+3+4+5+6
+        beta = SubstitutionSource(fib).beta_counts(5)
+        assert beta[-1] == factor_language(fib, 5).beta(5) == 20  # 2+3+4+5+6
 
     def test_beta_1_equals_p_1(self, thue_morse):
-        rows = complexity_table(factor_language(thue_morse, 4))
-        assert rows[0][1] == rows[0][2]
+        source = SubstitutionSource(thue_morse)
+        assert source.beta_counts(4)[0] == source.p_counts(4)[0]
 
     def test_linear_fit(self, fib):
-        assert linear_fit_constant(complexity_counts(fib, 20)) == 2.0
-
-
-class TestEntropy:
-    def test_fibonacci_sequence_decreases_to_zero(self, fib):
-        est = entropy_estimate(complexity_counts(fib, 20))
-        assert abs(est.sequence[-1] - math.log(21) / 20) < 1e-12
-        assert est.sequence[0] > est.sequence[-1]
-        assert est.estimate < 0.2
-
-    def test_full_shift_entropy_near_log3(self):
-        # closed form p(n) = 4 * 3^(n-1) on the 2-rose
-        p = [4 * 3 ** (n - 1) for n in range(1, 13)]
-        est = entropy_estimate(p)
-        assert abs(est.estimate - math.log(3)) / math.log(3) < 0.05
-
-    def test_single_letter_language_has_zero_entropy(self):
-        est = entropy_estimate([1] * 10)
-        assert est.estimate == 0.0
+        assert linear_fit_constant(complexity_counts(fib, 20)[1:]) == 2.0
 
 
 class TestGrowthEquivalence:
