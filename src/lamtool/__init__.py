@@ -4,12 +4,11 @@ bounds for free group automorphisms."""
 __version__ = "0.1.0"
 
 from .words import EdgeAlphabet, EdgePath
-from .graphs import (CollapseData, MarkedMetricGraph, maximal_subtree,
-                     project_path, validate)
+from .graphs import CollapseData, MarkedMetricGraph, maximal_subtree, validate
 from .graphmaps import (GraphSelfMap, analyze_matrix, conjugacy_growth,
                         is_train_track, orientability, transition_matrix)
-from .substitutions import (FactorLanguage, Substitution, complexity_counts,
-                            eigenray_prefix, factor_language, from_train_track,
+from .substitutions import (Substitution, complexity_counts, eigenray_prefix,
+                            factor_language, from_train_track,
                             growth_equivalence_witness)
 from .laminations import (LaminaryLanguage, attracting_language, beta_metric,
                           transport_compare)
@@ -19,10 +18,9 @@ __all__ = [
     "__version__",
     "EdgeAlphabet", "EdgePath",
     "MarkedMetricGraph", "CollapseData", "validate", "maximal_subtree",
-    "project_path",
     "GraphSelfMap", "is_train_track", "transition_matrix", "analyze_matrix",
     "orientability", "conjugacy_growth",
-    "Substitution", "FactorLanguage", "from_train_track", "eigenray_prefix",
+    "Substitution", "from_train_track", "eigenray_prefix",
     "factor_language", "complexity_counts", "growth_equivalence_witness",
     "LaminaryLanguage", "attracting_language", "beta_metric",
     "transport_compare",

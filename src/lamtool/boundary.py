@@ -26,9 +26,6 @@ EPSILON = 1e-6
 
 @dataclass(frozen=True)
 class CoverBoundReport:
-    visual_base: float
-    delta: float
-    c0: float
     rows: tuple[tuple[int, int, float], ...]  # (n, beta(n), bound)
     vanishing: bool
     first_below: Optional[int]
@@ -83,8 +80,7 @@ def cover_bound_series(beta_values: Sequence[int], a, delta, c0) -> CoverBoundRe
     tail = [r[2] for r in rows[-max(1, len(rows) // 4):]]
     monotone = all(tail[i + 1] <= tail[i] for i in range(len(tail) - 1))
     vanishing = monotone and tail[-1] < EPSILON
-    return CoverBoundReport(float(a), float(delta), float(c0),
-                            tuple(rows), vanishing, first_below, monotone,
+    return CoverBoundReport(tuple(rows), vanishing, first_below, monotone,
                             tuple(log_bounds))
 
 

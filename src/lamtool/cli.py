@@ -62,11 +62,18 @@ def _fmt_bound(bound: float, log_bound: float) -> str:
 
 
 def _load(path: str) -> AnalysisInput:
+    """Parse a file and check its graph, if it has one, against the paper's
+    standing hypotheses: every command refuses an invalid graph here."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return parse(handle.read())
+            ai = parse(handle.read())
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}")
+    if ai.graph is not None:
+        report = validate(ai.graph)
+        if not report.ok:
+            raise PreconditionError("invalid graph: " + "; ".join(report.violations))
+    return ai
 
 
 def _write(path: str, text: str) -> None:
@@ -109,9 +116,6 @@ def _cmd_analyze(args) -> int:
     ai = _load(args.file)
     if ai.graph is None or ai.graph_map is None:
         raise PreconditionError("analyze needs a graph section and a map section")
-    report = validate(ai.graph)
-    if not report.ok:
-        raise PreconditionError("invalid graph: " + "; ".join(report.violations))
 
     gsm = ai.graph_map
     tt = is_train_track(gsm)
@@ -127,7 +131,7 @@ def _cmd_analyze(args) -> int:
                      for letter, img in zip(sub.letters, sub.images)}
 
     payload = {
-        "graph": {"rank": report.rank, "valid": True},
+        "graph": {"rank": ai.graph.betti(), "valid": True},
         "train_track": {
             "verdict": tt.is_train_track,
             "reason": tt.reason,
@@ -169,7 +173,7 @@ def _cmd_analyze(args) -> int:
         print(json.dumps(payload, sort_keys=True, indent=2))
         return 0
 
-    print(f"graph: valid, rank {report.rank}")
+    print(f"graph: valid, rank {ai.graph.betti()}")
     print(f"train track: {'yes' if tt.is_train_track else 'no'} ({tt.reason})")
     for name, row in zip(tm.edge_names, tm.matrix):
         print(f"  A[{name}] = {' '.join(map(str, row))}")
@@ -209,8 +213,6 @@ def _yn(flag: bool) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_complexity(args) -> int:
-    if args.max_n < 1:
-        raise UsageError("--max-n must be >= 1")
     ai = _load(args.file)
     source = _source(ai)
     p = source.p_counts(args.max_n)
@@ -258,8 +260,6 @@ def _parse_deltas(text: str) -> list[float]:
 def _cmd_dimension(args) -> int:
     if not math.isfinite(args.a) or args.a <= 1:
         raise UsageError("--a must be finite and > 1")
-    if args.max_n < 1:
-        raise UsageError("--max-n must be >= 1")
     deltas = _parse_deltas(args.delta)
     ai = _load(args.file)
     source = _source(ai)
@@ -348,10 +348,6 @@ def _cmd_dimension(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_collapse(args) -> int:
-    if args.max_n < 1:
-        raise UsageError("--max-n must be >= 1")
-    if args.max_c < 1:
-        raise UsageError("--max-c must be >= 1")
     ai = _load(args.file)
     if ai.graph is None:
         raise PreconditionError("collapse needs a graph section")
@@ -383,10 +379,6 @@ def _cmd_collapse(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    if args.max_n < 1:
-        raise UsageError("--max-n must be >= 1")
-    if args.max_c < 1:
-        raise UsageError("--max-c must be >= 1")
     first = _source(_load(args.file1)).rose_counts(args.max_n)
     second = _source(_load(args.file2)).rose_counts(args.max_n)
     witness = growth_equivalence_witness(first, second, args.max_c)
@@ -453,6 +445,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         size_cap()  # a bad LAMTOOL_SIZE_CAP is a usage error for every command
+        for flag in ("max_n", "max_c"):  # of the commands that take them
+            if getattr(args, flag, 1) < 1:
+                raise UsageError(f"--{flag.replace('_', '-')} must be >= 1")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

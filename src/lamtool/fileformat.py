@@ -137,6 +137,8 @@ def parse(text: str) -> AnalysisInput:
         elif head == "vertex":
             if len(tokens) != 2 or not NAME_RE.match(tokens[1]):
                 raise ParseError("expected: vertex NAME", lineno)
+            if tokens[1] in vertices:
+                raise ParseError(f"duplicate vertex {tokens[1]!r}", lineno)
             vertices.append(tokens[1])
         elif head == "edge":
             if len(tokens) != 5:
@@ -149,6 +151,8 @@ def parse(text: str) -> AnalysisInput:
         elif head == "vmap":
             if len(tokens) != 4 or tokens[2] != "=":
                 raise ParseError("expected: vmap NAME = NAME", lineno)
+            if tokens[1] in vmap:
+                raise ParseError(f"duplicate vmap for {tokens[1]!r}", lineno)
             vmap[tokens[1]] = tokens[3]
             saw_map = True
         elif head == "map":
@@ -231,6 +235,9 @@ def _build_map(graph, vmap, emap) -> GraphSelfMap:
     for name in emap:
         if name not in graph.alphabet.names:
             raise ParseError(f"map rule for unknown edge {name!r}")
+    for v in vmap:
+        if v not in vindex:
+            raise ParseError(f"vmap for unknown vertex {v!r}")
     vertex_image = []
     for v in graph.vertices:
         if v not in vmap:

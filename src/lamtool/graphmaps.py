@@ -190,7 +190,6 @@ class MatrixAnalysis:
     expanding: bool
     stretch_factor: float
     residual: float
-    iterations: int
     converged: bool
 
 
@@ -264,7 +263,7 @@ def _power_iteration(mat, tol=1e-12, max_iter=1_000_000):
     v = [1.0] * len(a)
     lam = 0.0
     residual = math.inf
-    for it in range(1, max_iter + 1):
+    for _ in range(max_iter):
         # callers pass a primitive matrix (A, or A + I for an irreducible A):
         # it has no zero row, so w stays positive
         w = [sum(x * y for x, y in zip(row, v)) for row in a]
@@ -274,8 +273,8 @@ def _power_iteration(mat, tol=1e-12, max_iter=1_000_000):
                        for row, wi in zip(a, w))
         v = w
         if residual <= tol * max(lam, 1.0):
-            return lam, residual, it, True
-    return lam, residual, max_iter, False
+            return lam, residual, True
+    return lam, residual, False
 
 
 def _entry(value) -> int:
@@ -319,13 +318,13 @@ def analyze_matrix(matrix) -> MatrixAnalysis:
     primitive = exponent is not None
     expanding = _expanding(mat)
     if primitive:
-        lam, residual, iterations, converged = _power_iteration(mat)
+        lam, residual, converged = _power_iteration(mat)
     elif irreducible:
         # power iteration oscillates on imprimitive matrices; A + I is
         # primitive with the same Perron vector and eigenvalue shifted by 1
         shifted = [[v + (i == j) for j, v in enumerate(row)]
                    for i, row in enumerate(mat)]
-        lam, residual, iterations, converged = _power_iteration(shifted)
+        lam, residual, converged = _power_iteration(shifted)
         lam -= 1.0
     else:
         # reducible: the dominant eigenvalue may be defective, where power
@@ -333,9 +332,9 @@ def analyze_matrix(matrix) -> MatrixAnalysis:
         import numpy as np
 
         lam = float(np.abs(np.linalg.eigvals(np.array(mat, dtype=np.float64))).max())
-        residual, iterations, converged = 0.0, 0, True
+        residual, converged = 0.0, True
     return MatrixAnalysis(irreducible, primitive, exponent, expanding,
-                          lam, residual, iterations, converged)
+                          lam, residual, converged)
 
 
 # ---------------------------------------------------------------------------

@@ -159,7 +159,6 @@ class MarkedMetricGraph:
 @dataclass(frozen=True)
 class ValidationReport:
     ok: bool
-    rank: int
     violations: tuple[str, ...]
 
 
@@ -191,7 +190,7 @@ def validate(graph: MarkedMetricGraph) -> ValidationReport:
         deg = graph.degree(i)
         if deg < 3:
             violations.append(f"vertex {v} has degree {deg} < 3")
-    return ValidationReport(ok=not violations, rank=rank, violations=tuple(violations))
+    return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
 @dataclass(frozen=True)
@@ -267,21 +266,13 @@ def maximal_subtree(graph: MarkedMetricGraph) -> CollapseData:
 
 
 def project_path(cd: CollapseData, codes) -> tuple[int, ...]:
-    """Delete every subtree letter; the image of a reduced path is reduced.
+    """Delete every subtree letter of a reduced edge path of ``cd.base``;
+    the image is a reduced path of the rose, empty for a path inside the
+    subtree.
 
-    May return the empty tuple (paths lying entirely inside the subtree).
-    The input is checked with one subset test of its two-letter steps
-    against the base graph's reduced steps; only a path that fails is
-    tested again, to say whether it is no edge path or only backtracks.
+    The input is trusted to be a reduced edge path, and the result is not
+    checked: :func:`~lamtool.laminations.project_language`, the caller,
+    tests every stratum it projects in one block test.
     """
-    codes = tuple(codes)
-    if not cd.base.is_reduced_path(codes):
-        if not cd.base.is_edge_path(codes):
-            raise PreconditionError(
-                "project_path expects an edge path in the base graph")
-        raise PreconditionError("project_path expects a reduced path")
     to_rose = cd.base_to_rose  # exactly the letters outside the subtree
-    out = tuple([to_rose[c] for c in codes if c in to_rose])
-    assert cd.rose.is_reduced_path(out), \
-        "projection of a reduced path must be reduced"
-    return out
+    return tuple([to_rose[c] for c in codes if c in to_rose])

@@ -49,8 +49,8 @@ class LaminaryLanguage(Stratified):
     """Length-stratified set of reduced nonempty edge words of a graph."""
 
     def __init__(self, graph: MarkedMetricGraph, rows, symmetric: bool, origin: str):
+        super().__init__(rows)
         self.graph = graph
-        self.rows = tuple(rows)
         self.symmetric = symmetric
         self.origin = origin
         self._metric_lengths = None
@@ -97,26 +97,23 @@ def _oriented_substitution(gsm: GraphSelfMap):
 def _language_from_substitution(gsm: GraphSelfMap, orn, sub: Substitution,
                                 n_max: int) -> LaminaryLanguage:
     """Relabel the factor language onto edge codes and close it under
-    inversion, block by block: an orientable map's blocks gain their
-    inverse rows, disjoint from them, and a non-orientable map's already
-    hold them.  Both are decided by counting the distinct rows, as bytes,
-    of a block and its inverse together: twice the block's, or as many."""
+    inversion, block by block.  An orientable map's substitution runs over
+    the letters of the preferred side only, so each block's inverse rows,
+    over the other side's letters, are disjoint from it: the block gains
+    them.
+    A non-orientable map's substitution runs over every letter and maps
+    inverse letters to inverse images, so it commutes with inversion and
+    each block already holds its inverse rows."""
     import numpy as np
 
     alphabet = gsm.graph.alphabet
     code_of = np.asarray([alphabet.index(tok) for tok in sub.letters], dtype=np.int32)
     flang = factor_language(sub, n_max)
     rows = [flang.rows[0]]
-    for n in range(1, n_max + 1):
-        forward = code_of[flang.rows[n]]
-        both = np.concatenate([forward, forward[:, ::-1] ^ 1])
-        distinct = len(set(both.view(f"V{both.itemsize * n}").ravel().tolist()))
+    for block in flang.rows[1:]:
+        forward = code_of[block]
         if orn.orientable:
-            if distinct < len(both):
-                raise LamtoolError("positive and inverse parts must be disjoint")
-            forward = both
-        elif distinct > len(forward):
-            raise LamtoolError("attracting language failed inverse closure")
+            forward = np.concatenate([forward, forward[:, ::-1] ^ 1])
         rows.append(forward)
     return LaminaryLanguage(gsm.graph, rows, symmetric=True,
                             origin="attracting-lamination")
@@ -188,15 +185,15 @@ def project_language(lang: LaminaryLanguage, cd: CollapseData) -> LaminaryLangua
     1..depth, depth = ``complete_to // lift_stretch``, certified subword-closed.
 
     Each stratum is checked to hold reduced edge paths in one block test,
-    with :func:`~lamtool.graphs.project_path`'s messages.  Then only members
-    that start and end outside the tree, with at most ``depth`` letters
-    outside it, are projected.  This is exact: an image has one letter per
-    member letter outside the tree, and a member's image is that of the
-    member trimmed of its leading and trailing tree letters, which is a
-    member too: lamlang and attracting languages are subword-closed.  And
-    each call gives a new rose word: between two letters outside the tree a
-    reduced path follows the unique tree geodesic, so such a member is
-    determined by its image.
+    the only check of the members: :func:`~lamtool.graphs.project_path`
+    trusts it.  Then only members that start and end outside the tree, with
+    at most ``depth`` letters outside it, are projected.  This is exact: an
+    image has one letter per member letter outside the tree, and a member's
+    image is that of the member trimmed of its leading and trailing tree
+    letters, which is a member too: lamlang and attracting languages are
+    subword-closed.  And each call gives a new rose word: between two
+    letters outside the tree a reduced path follows the unique tree
+    geodesic, so such a member is determined by its image.
     """
     import numpy as np
 

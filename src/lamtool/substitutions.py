@@ -34,7 +34,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "Substitution",
-    "FactorLanguage",
     "from_train_track",
     "eigen_exponent",
     "eigenray_prefix",
@@ -132,18 +131,11 @@ def from_train_track(gsm: GraphSelfMap, orientation: OrientationResult) -> Subst
     """
     alphabet = gsm.graph.alphabet
     if orientation.orientable:
-        if orientation.positive_letters is None:
-            raise DomainError("orientable result must carry its preferred letters")
+        # orientability has asserted that every image stays on this side
         codes = sorted(orientation.positive_letters)
         letters = [alphabet.token(c) for c in codes]
         position = {c: i for i, c in enumerate(codes)}
-        images = []
-        for c in codes:
-            img = gsm.image(c)
-            if any(y not in position for y in img):
-                raise DomainError(
-                    "orientation mismatch: an image leaves the preferred side")
-            images.append(tuple(position[y] for y in img))
+        images = [tuple(position[y] for y in gsm.image(c)) for c in codes]
         sub = Substitution(letters, images)
     else:
         codes = list(alphabet.letters())
@@ -261,17 +253,7 @@ def eigenray_prefix(sub: Substitution, seed, target_len: int,
 # factor languages (materialized strata)
 # ---------------------------------------------------------------------------
 
-class FactorLanguage(Stratified):
-    """Length-stratified factor set of a language generator, held as the
-    int32 row blocks it was harvested in."""
-
-    def __init__(self, letters, rows, source: str):
-        self.letters = tuple(letters)
-        self.rows = tuple(rows)
-        self.source = source
-
-
-def factor_language(sub: Substitution, n_max: int) -> FactorLanguage:
+def factor_language(sub: Substitution, n_max: int) -> Stratified:
     """All factors of length <= n_max of the substitution language.
 
     Iterates the substitution on every letter, harvesting the factors of
@@ -337,8 +319,7 @@ def factor_language(sub: Substitution, n_max: int) -> FactorLanguage:
 
     rows = [np.frombuffer(b"".join(stratum), dtype=np.int32).reshape(len(stratum), n)
             for n, stratum in enumerate(strata)]
-    return FactorLanguage(sub.letters, rows,
-                          source=f"substitution over {len(sub.letters)} letters")
+    return Stratified(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -57,13 +57,6 @@ class EdgeAlphabet:
     def letters(self) -> range:
         return range(self.size)
 
-    def positive_letters(self) -> range:
-        return range(0, self.size, 2)
-
-    @staticmethod
-    def inverse(code: int) -> int:
-        return code ^ 1
-
     def contains(self, code: int) -> bool:
         return 0 <= code < self.size
 
@@ -117,12 +110,6 @@ class EdgePath:
     def __iter__(self) -> Iterator[int]:
         return iter(self.letters)
 
-    def inverse(self) -> "EdgePath":
-        return EdgePath(self.alphabet, inverse_codes(self.letters))
-
-    def is_reduced(self) -> bool:
-        return is_reduced(self.letters)
-
     def text(self) -> str:
         return self.alphabet.format(self.letters)
 
@@ -132,10 +119,6 @@ class EdgePath:
 
 def inverse_codes(codes) -> tuple[int, ...]:
     return tuple(c ^ 1 for c in reversed(codes))
-
-
-def is_reduced(codes) -> bool:
-    return all(codes[i] != codes[i + 1] ^ 1 for i in range(len(codes) - 1))
 
 
 def tighten_raw(codes) -> tuple[int, ...]:
@@ -166,13 +149,15 @@ def iter_factors_raw(codes, n_max: int) -> Iterator[tuple[int, ...]]:
 
 
 class Stratified:
-    """Accessors shared by the length-stratified languages.
+    """A length-stratified language held as int32 row blocks.
 
-    A subclass stores ``rows``, with ``rows[n]`` the duplicate-free
-    (p(n), n) int32 block of its words of length n and ``rows[0]`` empty;
-    the language is complete to the last block.  The tuple ``strata`` are
-    decoded from the blocks on first read.
+    ``rows[n]`` is the duplicate-free (p(n), n) int32 block of its words of
+    length n and ``rows[0]`` is empty; the language is complete to the last
+    block.  The tuple ``strata`` are decoded from the blocks on first read.
     """
+
+    def __init__(self, rows):
+        self.rows = tuple(rows)
 
     @cached_property
     def strata(self) -> tuple[frozenset, ...]:

@@ -10,9 +10,10 @@ from itertools import accumulate
 
 import pytest
 
-from lamtool import GraphSelfMap, MarkedMetricGraph, project_path
+from lamtool import GraphSelfMap, MarkedMetricGraph
 from lamtool.errors import PreconditionError
-from lamtool.words import inverse_codes, is_reduced
+from lamtool.graphs import project_path
+from lamtool.words import inverse_codes
 
 
 @pytest.fixture
@@ -64,6 +65,11 @@ def silver_map(theta):
 # ---------------------------------------------------------------------------
 # oracles
 # ---------------------------------------------------------------------------
+
+def is_reduced(codes):
+    """No letter is followed by its inverse."""
+    return all(codes[i] != codes[i + 1] ^ 1 for i in range(len(codes) - 1))
+
 
 def naive_tighten(codes):
     """Repeated full scans; cancels one adjacent inverse pair per pass."""

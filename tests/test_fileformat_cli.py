@@ -78,6 +78,19 @@ class TestParser:
             parse("graph\nvertex v\nedge a v v 1\nedge b v v 1\n"
                   "map\nmap a = a b\n")
 
+    @pytest.mark.parametrize("lines, message", [
+        ("vertex v\nvmap zz = v\n", "vmap for unknown vertex 'zz'"),
+        ("vertex v\nvmap v = v\nvmap v = v\n", "line 3: duplicate vmap for 'v'"),
+        ("vertex v\nvertex v\nvmap v = v\n", "line 2: duplicate vertex 'v'"),
+    ], ids=["unknown-vertex", "second-vmap", "repeated-vertex"])
+    def test_vertex_faults_exit_1(self, tmp_path, capsys, lines, message):
+        target = tmp_path / "input.lam"
+        target.write_text(lines + "edge a v v 1\nedge b v v 1\nmap a = a b\n"
+                          "map b = a\n")
+        code, out, err = run_main(capsys, "analyze", target)
+        assert (code, out) == (1, "")
+        assert f"parse error: {message}" in err
+
     def test_lamlang_paths(self):
         text = ("graph\nvertex v\nedge a v v 1\nedge b v v 1\n"
                 "lamlang demo symmetric=1\na b\nb a\n")
@@ -449,6 +462,33 @@ class TestCollapseCommand:
             code, _, err = run_cli(*args)
             assert code == 2
             assert "exactly one of map, sub, lamlang" in err and found in err
+
+
+class TestInvalidGraph:
+    """Every command refuses, where the file is loaded, a graph outside the
+    paper's standing hypotheses: rank at least 2, every vertex of degree at
+    least 3."""
+
+    RANK_ONE_MAP = "graph\nvertex v\nedge a v v 1\nmap\nvmap v = v\nmap a = a a\n"
+    VALENCE_TWO_LAMLANG = ("graph\nvertex v\nvertex w\nedge a v v 1\n"
+                           "edge b v v 1\nedge c v w 1\nedge d w v 1\n"
+                           "lamlang demo symmetric=1\na b\nc d\n")
+
+    @pytest.mark.parametrize("text, violation", [
+        (RANK_ONE_MAP, "first Betti number 1 is below the minimum rank 2"),
+        (VALENCE_TWO_LAMLANG, "vertex w has degree 2 < 3")],
+        ids=["rank-1-map", "valence-2-lamlang"])
+    @pytest.mark.parametrize("command", [
+        ["analyze"], ["complexity", "--max-n", "5"],
+        ["dimension", "--a", "2", "--delta", "0.5", "--max-n", "8"],
+        ["collapse", "--max-n", "3"], ["compare", FIBSUB, "--max-n", "5", "--max-c", "3"]],
+        ids=lambda argv: argv[0])
+    def test_every_command_exit_2(self, tmp_path, capsys, text, violation, command):
+        target = tmp_path / "input.lam"
+        target.write_text(text)
+        code, out, err = run_main(capsys, command[0], target, *command[1:])
+        assert (code, out) == (2, "")
+        assert "precondition error: invalid graph: " in err and violation in err
 
 
 class TestCompareCommand:

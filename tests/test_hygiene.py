@@ -1,13 +1,16 @@
-"""Source hygiene of ``src/lamtool``, read with the stdlib ``ast`` only.
+"""Source hygiene of ``src/lamtool``, read with the stdlib ``ast``.
 
 Every ``__all__`` entry resolves, no import goes unused, and every
-module-level function and class is named somewhere that a command, an
-acceptance test or the benchmark reaches: elsewhere in ``src/lamtool``,
-in ``tests/test_acceptance.py`` or in ``perfbench/``.  A definition that
-only unit tests call belongs in ``tests/conftest.py``, not in ``src/``.
+module-level function and class, and every method and property of a class,
+is named somewhere that a command, an acceptance test or the benchmark
+reaches: elsewhere in ``src/lamtool``, in ``tests/test_acceptance.py`` or
+in ``perfbench/``.  A definition that only unit tests call belongs in
+``tests/conftest.py``, not in ``src/``.  Only the check of methods imports
+``lamtool``, to exempt the overrides of a base-class method.
 """
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -113,10 +116,49 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name} imports without using: {unused}"
 
 
+def _unreached_methods(statements, outside):
+    """The methods and properties named nowhere outside their own bodies:
+    not in another method, elsewhere in ``src/lamtool`` or in ``outside``.
+    Dunders and overrides of a base-class method are called by the base and
+    are exempt.  The check is by name, so a method is reached by any
+    attribute or variable of the same name."""
+    # the units are the methods of each class, the rest of each class
+    # body, and every other top-level statement
+    units = []
+    methods = []
+    for path, node, names in statements:
+        if not isinstance(node, ast.ClassDef):
+            units.append(names)
+            continue
+        rest = node.bases + node.keywords + node.decorator_list
+        for child in node.body:
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                child_names = _references(child, annotations=False)
+                units.append(child_names)
+                methods.append((path, node.name, child, child_names))
+            else:
+                rest.append(child)
+        units.append(set().union(*(_references(n, annotations=False)
+                                   for n in rest)))
+    inside = Counter(name for names in units for name in names)
+    unreached = []
+    for path, owner, node, names in methods:
+        name = node.name
+        if (name.startswith("__") and name.endswith("__") or name in outside
+                or inside[name] > (name in names)):
+            continue
+        cls = getattr(importlib.import_module(f"lamtool.{path.stem}"), owner)
+        if any(name in vars(base) for base in cls.__mro__[1:]):
+            continue  # an override: the base class calls it
+        unreached.append(f"{path.name}:{node.lineno} {owner}.{name}")
+    return unreached
+
+
 def test_every_definition_is_reached():
     """A module-level function or class is named in ``src/lamtool`` outside
     its own definition, ``__init__``, ``__all__`` and annotations, or in
-    ``tests/test_acceptance.py`` or ``perfbench/``."""
+    ``tests/test_acceptance.py`` or ``perfbench/``; so is every method and
+    property (see ``_unreached_methods``)."""
     outside = _outside_mentions(ROOT / "tests" / "test_acceptance.py")
     for path in sorted((ROOT / "perfbench").glob("*.py")):
         outside |= _outside_mentions(path)
@@ -131,5 +173,6 @@ def test_every_definition_is_reached():
                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                  and node.name not in outside
                  and inside[node.name] == (node.name in names)]
+    unreached += _unreached_methods(statements, outside)
     assert not unreached, ("only unit tests reach these; move oracles to "
                            f"tests/conftest.py and delete the rest: {unreached}")

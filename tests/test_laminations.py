@@ -1,25 +1,28 @@
 import re
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lamtool import (GraphSelfMap, MarkedMetricGraph, attracting_language,
-                     beta_metric, laminations, maximal_subtree, project_path,
+                     beta_metric, complexity_counts, from_train_track,
+                     laminations, maximal_subtree, orientability,
                      transport_compare)
-from lamtool.errors import (LamtoolError, PreconditionError, SizeCapExceeded,
+from lamtool.errors import (PreconditionError, SizeCapExceeded,
                             UnderEnumerationError)
 from lamtool.fileformat import LanguageSpec, build_language, parse
+from lamtool.graphs import project_path
 from lamtool.laminations import (AttractingSource, FullShiftSource,
                                  LaminaryLanguage, MaterializedSource,
                                  SubstitutionSource, project_language)
-from lamtool.substitutions import FactorLanguage, Substitution
-from lamtool.words import inverse_codes, is_reduced, sorted_blocks
+from lamtool.substitutions import Substitution
+from lamtool.words import inverse_codes, sorted_blocks
 
-from conftest import (check_invariants, fiber_counts, metric_length,
-                      naive_iterate_image)
+from conftest import (check_invariants, fiber_counts, is_reduced,
+                      metric_length, naive_iterate_image)
 
 
 def relabelled_oracle(gsm, n_max):
@@ -340,28 +343,37 @@ class TestBlockProjection:
             project_language(lang, cd)
 
 
-class TestRelabellingRefusals:
-    """_language_from_substitution decides both refusals on the rows."""
+class TestRelabelledStrata:
+    """Why _language_from_substitution need not count distinct rows: on any
+    relabelling, an orientable map's stratum n holds 2 p_sub(n) distinct
+    rows, the positive factors and their inverses, and a non-orientable
+    map's holds p_sub(n) rows closed under inversion, p_sub counted by the
+    counting route.  nonorientable_map is no train track, so conftest's
+    mixed-sign rose map stands in as the second non-orientable map."""
 
-    def _build(self, monkeypatch, silver_map, orientable, stratum):
-        _, sub = laminations._oriented_substitution(silver_map)
-        rows = [np.zeros((0, 0), dtype=np.int32), np.asarray(stratum, dtype=np.int32)]
-        monkeypatch.setattr(laminations, "factor_language",
-                            lambda sub, n_max: FactorLanguage(sub.letters, rows, "test"))
-        return laminations._language_from_substitution(
-            silver_map, SimpleNamespace(orientable=orientable), sub, 1)
+    MAPS = {
+        "theta_collapse": lambda: sample_map("theta_collapse"),
+        "fibonacci_map": lambda: sample_map("fibonacci_map"),
+        "mixed_sign_map": lambda: parse(
+            "vertex v\nedge a v v 1\nedge b v v 1\n"
+            "map a = a b a' b\nmap b = b a\n").graph_map,
+    }
 
-    def test_overlapping_parts_refused(self, monkeypatch, silver_map):
-        # substitution letters 0 and 1 are e1 and e1'
-        with pytest.raises(LamtoolError,
-                           match="positive and inverse parts must be disjoint"):
-            self._build(monkeypatch, silver_map, True, [[0], [1]])
-
-    def test_missing_inverse_refused(self, monkeypatch, silver_map):
-        with pytest.raises(LamtoolError,
-                           match="attracting language failed inverse closure"):
-            self._build(monkeypatch, silver_map, False, [[0]])
-        assert self._build(monkeypatch, silver_map, False, [[0], [1]]).p(1) == 2
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(sorted(MAPS)), st.permutations(["a", "b", "e1", "x"]),
+           st.lists(st.booleans(), min_size=3, max_size=3))
+    def test_strata_match_the_substitution(self, name, names, flips):
+        gsm = self.MAPS[name]()
+        m = gsm.graph.num_topological_edges
+        gsm = relabelled(gsm, names[:m], [int(f) for f in flips[:m]])
+        orn = orientability(gsm)
+        p_sub = complexity_counts(from_train_track(gsm, orn), 12)
+        lang = attracting_language(gsm, 12)
+        for n in range(1, 13):
+            rows = set(map(tuple, lang.rows[n].tolist()))
+            assert len(rows) == lang.p(n)
+            assert lang.p(n) == (2 if orn.orientable else 1) * p_sub[n]
+            assert {inverse_codes(r) for r in rows} == rows
 
 
 class TestBlockRepresentation:
