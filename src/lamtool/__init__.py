@@ -3,8 +3,8 @@ bounds for free group automorphisms."""
 
 __version__ = "0.1.0"
 
-from .words import EdgeAlphabet, EdgePath
-from .graphs import CollapseData, MarkedMetricGraph, maximal_subtree, validate
+from .words import EdgeAlphabet
+from .graphs import CollapseData, MarkedMetricGraph, maximal_subtree
 from .graphmaps import (GraphSelfMap, analyze_matrix, conjugacy_growth,
                         is_train_track, orientability, transition_matrix)
 from .substitutions import (Substitution, complexity_counts, eigenray_prefix,
@@ -16,8 +16,8 @@ from .boundary import cover_bound_series, dim_upper_estimate
 
 __all__ = [
     "__version__",
-    "EdgeAlphabet", "EdgePath",
-    "MarkedMetricGraph", "CollapseData", "validate", "maximal_subtree",
+    "EdgeAlphabet",
+    "MarkedMetricGraph", "CollapseData", "maximal_subtree",
     "GraphSelfMap", "is_train_track", "transition_matrix", "analyze_matrix",
     "orientability", "conjugacy_growth",
     "Substitution", "from_train_track", "eigenray_prefix",

@@ -25,13 +25,12 @@ import sys
 from . import __version__
 from .boundary import EPSILON, cover_bound_series, dim_upper_estimate
 from .config import size_cap
-from .errors import (DomainError, InsufficientDataError, LamtoolError,
-                     MalformedInputError, ParseError, PreconditionError,
-                     SizeCapExceeded, UnderEnumerationError, UsageError)
+from .errors import (DomainError, LamtoolError, PreconditionError,
+                     SizeCapExceeded, UsageError)
 from .fileformat import AnalysisInput, build_language, format_length, parse
 from .graphmaps import (analyze_matrix, is_train_track, orientability,
                         transition_matrix)
-from .graphs import maximal_subtree, validate
+from .graphs import maximal_subtree
 from .laminations import (AttractingSource, FullShiftSource, LanguageSource,
                           MaterializedSource, SubstitutionSource)
 from .substitutions import (from_train_track, growth_equivalence_witness,
@@ -69,10 +68,8 @@ def _load(path: str) -> AnalysisInput:
             ai = parse(handle.read())
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}")
-    if ai.graph is not None:
-        report = validate(ai.graph)
-        if not report.ok:
-            raise PreconditionError("invalid graph: " + "; ".join(report.violations))
+    if ai.graph is not None and ai.graph.violations:
+        raise PreconditionError("invalid graph: " + "; ".join(ai.graph.violations))
     return ai
 
 
@@ -449,24 +446,9 @@ def main(argv=None) -> int:
             if getattr(args, flag, 1) < 1:
                 raise UsageError(f"--{flag.replace('_', '-')} must be >= 1")
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 1
-    except (PreconditionError, DomainError, MalformedInputError) as exc:
-        print(f"precondition error: {exc}", file=sys.stderr)
-        return 2
-    except SizeCapExceeded as exc:
-        print(f"size cap exceeded: {exc}", file=sys.stderr)
-        return 3
-    except (UnderEnumerationError, InsufficientDataError) as exc:
-        print(f"under-enumeration: {exc}", file=sys.stderr)
-        return 4
     except LamtoolError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

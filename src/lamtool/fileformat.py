@@ -16,7 +16,8 @@ One file carries up to one section of each kind::
 ``#`` starts a comment.  Section header lines are optional for ``map`` and
 ``sub`` (their content lines are self-describing) and accepted everywhere
 for readability; ``lamlang`` requires its header, and its path lines run to
-the next keyword.  Edge lengths are decimal literals, stored exactly.
+the next keyword, so no edge may be named after a keyword.  Edge lengths are
+decimal literals, stored exactly.
 
 Extension: a ``lamlang`` header may carry ``closure=fullshift`` to denote
 the language of all reduced edge paths of the graph, with no path lines.
@@ -147,6 +148,8 @@ def parse(text: str) -> AnalysisInput:
             for nm in (name, o, t):
                 if not NAME_RE.match(nm):
                     raise ParseError(f"bad name {nm!r}", lineno)
+            if name in _KEYWORDS:  # a lamlang path line could not start with it
+                raise ParseError(f"edge name {name!r} is a keyword", lineno)
             edges.append((name, o, t, _parse_decimal(ell, lineno)))
         elif head == "vmap":
             if len(tokens) != 4 or tokens[2] != "=":

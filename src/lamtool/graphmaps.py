@@ -1,6 +1,9 @@
 """Graph self-maps: train-track verification, transition-matrix analysis,
 orientability and conjugacy growth.
 
+A map sends each edge to a path of letter codes.  Conjugacy growth iterates
+a loop by rounds of substitution and tightening, under the size cap.
+
 The train-track test is the finite turn test: build the direction map Df
 (first letter of the image of each oriented edge), collect the turns crossed
 inside edge images, and follow them under Df until the set closes up or a
@@ -20,7 +23,7 @@ from typing import Optional, Sequence
 from .errors import DomainError, MalformedInputError
 from .graphs import MarkedMetricGraph
 from .kernels import expand_capped, image_tables
-from .words import EdgePath, cyclic_tighten_raw, tighten_raw
+from .words import cyclic_tighten_raw, tighten_raw
 
 __all__ = [
     "GraphSelfMap",
@@ -91,19 +94,6 @@ class GraphSelfMap:
             f"{self.graph.alphabet.names[i]} -> {self.graph.alphabet.format(img)}"
             for i, img in enumerate(self.edge_images))
         return f"GraphSelfMap({pieces})"
-
-
-def apply_power_raw(gsm: GraphSelfMap, codes, k: int) -> tuple[int, ...]:
-    """tighten(f^k(codes)), computed by k substitution+tighten rounds."""
-    if k < 0:
-        raise DomainError("power must be >= 0")
-    current = tuple(codes)
-    if k == 0:
-        return tighten_raw(current)
-    for _ in range(k):
-        image = expand_capped(current, gsm.tables(), "intermediate word")
-        current = tighten_raw(image.tolist())
-    return current
 
 
 # ---------------------------------------------------------------------------
@@ -447,12 +437,13 @@ class ConjugacyGrowth:
     rate_estimate: float
 
 
-def conjugacy_growth(gsm: GraphSelfMap, w: EdgePath, n_max: int) -> ConjugacyGrowth:
-    """Cyclically reduced lengths of iterated images of a loop, plus the
-    ratio of the last two as a growth-rate estimate."""
+def conjugacy_growth(gsm: GraphSelfMap, w, n_max: int) -> ConjugacyGrowth:
+    """Cyclically reduced lengths of the iterated images of the loop ``w``
+    (letter codes), plus the ratio of the last two as a growth-rate
+    estimate."""
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
-    word = tighten_raw(w.letters)
+    word = tighten_raw(w)
     if not word:
         raise DomainError("growth of the trivial loop is undefined")
     if gsm.graph.origin(word[0]) != gsm.graph.terminus(word[-1]):
@@ -460,7 +451,8 @@ def conjugacy_growth(gsm: GraphSelfMap, w: EdgePath, n_max: int) -> ConjugacyGro
     lengths = [(0, len(cyclic_tighten_raw(word)))]
     current = word
     for n in range(1, n_max + 1):
-        current = apply_power_raw(gsm, current, 1)
+        current = tighten_raw(
+            expand_capped(current, gsm.tables(), "intermediate word").tolist())
         lengths.append((n, len(cyclic_tighten_raw(current))))
     last, prev = lengths[-1][1], lengths[-2][1]
     rate = last / prev if prev else 0.0

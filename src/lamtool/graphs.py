@@ -2,9 +2,12 @@
 
 A graph holds its oriented edges in an :class:`~lamtool.words.EdgeAlphabet`;
 edge lengths are exact :class:`~fractions.Fraction` values so metric tables
-reproduce bit-exactly across runs.  Collapsing a maximal subtree onto a rose
-comes with the path-rewriting map used to compare complexity functions:
-``project_path`` deletes tree letters.
+reproduce bit-exactly across runs.  Paths are tuples of letter codes.  A
+graph runs one breadth-first search when it is built: it records the
+paper's standing hypotheses that fail (connected, rank at least 2, every
+vertex of valence at least 3) in ``violations``, and keeps the search's
+paths for the spanning tree that ``maximal_subtree`` collapses onto a rose.
+``project_path`` carries paths to the rose by deleting tree letters.
 """
 
 from __future__ import annotations
@@ -16,13 +19,11 @@ from math import floor, lcm
 from typing import Iterable, Sequence
 
 from .errors import DomainError, MalformedInputError, PreconditionError
-from .words import EdgeAlphabet, EdgePath, inverse_codes, tighten_raw
+from .words import EdgeAlphabet, inverse_codes, tighten_raw
 
 __all__ = [
     "MarkedMetricGraph",
-    "ValidationReport",
     "CollapseData",
-    "validate",
     "maximal_subtree",
     "project_path",
 ]
@@ -36,17 +37,18 @@ def _parse_length(value) -> Fraction:
 
 
 class MarkedMetricGraph:
-    """Finite connected graph with positive edge lengths.
+    """Finite graph with positive edge lengths.
 
     ``edges`` is a sequence of ``(name, origin, terminus, length)`` with one
     entry per positive edge; inverse edges are implicit.  Vertices and edges
     are kept in canonical sorted order so every derived enumeration is
-    deterministic.
+    deterministic.  ``violations`` names each standing hypothesis the graph
+    fails, and is empty for a graph of cv_r.
     """
 
     __slots__ = ("vertices", "alphabet", "lengths", "length_unit", "_origin",
                  "_vindex", "_steps", "_reduced_steps", "_weights",
-                 "_min_weight")
+                 "_min_weight", "_paths", "violations")
 
     def __init__(self, vertices: Iterable[str], edges: Sequence[tuple]):
         self.vertices = tuple(sorted(set(vertices)))
@@ -75,6 +77,18 @@ class MarkedMetricGraph:
             (x, y) for x in self.alphabet.letters() for y in self.alphabet.letters()
             if origin[x ^ 1] == origin[y])
         self._reduced_steps = frozenset((x, y) for x, y in self._steps if y != x ^ 1)
+        self._paths = _root_paths(self)
+        violations = []
+        if len(self._paths) < len(self.vertices):
+            violations.append("graph is not connected")
+        if self.betti() < 2:
+            violations.append(
+                f"first Betti number {self.betti()} is below the minimum rank 2")
+        for i, v in enumerate(self.vertices):
+            degree = origin.count(i)  # letters that start at v
+            if degree < 3:
+                violations.append(f"vertex {v} has degree {degree} < 3")
+        self.violations = tuple(violations)
 
     # -- basic incidence ---------------------------------------------------
 
@@ -83,12 +97,6 @@ class MarkedMetricGraph:
 
     def terminus(self, code: int) -> int:
         return self._origin[code ^ 1]
-
-    def vertex_name(self, index: int) -> str:
-        return self.vertices[index]
-
-    def degree(self, vertex: int) -> int:
-        return sum(1 for c in self.alphabet.letters() if self._origin[c] == vertex)
 
     @property
     def num_topological_edges(self) -> int:
@@ -144,30 +152,20 @@ class MarkedMetricGraph:
         """The most letters a path of metric length at most ``bound`` can have."""
         return self.weight_bound(bound) // self._min_weight
 
-    def path(self, text: str) -> EdgePath:
-        return EdgePath.from_text(self.alphabet, text)
-
-    def base_vertex(self) -> int:
-        """Deterministic basepoint: the lexicographically least vertex."""
-        return 0
+    def path(self, text: str) -> tuple[int, ...]:
+        return self.alphabet.parse(text)
 
     def __repr__(self):
         return (f"MarkedMetricGraph(|V|={len(self.vertices)}, "
                 f"edges={self.alphabet.names}, rank={self.betti()})")
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple[str, ...]
-
-
 def _root_paths(graph: MarkedMetricGraph) -> dict[int, tuple[int, ...]]:
-    """One breadth-first search from the base vertex, letters in canonical
-    order: each reached vertex maps to the letters of the path that first
-    reached it.  The last letters of these paths span a tree, and the paths
-    are its paths from the base vertex."""
-    paths = {graph.base_vertex(): ()}
+    """One breadth-first search from the base vertex 0, the least vertex,
+    letters in canonical order: each reached vertex maps to the letters of
+    the path that first reached it.  The last letters of these paths span a
+    tree, and the paths are its paths from the base vertex."""
+    paths = {0: ()}
     queue = deque(paths)
     while queue:
         v = queue.popleft()
@@ -176,21 +174,6 @@ def _root_paths(graph: MarkedMetricGraph) -> dict[int, tuple[int, ...]]:
                 paths[graph.terminus(c)] = paths[v] + (c,)
                 queue.append(graph.terminus(c))
     return paths
-
-
-def validate(graph: MarkedMetricGraph) -> ValidationReport:
-    """Structural checks; returns violations instead of raising."""
-    violations = []
-    if len(_root_paths(graph)) < len(graph.vertices):
-        violations.append("graph is not connected")
-    rank = graph.betti()
-    if rank < 2:
-        violations.append(f"first Betti number {rank} is below the minimum rank 2")
-    for i, v in enumerate(graph.vertices):
-        deg = graph.degree(i)
-        if deg < 3:
-            violations.append(f"vertex {v} has degree {deg} < 3")
-    return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
 @dataclass(frozen=True)
@@ -211,9 +194,7 @@ class CollapseData:
     rose: MarkedMetricGraph
     diameter: int
     multiplicity_bound: int
-    rose_to_base: dict[int, int] = field(repr=False)
     base_to_rose: dict[int, int] = field(repr=False)
-    geodesics: dict[tuple[int, int], tuple[int, ...]] = field(repr=False)
 
     @property
     def lift_stretch(self) -> int:
@@ -227,42 +208,36 @@ def maximal_subtree(graph: MarkedMetricGraph) -> CollapseData:
     For a rose input the subtree is a single vertex, the diameter is 0 and
     the rose is the graph itself.
     """
-    report = validate(graph)
-    if not report.ok:
+    if graph.violations:
         raise PreconditionError(
-            "cannot collapse an invalid graph: " + "; ".join(report.violations))
+            "cannot collapse an invalid graph: " + "; ".join(graph.violations))
 
-    paths = _root_paths(graph)
+    paths = graph._paths
     tree = frozenset(path[-1] >> 1 for path in paths.values() if path)
     # a tree has one reduced path from u to v: via the base, then tightened
-    geodesics = {(u, v): tighten_raw(inverse_codes(paths[u]) + paths[v])
-                 for u in paths for v in paths}
-    diameter = max((len(p) for p in geodesics.values()), default=0)
+    diameter = max(len(tighten_raw(inverse_codes(paths[u]) + paths[v]))
+                   for u in paths for v in paths)
     n_vertices = len(graph.vertices)
     multiplicity = n_vertices * n_vertices if tree else 1
 
     if not tree:
         identity = {c: c for c in graph.alphabet.letters()}
-        return CollapseData(graph, tree, graph, 0, 1, identity, identity, geodesics)
+        return CollapseData(graph, tree, graph, 0, 1, identity)
 
     rose_names = [graph.alphabet.names[i] for i in range(graph.num_topological_edges)
                   if i not in tree]
-    rose_vertex = graph.vertex_name(graph.base_vertex())
+    rose_vertex = graph.vertices[0]  # the base vertex
     rose = MarkedMetricGraph(
         [rose_vertex],
         [(name, rose_vertex, rose_vertex, Fraction(1)) for name in rose_names])
 
-    rose_to_base = {}
     base_to_rose = {}
     for name in rose_names:
         b = graph.alphabet.index(name)
         r = rose.alphabet.index(name)
-        rose_to_base[r] = b
-        rose_to_base[r ^ 1] = b ^ 1
         base_to_rose[b] = r
         base_to_rose[b ^ 1] = r ^ 1
-    return CollapseData(graph, tree, rose, diameter, multiplicity,
-                        rose_to_base, base_to_rose, geodesics)
+    return CollapseData(graph, tree, rose, diameter, multiplicity, base_to_rose)
 
 
 def project_path(cd: CollapseData, codes) -> tuple[int, ...]:

@@ -12,7 +12,6 @@ suffixed with ``'`` for its inverse, e.g. ``a b' a``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -88,35 +87,6 @@ class EdgeAlphabet:
         return f"EdgeAlphabet({', '.join(self.names)})"
 
 
-@dataclass(frozen=True)
-class EdgePath:
-    """A finite word over an :class:`EdgeAlphabet`; may be empty."""
-
-    alphabet: EdgeAlphabet
-    letters: tuple[int, ...]
-
-    def __post_init__(self):
-        for c in self.letters:
-            if not self.alphabet.contains(c):
-                raise MalformedInputError(f"letter code {c} not in alphabet")
-
-    @classmethod
-    def from_text(cls, alphabet: EdgeAlphabet, text: str) -> "EdgePath":
-        return cls(alphabet, alphabet.parse(text))
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.letters)
-
-    def text(self) -> str:
-        return self.alphabet.format(self.letters)
-
-    def __repr__(self):
-        return f"EdgePath({self.text()!r})" if self.letters else "EdgePath('')"
-
-
 def inverse_codes(codes) -> tuple[int, ...]:
     return tuple(c ^ 1 for c in reversed(codes))
 
@@ -174,14 +144,8 @@ class Stratified:
                 achieved=self.complete_to, required=n)
         return self.rows[n].shape[0]
 
-    def beta(self, n: int) -> int:
-        return sum(self.p(m) for m in range(1, n + 1))
-
     def p_counts(self) -> list[int]:
         return [block.shape[0] for block in self.rows[1:]]
-
-    def members(self, n: int):
-        return sorted(self.strata[n])
 
     def all_members(self):
         for n in range(1, len(self.strata)):

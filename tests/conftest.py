@@ -224,6 +224,28 @@ def compose(outer, inner):
                         images)
 
 
+def rose_to_base(cd):
+    """The letter of ``cd.base`` that each rose letter collapses from."""
+    return {r: b for b, r in cd.base_to_rose.items()}
+
+
+def tree_geodesic(cd, u, v):
+    """The reduced path from vertex u to vertex v inside the subtree, by a
+    breadth-first search over the tree letters."""
+    paths = {u: ()}
+    frontier = [u]
+    while frontier:
+        frontier_next = []
+        for w in frontier:
+            for c in cd.base.alphabet.letters():
+                if (c >> 1 in cd.subtree and cd.base.origin(c) == w
+                        and cd.base.terminus(c) not in paths):
+                    paths[cd.base.terminus(c)] = paths[w] + (c,)
+                    frontier_next.append(cd.base.terminus(c))
+        frontier = frontier_next
+    return paths[v]
+
+
 def lift_path(cd, codes):
     """Reinsert the tree geodesic between consecutive rose letters of a
     reduced rose path; the inverse of ``project_path`` on its image."""
@@ -232,13 +254,14 @@ def lift_path(cd, codes):
         if not cd.rose.is_edge_path(codes):
             raise PreconditionError("lift_path expects an edge path in the rose")
         raise PreconditionError("lift_path expects a reduced path")
+    to_base = rose_to_base(cd)
     out = []
     for i, c in enumerate(codes):
-        letter = cd.rose_to_base[c]
+        letter = to_base[c]
         if i:
-            previous = cd.rose_to_base[codes[i - 1]]
-            out.extend(cd.geodesics[(cd.base.terminus(previous),
-                                     cd.base.origin(letter))])
+            previous = to_base[codes[i - 1]]
+            out.extend(tree_geodesic(cd, cd.base.terminus(previous),
+                                     cd.base.origin(letter)))
         out.append(letter)
     return tuple(out)
 

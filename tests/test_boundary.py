@@ -112,7 +112,7 @@ class TestCylinderCover:
 
     def test_cylinder_diameters_obey_the_c0_shift(self, cover):
         rose, lang, rows = cover
-        deepest = lang.members(self.DEPTH)
+        deepest = sorted(lang.strata[self.DEPTH])
         for n in self.WINDOW:
             beta, bound = rows[n]
             reach = self.A ** -float(n - self.C0)

@@ -5,12 +5,13 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from lamtool import cli
+from lamtool import cli, graphs
 from lamtool.errors import ParseError
 from lamtool.fileformat import build_language, format_length, parse
 
@@ -90,6 +91,17 @@ class TestParser:
         code, out, err = run_main(capsys, "analyze", target)
         assert (code, out) == (1, "")
         assert f"parse error: {message}" in err
+
+    @pytest.mark.parametrize("keyword", ["map", "sub", "edge", "vertex", "vmap",
+                                         "graph", "lamlang"])
+    def test_keyword_edge_name_exit_1(self, tmp_path, capsys, keyword):
+        # a lamlang path line starting with the edge would read as a keyword
+        target = tmp_path / "input.lam"
+        target.write_text(f"graph\nvertex v\nedge {keyword} v v 1\nedge b v v 1\n"
+                          f"lamlang demo symmetric=1\n{keyword} b\n")
+        code, out, err = run_main(capsys, "complexity", target, "--max-n", "3")
+        assert (code, out) == (1, "")
+        assert err == f"parse error: line 3: edge name {keyword!r} is a keyword\n"
 
     def test_lamlang_paths(self):
         text = ("graph\nvertex v\nedge a v v 1\nedge b v v 1\n"
@@ -489,6 +501,29 @@ class TestInvalidGraph:
         code, out, err = run_main(capsys, command[0], target, *command[1:])
         assert (code, out) == (2, "")
         assert "precondition error: invalid graph: " in err and violation in err
+
+
+class TestOneSearch:
+    """A graph runs its breadth-first search, which also checks the standing
+    hypotheses, once, when it is built; the rose that ``maximal_subtree``
+    builds is another graph and runs its own."""
+
+    @pytest.mark.parametrize("argv", [
+        ["collapse", THETA, "--max-n", "5"],
+        ["compare", THETA, FIBSUB, "--max-n", "5", "--max-c", "3"]],
+        ids=lambda argv: argv[0])
+    def test_theta_searched_once(self, monkeypatch, capsys, argv):
+        searched = Counter()
+        search = graphs._root_paths
+
+        def counting(graph):
+            searched[graph.vertices] += 1
+            return search(graph)
+
+        monkeypatch.setattr(graphs, "_root_paths", counting)
+        code, _, _ = run_main(capsys, *argv)
+        assert code == 0
+        assert searched == {("v0", "v1"): 1, ("v0",): 1}
 
 
 class TestCompareCommand:

@@ -7,11 +7,10 @@ import pytest
 from lamtool import (GraphSelfMap, analyze_matrix, conjugacy_growth,
                      is_train_track, orientability, transition_matrix)
 from lamtool.errors import DomainError, MalformedInputError, SizeCapExceeded
-from lamtool.graphmaps import apply_power_raw
 
 from conftest import (brute_force_orientation, brute_force_train_track,
-                      compose, naive_iterate_image, naive_tighten,
-                      random_rose_map)
+                      compose, naive_cyclic_tighten, naive_iterate_image,
+                      naive_tighten, random_reduced_word, random_rose_map)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -36,26 +35,44 @@ class TestGraphSelfMap:
 
 
 class TestApplyPower:
+    """The iterated images of ``conjugacy_growth``, one round of substitution
+    and tightening per step, against literal substitution."""
+
     def test_fibonacci_third_power(self, fib_map, rose2):
-        got = apply_power_raw(fib_map, rose2.alphabet.parse("a"), 3)
-        assert rose2.alphabet.format(got) == "a b a a b"
+        a = rose2.alphabet.index("a")
+        assert rose2.alphabet.format(naive_iterate_image(fib_map, a, 3)) == "a b a a b"
+        assert conjugacy_growth(fib_map, (a,), 3).lengths[3] == (3, 5)
 
     def test_single_power_is_tightened_substitution(self, rose2):
         al = rose2.alphabet
         gsm = GraphSelfMap(rose2, [0], [al.parse("a b"), al.parse("b' a")])
         word = al.parse("a b")
         direct = naive_tighten(tuple(c for y in word for c in gsm.image(y)))
-        assert apply_power_raw(gsm, word, 1) == direct
+        assert al.format(direct) == "a a"
+        assert conjugacy_growth(gsm, word, 1).lengths[1] == (1, len(direct))
 
     def test_fibonacci_lengths(self, fib_map, rose2):
-        lengths = [len(apply_power_raw(fib_map, rose2.alphabet.parse("a"), k))
-                   for k in range(5)]
-        assert lengths == [1, 2, 3, 5, 8]
+        a = rose2.alphabet.index("a")
+        growth = conjugacy_growth(fib_map, (a,), 4)
+        assert [length for _, length in growth.lengths] == [
+            len(naive_iterate_image(fib_map, a, k)) for k in range(5)] == [1, 2, 3, 5, 8]
+
+    def test_lengths_match_literal_substitution(self):
+        # maps that are not train tracks cancel inside later rounds
+        rng = random.Random(1616)
+        for _ in range(40):
+            gsm = random_rose_map(rng, rng.choice([2, 3]), max_image_len=3)
+            petals = gsm.graph.num_topological_edges
+            word = random_reduced_word(rng, petals, rng.randint(1, 4))
+            growth = conjugacy_growth(gsm, word, 4)
+            for k, length in growth.lengths:
+                literal = [c for y in word for c in naive_iterate_image(gsm, y, k)]
+                assert length == len(naive_cyclic_tighten(literal))
 
     def test_size_cap(self, fib_map, rose2, monkeypatch):
         monkeypatch.setenv("LAMTOOL_SIZE_CAP", "1000")
         with pytest.raises(SizeCapExceeded, match="intermediate word"):
-            apply_power_raw(fib_map, rose2.alphabet.parse("a"), 40)
+            conjugacy_growth(fib_map, rose2.path("a"), 40)
 
 
 class TestTrainTrack:

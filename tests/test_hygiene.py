@@ -4,9 +4,12 @@ Every ``__all__`` entry resolves, no import goes unused, and every
 module-level function and class, and every method and property of a class,
 is named somewhere that a command, an acceptance test or the benchmark
 reaches: elsewhere in ``src/lamtool``, in ``tests/test_acceptance.py`` or
-in ``perfbench/``.  A definition that only unit tests call belongs in
-``tests/conftest.py``, not in ``src/``.  Only the check of methods imports
-``lamtool``, to exempt the overrides of a base-class method.
+in ``perfbench/``.  A method or property is named only as an attribute
+(``x.name``), an imported name or a component of a dotted string, never by
+a variable or a plain string of the same name.  A definition that only unit
+tests call belongs in ``tests/conftest.py``, not in ``src/``.  Only the
+check of methods imports ``lamtool``, to exempt the overrides of a
+base-class method.
 """
 
 import ast
@@ -60,15 +63,16 @@ def _annotation(node):
     return None
 
 
-def _references(tree, annotations=True):
-    """Names a tree refers to: ``Name`` ids and ``Attribute`` attributes.
-    Without ``annotations``, those only an annotation names are left out:
-    under ``from __future__ import annotations`` no annotation runs."""
+def _references(tree, annotations=True, names=True):
+    """Names a tree refers to: ``Name`` ids and ``Attribute`` attributes,
+    only the attributes without ``names``.  Without ``annotations``, those
+    only an annotation names are left out: under ``from __future__ import
+    annotations`` no annotation runs."""
     found = set()
     stack = [tree]
     while stack:
         node = stack.pop()
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and names:
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
             found.add(node.attr)
@@ -78,18 +82,20 @@ def _references(tree, annotations=True):
     return found
 
 
-def _outside_mentions(path):
+def _outside_mentions(path, names=True):
     """Names a file outside ``src/`` mentions: references, imported names
     and the components of dotted strings such as the span name
-    ``"laminations.AttractingSource.materialize"``."""
+    ``"laminations.AttractingSource.materialize"``.  With ``names``, also
+    ``Name`` ids and identifier strings without a dot."""
     tree = _tree(path)
-    found = _references(tree)
+    found = _references(tree, names=names)
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             found.update(a.name for a in node.names)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if all(part.isidentifier() for part in node.value.split(".")):
-                found.update(node.value.split("."))
+            parts = node.value.split(".")
+            if all(map(str.isidentifier, parts)) and (names or len(parts) > 1):
+                found.update(parts)
     return found
 
 
@@ -120,26 +126,28 @@ def _unreached_methods(statements, outside):
     """The methods and properties named nowhere outside their own bodies:
     not in another method, elsewhere in ``src/lamtool`` or in ``outside``.
     Dunders and overrides of a base-class method are called by the base and
-    are exempt.  The check is by name, so a method is reached by any
-    attribute or variable of the same name."""
+    are exempt.  The check is by name: inside ``src/lamtool`` a method is
+    reached by any attribute of the same name, not by a variable."""
+    def attributes(node):
+        return _references(node, annotations=False, names=False)
+
     # the units are the methods of each class, the rest of each class
     # body, and every other top-level statement
     units = []
     methods = []
-    for path, node, names in statements:
+    for path, node, _ in statements:
         if not isinstance(node, ast.ClassDef):
-            units.append(names)
+            units.append(attributes(node))
             continue
         rest = node.bases + node.keywords + node.decorator_list
         for child in node.body:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                child_names = _references(child, annotations=False)
+                child_names = attributes(child)
                 units.append(child_names)
                 methods.append((path, node.name, child, child_names))
             else:
                 rest.append(child)
-        units.append(set().union(*(_references(n, annotations=False)
-                                   for n in rest)))
+        units.append(set().union(*map(attributes, rest)))
     inside = Counter(name for names in units for name in names)
     unreached = []
     for path, owner, node, names in methods:
@@ -159,9 +167,9 @@ def test_every_definition_is_reached():
     its own definition, ``__init__``, ``__all__`` and annotations, or in
     ``tests/test_acceptance.py`` or ``perfbench/``; so is every method and
     property (see ``_unreached_methods``)."""
-    outside = _outside_mentions(ROOT / "tests" / "test_acceptance.py")
-    for path in sorted((ROOT / "perfbench").glob("*.py")):
-        outside |= _outside_mentions(path)
+    reaching = [ROOT / "tests" / "test_acceptance.py",
+                *sorted((ROOT / "perfbench").glob("*.py"))]
+    outside = set().union(*map(_outside_mentions, reaching))
     # per top-level statement of every module but __init__, the names it
     # refers to; a definition is reached from any statement but its own
     statements = [(path, node, _references(node, annotations=False))
@@ -173,6 +181,7 @@ def test_every_definition_is_reached():
                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                  and node.name not in outside
                  and inside[node.name] == (node.name in names)]
-    unreached += _unreached_methods(statements, outside)
+    unreached += _unreached_methods(statements, set().union(
+        *(_outside_mentions(path, names=False) for path in reaching)))
     assert not unreached, ("only unit tests reach these; move oracles to "
                            f"tests/conftest.py and delete the rest: {unreached}")

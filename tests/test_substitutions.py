@@ -239,7 +239,7 @@ class TestFactorLanguage:
 class TestComplexityTable:
     def test_fibonacci_beta(self, fib):
         beta = SubstitutionSource(fib).beta_counts(5)
-        assert beta[-1] == factor_language(fib, 5).beta(5) == 20  # 2+3+4+5+6
+        assert beta[-1] == sum(factor_language(fib, 5).p_counts()) == 20  # 2+3+4+5+6
 
     def test_beta_1_equals_p_1(self, thue_morse):
         source = SubstitutionSource(thue_morse)

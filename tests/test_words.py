@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lamtool import (EdgeAlphabet, EdgePath, Substitution, complexity_counts,
-                     factor_language)
+from lamtool import EdgeAlphabet, Substitution, complexity_counts, factor_language
 from lamtool.errors import DomainError, MalformedInputError
 from lamtool.words import (cyclic_tighten_raw, inverse_codes, iter_factors_raw,
                            tighten_raw)
@@ -18,10 +17,6 @@ from conftest import (fibonacci_word, is_reduced, naive_cyclic_tighten,
 @pytest.fixture
 def ab():
     return EdgeAlphabet(["a", "b"])
-
-
-def path(ab, text):
-    return EdgePath.from_text(ab, text)
 
 
 class TestAlphabet:
@@ -80,8 +75,8 @@ class TestTighten:
             assert tighten_raw(word + inverse_codes(word)) == ()
 
     def test_foreign_letter_rejected(self, ab):
-        with pytest.raises(MalformedInputError):
-            EdgePath(ab, (9,))
+        with pytest.raises(MalformedInputError, match="letter code 9"):
+            ab.format((9,))
 
     @given(st.lists(st.integers(min_value=0, max_value=5), max_size=80))
     @settings(max_examples=300, deadline=None)
