@@ -1,14 +1,12 @@
-"""Hot inner-loop kernels over packed ``int32`` words, in pure Python and numpy.
+"""Hot inner-loop kernels over words of letter codes, in the standard library.
 
-Words are packed into ``int32`` numpy arrays.  For involutive (edge)
+A word is a :class:`Word`, an ``array('i')``.  For involutive (edge)
 alphabets the letter with topological index i and its inverse occupy codes
 ``2i`` and ``2i + 1``, so inversion is ``code ^ 1``; plain substitution
 alphabets just use ``0 .. sigma-1``.  Cancellation is ``words.tighten_raw``.
 
-numpy is imported inside each function that builds or reads such an array,
-here and in ``words``, ``substitutions`` and ``laminations``, never when a
-module loads: the commands that build no word array (``--version``,
-``analyze`` and every command on a full shift) start without it.
+No numpy here: the counting route runs on these words and lists alone;
+only the enumerating route and a reducible matrix load numpy.
 
 :func:`expand_capped` asks ``config.check_size`` before it expands.  There
 is one backend; ``BACKEND`` names it for run records.
@@ -16,12 +14,16 @@ is one backend; ``BACKEND`` names it for run records.
 
 from __future__ import annotations
 
-from itertools import islice
+from array import array
+from itertools import accumulate, chain, islice, repeat
+from operator import sub
 
 from .config import check_size
+from .errors import DomainError
 
 __all__ = [
     "BACKEND",
+    "Word",
     "image_tables",
     "expand_codes",
     "expand_capped",
@@ -31,43 +33,43 @@ __all__ = [
 BACKEND = "python"
 
 
-def expand_codes(codes, offsets, data):
-    """Concatenate ``data[offsets[c]:offsets[c+1]]`` for every code."""
-    import numpy as np
+class Word(array):
+    """An ``array('i')`` of letter codes, from codes or their bytes, that
+    also answers ``size``, its length, which the benchmark's spans read."""
 
-    codes = np.asarray(codes, dtype=np.int32)
-    offsets = np.asarray(offsets, dtype=np.int64)
-    data = np.asarray(data, dtype=np.int32)
-    starts = offsets[codes]
-    sizes = offsets[codes + 1] - starts
-    # output position i of block j reads data[starts[j] + i - block_start[j]]
-    shift = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
-    return data[np.arange(shift.size) + shift]
+    __slots__ = ()
+    size = property(len)
+
+    def __new__(cls, codes=()):
+        return super().__new__(cls, "i", codes)
+
+
+def expand_codes(codes, offsets, data) -> Word:
+    """Concatenate ``data[offsets[c]:offsets[c+1]]`` for every code."""
+    data = array("i", data)
+    pieces = [data[offsets[c]:offsets[c + 1]].tobytes()
+              for c in range(len(offsets) - 1)]
+    return Word(b"".join(map(pieces.__getitem__, codes)))
 
 
 def image_tables(images):
     """The images flattened into ``(offsets, data)`` for :func:`expand_codes`:
     the image of code c is ``data[offsets[c]:offsets[c + 1]]``."""
-    import numpy as np
-
     offsets = [0]
-    data = []
+    data = array("i")
     for img in images:
         data.extend(img)
         offsets.append(len(data))
-    return np.asarray(offsets, dtype=np.int64), np.asarray(data, dtype=np.int32)
+    return offsets, data
 
 
-def expand_capped(codes, tables, what):
+def expand_capped(codes, tables, what) -> Word:
     """:func:`expand_codes` over ``tables = (offsets, data)``, refused before
     anything is expanded when the result is over the size cap; the refusal
     calls the result ``what``."""
-    import numpy as np
-
     offsets, data = tables
-    arr = np.asarray(codes, dtype=np.int32)
-    check_size(int((offsets[arr + 1] - offsets[arr]).sum()) if arr.size else 0, what)
-    return expand_codes(arr, offsets, data)
+    check_size(sum(offsets[c + 1] - offsets[c] for c in codes), what)
+    return expand_codes(codes, offsets, data)
 
 
 def substring_counts(codes, sigma, n_max):
@@ -88,24 +90,32 @@ def substring_counts(codes, sigma, n_max):
     no known transition again (``last`` is then a fresh state with none), so
     the rest is the one-word construction.  So every state stands for
     factors of the union, those of lengths
-    ``length[link[v]] + 1 .. length[v]``, and the counts are a difference
-    array over those ranges.  Returns ``counts`` with ``counts[n]`` the
-    number of distinct length-n factors (index 0 is 0).
+    ``length[link[v]] + 1 .. length[v]``.  A split cuts the range of q in
+    two at ``length[p] + 1``, which changes no count, so the counts are
+    those of the states made for letters, with the ranges they get when
+    made: ``lows`` tallies their lower ends and the difference list
+    ``highs`` their lengths.  Returns the list ``counts`` with ``counts[n]``
+    the number of distinct length-n factors (index 0 is 0).
 
     A state costs ``sigma + 2`` list slots (its transitions, link and
     length) and one int object, its number: a length is taken from one
-    shared list of the ints up to the longest word, not made anew.  The
-    transition list is dropped before the count arrays are built.
+    shared list of the ints up to the longest word, not made anew.
     """
-    import numpy as np
-
     if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    codes = np.asarray(codes, dtype=np.int32)
-    words = [word[1:] if word.size and word[0] < 0 else word
-             for word in np.split(codes, np.flatnonzero(codes < 0))]
+        raise DomainError("n_max must be >= 1")
+    codes = array("i", codes).tolist()
+    cuts = [-1]
+    try:
+        while True:
+            cuts.append(codes.index(-1, cuts[-1] + 1))
+    except ValueError:
+        cuts.append(len(codes))
+    words = [codes[a + 1:b] for a, b in zip(cuts, cuts[1:])]
     # one shared int per length, for the states' lengths
-    sizes = list(range(max(word.size for word in words) + 1))
+    sizes = list(range(max(map(len, words)) + 1))
+    # lows[k]: new states whose link has length k; highs: their lengths
+    lows = [0] * len(sizes)
+    highs = [0] * (len(sizes) + 1)
     blank = [-1] * sigma
     trans = list(blank)
     link = [-1]
@@ -124,7 +134,6 @@ def substring_counts(codes, sigma, n_max):
         return clone
 
     for word in words:
-        word = word.tolist()
         # the word's known prefix: walk, splitting where a state is too long
         last = start = 0
         for c in word:
@@ -134,6 +143,8 @@ def substring_counts(codes, sigma, n_max):
             last = q if length[q] == length[last] + 1 else split(last, q, c)
             start += 1
         # then the one-word construction, one new state per letter
+        highs[start + 1] += 1
+        highs[len(word) + 1] -= 1
         for c, size in zip(word[start:], islice(sizes, start + 1, None)):
             cur = len(length)
             trans += blank
@@ -146,12 +157,8 @@ def substring_counts(codes, sigma, n_max):
             if p != -1:
                 q = trans[p * sigma + c]
                 link[cur] = q if length[p] + 1 == length[q] else split(p, q, c)
+            lows[length[link[cur]]] += 1
             last = cur
-    del trans
-    length = np.asarray(length, dtype=np.int64)
-    lo = length[np.asarray(link, dtype=np.int64)[1:]] + 1
-    hi = np.minimum(length[1:], n_max)
-    keep = lo <= n_max
-    diff = (np.bincount(lo[keep], minlength=n_max + 2)
-            - np.bincount(hi[keep] + 1, minlength=n_max + 2))
-    return np.cumsum(diff[:-1])
+    # counts[n] = #{new v: length[link[v]] < n} - #{new v: length[v] < n}
+    steps = map(sub, lows, accumulate(highs))
+    return [0, *accumulate(islice(chain(steps, repeat(0)), n_max))]

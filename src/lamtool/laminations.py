@@ -367,7 +367,7 @@ class SubstitutionSource(LanguageSource):
         self.sub = sub
 
     def _count(self, n_max):
-        return [int(v) for v in complexity_counts(self.sub, n_max)[1:]]
+        return complexity_counts(self.sub, n_max)[1:]
 
 
 class AttractingSource(LanguageSource):
@@ -383,7 +383,7 @@ class AttractingSource(LanguageSource):
         self._materialize_limit = 600
 
     def _count(self, n_max):
-        return [self._multiplier * int(v)
+        return [self._multiplier * v
                 for v in complexity_counts(self.sub, n_max)[1:]]
 
     def materialize(self, n_max) -> LaminaryLanguage:

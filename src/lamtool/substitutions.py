@@ -14,23 +14,23 @@ Two enumeration routes are provided and cross-checked in the tests:
   only those slices, so the work and the memory follow the slices, not the
   prefix.
 
-The second route is what makes covering-bound tables to n = 5000 cheap.
+The second route makes covering-bound tables to n = 5000 cheap, on the
+standard library alone; only :func:`factor_language` loads numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
+from itertools import accumulate
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .config import check_size
 from .errors import (DomainError, InsufficientDataError, MalformedInputError,
                      NotAnEigenletterError, PreconditionError)
 from .graphmaps import GraphSelfMap, OrientationResult, analyze_matrix
-from .kernels import expand_capped, expand_codes, image_tables, substring_counts
+from .kernels import (Word, expand_capped, expand_codes, image_tables,
+                      substring_counts)
 from .words import Stratified
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "Substitution",
@@ -98,7 +98,7 @@ class Substitution:
             self._tables = image_tables(self.images)
         return self._tables
 
-    def apply(self, codes) -> np.ndarray:
+    def apply(self, codes) -> Word:
         """One substitution round on a word of letter codes."""
         return expand_capped(codes, self.tables(), "substituted word")
 
@@ -194,7 +194,7 @@ def _checked_windows(windows, target_len) -> list:
 
 
 def eigenray_prefix(sub: Substitution, seed, target_len: int,
-                    windows=None) -> np.ndarray:
+                    windows=None) -> Word:
     """The windows of the prefix of length target_len of the eigenray of
     ``seed``, concatenated; the default single window (0, target_len) is the
     whole prefix.
@@ -210,8 +210,6 @@ def eigenray_prefix(sub: Substitution, seed, target_len: int,
     the runs are the windows.  A target beyond the cap is refused before
     anything is expanded.
     """
-    import numpy as np
-
     if isinstance(seed, str):
         seed = sub.index(seed)
     if target_len < 1:
@@ -226,26 +224,32 @@ def eigenray_prefix(sub: Substitution, seed, target_len: int,
     while (len(sizes) - 1) % k or lengths[seed] < target_len:
         lengths = [sum(lengths[x] for x in img) for img in sub.images]
         sizes.append(lengths)
-    sizes = [np.asarray(level, dtype=np.int64) for level in sizes]
-    starts, stops = np.asarray(windows, dtype=np.int64).T
-    # the runs, one per window, laid end to end in ``word``; run i covers
-    # the letters [first[i], first[i] + extent[i]) of the prefix
-    word = np.full(len(windows), seed, dtype=np.int32)
-    first = np.zeros(len(windows), dtype=np.int64)
-    extent = np.full(len(windows), sizes[-1][seed])
+    # one run per window, end to end in ``word``: run i is the slice
+    # cuts[i]:cuts[i + 1], and its blocks cover the prefix letters spans[i]
+    word = Word([seed] * len(windows))
+    cuts = list(range(len(windows) + 1))
+    spans = [(0, sizes[-1][seed])] * len(windows)
     for j in reversed(range(len(sizes))):
-        # a position in the prefix is its position in ``word``'s blocks
-        # plus the shift of its run
-        shift = first - (np.cumsum(extent) - extent)
-        block = sizes[j][word]
-        ends = np.cumsum(block)
-        lo = np.searchsorted(ends, starts - shift, side="right")
-        hi = np.searchsorted(ends, stops - shift) + 1
-        first = ends[lo] - block[lo] + shift
-        extent = ends[hi - 1] + shift - first
-        word = np.concatenate([word[a:b] for a, b in zip(lo.tolist(), hi.tolist())])
+        block = sizes[j]
+        runs = []
+        for i, (start, stop) in enumerate(windows):
+            (first, last), a, b = spans[i], cuts[i], cuts[i + 1]
+            # drop the letters whose blocks miss the window, from each end
+            while first + block[word[a]] <= start:
+                first += block[word[a]]
+                a += 1
+            while last - block[word[b - 1]] >= stop:
+                last -= block[word[b - 1]]
+                b -= 1
+            runs.append(word[a:b])
+            spans[i] = first, last
+        word = Word(b"".join(run.tobytes() for run in runs))
         if not j:
             return word
+        # the runs' letters after expanding (at the last, one per span letter)
+        cuts = [0, *accumulate(last - first if j == 1 else
+                               sum(map(sizes[1].__getitem__, run))
+                               for run, (first, last) in zip(runs, spans))]
         word = expand_codes(word, offsets, data)
 
 
@@ -282,10 +286,10 @@ def factor_language(sub: Substitution, n_max: int) -> Stratified:
     which the size cap refuses, so ``n_max`` over the cap is refused before
     any stratum is allocated.  The cap bounds the iterates, not the strata.
 
-    A factor is harvested as the bytes of its int32 codes, a slice of its
-    word's buffer, and each stratum is read back as one block of rows.  This
-    route shares no code with :func:`complexity_counts`, which is tested
-    against it.
+    A factor is harvested as the bytes of its codes, a slice of its
+    :class:`~lamtool.kernels.Word`'s buffer, and each stratum is read back
+    as one block of rows.  This route shares no code with
+    :func:`complexity_counts`, which is tested against it.
     """
     import numpy as np
 
@@ -294,7 +298,7 @@ def factor_language(sub: Substitution, n_max: int) -> Stratified:
     if not sub.is_primitive():
         raise DomainError("factor enumeration requires a primitive substitution")
     check_size(n_max, "factor strata")
-    width = np.dtype(np.int32).itemsize
+    width = Word().itemsize
     top = n_max * width
     strata = [set() for _ in range(n_max + 1)]
 
@@ -313,11 +317,11 @@ def factor_language(sub: Substitution, n_max: int) -> Stratified:
             strata[n].update([w[:span] for w in new if len(w) >= span])
         return True
 
-    words = [np.asarray([c], dtype=np.int32) for c in range(sub.sigma)]
+    words = [Word([c]) for c in range(sub.sigma)]
     while any([harvest(w) for w in words]):  # a list, so every word is harvested
         words = [sub.apply(w) for w in words]
 
-    rows = [np.frombuffer(b"".join(stratum), dtype=np.int32).reshape(len(stratum), n)
+    rows = [np.frombuffer(b"".join(stratum), dtype=np.intc).reshape(len(stratum), n)
             for n, stratum in enumerate(strata)]
     return Stratified(rows)
 
@@ -448,7 +452,7 @@ def counting_certificate(sub: Substitution, n_max: int) -> CountingCertificate:
     return best
 
 
-def complexity_counts(sub: Substitution, n_max: int) -> np.ndarray:
+def complexity_counts(sub: Substitution, n_max: int) -> list[int]:
     """Exact p(n) for n = 1..n_max without materializing the language.
 
     Expands the slices of the eigenray prefix that
@@ -458,19 +462,18 @@ def complexity_counts(sub: Substitution, n_max: int) -> np.ndarray:
     bounds that prefix, and so the automaton's input, which is never longer:
     merged slices lie at least one letter apart, and each -1 stands in for
     such a gap.  A prefix beyond the cap is refused before anything is
-    expanded.  Index 0 of the returned array is 0.
+    expanded.  Index 0 of the returned list is 0.
     """
-    import numpy as np
-
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     if not sub.is_primitive():
         raise DomainError("complexity counting requires a primitive substitution")
     cert = counting_certificate(sub, n_max)
     slices = eigenray_prefix(cert.sub, cert.seed, cert.letters, cert.slices)
-    cuts = np.cumsum([stop - start for start, stop in cert.slices[:-1]],
-                     dtype=np.int64)
-    return substring_counts(np.insert(slices, cuts, -1), sub.sigma, n_max)
+    cuts = [0, *accumulate(stop - start for start, stop in cert.slices)]
+    joined = Word([-1]).tobytes().join(
+        slices[a:b].tobytes() for a, b in zip(cuts, cuts[1:]))
+    return substring_counts(Word(joined), sub.sigma, n_max)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,9 @@ topological (unoriented) edge of a code is ``code >> 1``.
 
 Path literals use whitespace-separated tokens, an edge name optionally
 suffixed with ``'`` for its inverse, e.g. ``a b' a``.
+
+The row blocks of :class:`Stratified` are numpy arrays, which only the
+enumerating route builds; the counting route never loads numpy.
 """
 
 from __future__ import annotations

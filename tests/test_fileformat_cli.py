@@ -564,24 +564,44 @@ print(json.dumps(results))
 """
 
 
-class TestImportBudget:
-    """Commands that build no word array start without numpy."""
+def _import_probe(argvs):
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(argvs)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
-    def test_numpy_loads_only_for_word_arrays(self):
+
+class TestImportBudget:
+    """numpy loads only on the enumerating route (collapse, non-uniform
+    metric counts, listed languages) and for a reducible matrix; the
+    counting route and every command on a full shift start without it."""
+
+    def test_numpy_loads_only_for_word_arrays(self, tmp_path):
         light = [["--version"]]
         for path in (FIB, PERM, NONOR, THETA):
             light += [["analyze", str(path)], ["analyze", str(path), "--json"]]
         light.append(["dimension", str(FULL), "--a", "3", "--delta", "0.5",
                       "--max-n", "14"])
-        heavy = [["complexity", str(FIBSUB), "--max-n", "25"]]
-        proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE,
-                               json.dumps(light + heavy)],
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        results = json.loads(proc.stdout)
+        for path in (FIBSUB, FIB, THETA):
+            light += [["complexity", str(path), "--max-n", "25"],
+                      ["dimension", str(path), "--a", "2", "--delta", "0.5",
+                       "--max-n", "40"]]
+        for path in (FIBSUB, FIB):
+            light.append(["compare", str(path), str(FULL), "--max-n", "40",
+                          "--max-c", "6"])
+        results = _import_probe(light)
         assert [code for _, code, _ in results] == [0] * len(results)
-        assert not any(loaded for _, _, loaded in results[:-1]), results
-        assert results[-1][2], "complexity builds word arrays, so it loads numpy"
+        assert not any(loaded for _, _, loaded in results), results
+
+        metric = tmp_path / "theta_metric.lam"
+        metric.write_text(THETA_METRIC)
+        # each in a fresh interpreter: once loaded, numpy stays loaded
+        for argv in (["collapse", str(THETA), "--max-n", "6"],
+                     ["compare", str(THETA), str(FULL), "--max-n", "6",
+                      "--max-c", "6"],
+                     ["complexity", str(metric), "--max-n", "12"]):
+            (_, _, before), (_, code, loaded) = _import_probe([argv])
+            assert code == 0 and not before and loaded, argv
 
 
 class TestDeterminism:

@@ -2,10 +2,13 @@
 plain-list expand and brute-force substring sets."""
 
 import random
+from array import array
 
 import numpy as np
+import pytest
 
 from lamtool import kernels
+from lamtool.errors import DomainError
 from lamtool.kernels import expand_codes, substring_counts
 from lamtool.words import tighten_raw
 
@@ -105,7 +108,7 @@ class TestExpand:
             word = np.array([rng.randrange(sigma)
                              for _ in range(rng.randint(0, 50))], dtype=np.int32)
             out = expand_codes(word, offsets, data)
-            assert out.dtype == np.int32
+            assert out.typecode == "i"
             assert out.tolist() == list_expand(word.tolist(), offsets.tolist(),
                                                data.tolist())
 
@@ -165,3 +168,14 @@ class TestSubstringCounts:
     def test_depth_beyond_the_word(self):
         word = np.array([0, 1, 0, 0, 1], dtype=np.int32)
         assert list(substring_counts(word, 2, 7)) == [0, 2, 3, 3, 2, 1, 0, 0]
+
+    def test_list_array_and_numpy_inputs_agree(self):
+        codes = [-1, -1, 0, 1, 1, 0, 2, -1, -1, 2, 1, 0, 1, -1, -1]
+        want = brute_force_union_counts([[0, 1, 1, 0, 2], [2, 1, 0, 1]], 7)
+        for given in (codes, array("i", codes), np.array(codes, dtype=np.int32)):
+            assert substring_counts(given, 3, 7) == want
+
+    @pytest.mark.parametrize("n_max", [0, -3])
+    def test_depth_below_one_is_a_domain_error(self, n_max):
+        with pytest.raises(DomainError, match="n_max must be >= 1"):
+            substring_counts([0, 1], 2, n_max)

@@ -487,7 +487,7 @@ class TestCertifiedCounting:
         separator = np.asarray([-1], dtype=np.int32)
         pieces = [piece for start, stop in cert.slices
                   for piece in (separator, ray[start:stop])]
-        assert read[0].dtype == np.int32
+        assert read[0].typecode == "i"
         assert read[0].tobytes() == np.concatenate(pieces[1:]).tobytes()
 
     def test_fibonacci_slices(self, fib):
