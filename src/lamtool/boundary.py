@@ -9,8 +9,7 @@ function) and their diameter bound, which is what
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import DomainError, InsufficientDataError
 
@@ -24,8 +23,7 @@ __all__ = [
 EPSILON = 1e-6
 
 
-@dataclass(frozen=True)
-class CoverBoundReport:
+class CoverBoundReport(NamedTuple):
     rows: tuple[tuple[int, int, float], ...]  # (n, beta(n), bound)
     vanishing: bool
     first_below: Optional[int]

@@ -28,9 +28,8 @@ The default, ``closure=subwords``, closes the listed paths under subwords
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import MalformedInputError, ParseError
 from .graphs import MarkedMetricGraph
@@ -42,16 +41,14 @@ from .words import NAME_RE, inverse_codes, iter_factors_raw, sorted_blocks
 _KEYWORDS = {"graph", "vertex", "edge", "map", "vmap", "sub", "lamlang"}
 
 
-@dataclass
-class LanguageSpec:
+class LanguageSpec(NamedTuple):
     name: str
     symmetric: bool
     closure: str  # "subwords" | "fullshift"
-    paths: list[str] = field(default_factory=list)
+    paths: list[str]
 
 
-@dataclass
-class AnalysisInput:
+class AnalysisInput(NamedTuple):
     graph: Optional[MarkedMetricGraph] = None
     graph_map: Optional[GraphSelfMap] = None
     substitution: Optional[Substitution] = None
@@ -193,21 +190,19 @@ def parse(text: str) -> AnalysisInput:
                     raise ParseError(f"unknown lamlang option {opt!r}", lineno)
             if symmetric is None:
                 raise ParseError("lamlang header needs symmetric=0|1", lineno)
-            language = LanguageSpec(tokens[1], symmetric, closure)
+            language = LanguageSpec(tokens[1], symmetric, closure, [])
             in_lamlang = True
 
-    result = AnalysisInput()
-    result.sha256 = hashlib.sha256(text.encode()).hexdigest()
-
+    graph = graph_map = substitution = None
     try:
         if saw_graph or edges or vertices:
-            result.graph = MarkedMetricGraph(vertices, edges)
+            graph = MarkedMetricGraph(vertices, edges)
         if saw_map or emap or vmap:
-            if result.graph is None:
+            if graph is None:
                 raise ParseError("map section requires a graph section")
-            result.graph_map = _build_map(result.graph, vmap, emap)
+            graph_map = _build_map(graph, vmap, emap)
         if sub_rules:
-            result.substitution = Substitution.from_tokens(sub_rules)
+            substitution = Substitution.from_tokens(sub_rules)
     except MalformedInputError as exc:
         raise ParseError(str(exc))
 
@@ -217,13 +212,13 @@ def parse(text: str) -> AnalysisInput:
                 raise ParseError("closure=fullshift takes no path lines")
         elif not language.paths:
             raise ParseError("lamlang section lists no paths")
-        if result.graph is None:
+        if graph is None:
             raise ParseError("lamlang section requires a graph section")
-        result.language = language
 
-    if result.graph is None and result.substitution is None:
+    if graph is None and substitution is None:
         raise ParseError("file defines no graph and no substitution")
-    return result
+    return AnalysisInput(graph, graph_map, substitution, language,
+                         hashlib.sha256(text.encode()).hexdigest())
 
 
 def _build_map(graph, vmap, emap) -> GraphSelfMap:

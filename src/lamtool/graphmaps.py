@@ -15,10 +15,9 @@ image, so the test agrees with brute-force iteration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from numbers import Real
 from operator import index
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import DomainError, MalformedInputError
 from .graphs import MarkedMetricGraph
@@ -100,8 +99,7 @@ class GraphSelfMap:
 # train track test
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TrainTrackResult:
+class TrainTrackResult(NamedTuple):
     is_train_track: bool
     offending_turn: Optional[tuple[int, int]] = None
     offending_iterate: Optional[int] = None
@@ -156,8 +154,7 @@ def is_train_track(gsm: GraphSelfMap) -> TrainTrackResult:
 # transition matrix analysis
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TransitionMatrix:
+class TransitionMatrix(NamedTuple):
     # m rows of m ints, entry (i, j) = occurrences of edge i^{+-1} in f(e_j)
     matrix: tuple[tuple[int, ...], ...]
     edge_names: tuple[str, ...]
@@ -172,8 +169,7 @@ def transition_matrix(gsm: GraphSelfMap) -> TransitionMatrix:
     return TransitionMatrix(tuple(map(tuple, mat)), gsm.graph.alphabet.names)
 
 
-@dataclass(frozen=True)
-class MatrixAnalysis:
+class MatrixAnalysis(NamedTuple):
     irreducible: bool
     primitive: bool
     primitivity_exponent: Optional[int]
@@ -331,8 +327,7 @@ def analyze_matrix(matrix) -> MatrixAnalysis:
 # orientability
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OrientationResult:
+class OrientationResult(NamedTuple):
     orientable: bool
     positive_letters: Optional[frozenset] = None  # one letter code per edge
     witness: Optional[tuple[int, int, int]] = None  # (letter, source letter, k)
@@ -431,8 +426,7 @@ def orientability(gsm: GraphSelfMap, analysis: Optional[MatrixAnalysis] = None,
 # conjugacy growth
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConjugacyGrowth:
+class ConjugacyGrowth(NamedTuple):
     lengths: tuple[tuple[int, int], ...]  # (n, cyclically reduced length)
     rate_estimate: float
 

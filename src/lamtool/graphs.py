@@ -13,10 +13,9 @@ paths for the spanning tree that ``maximal_subtree`` collapses onto a rose.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import floor, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, MalformedInputError, PreconditionError
 from .words import EdgeAlphabet, inverse_codes, tighten_raw
@@ -176,8 +175,7 @@ def _root_paths(graph: MarkedMetricGraph) -> dict[int, tuple[int, ...]]:
     return paths
 
 
-@dataclass(frozen=True)
-class CollapseData:
+class CollapseData(NamedTuple):
     """A maximal subtree Y of ``base`` and the rose obtained by collapsing it.
 
     ``diameter`` is the combinatorial diameter of Y.  ``lift_stretch`` bounds
@@ -194,7 +192,7 @@ class CollapseData:
     rose: MarkedMetricGraph
     diameter: int
     multiplicity_bound: int
-    base_to_rose: dict[int, int] = field(repr=False)
+    base_to_rose: dict[int, int]
 
     @property
     def lift_stretch(self) -> int:

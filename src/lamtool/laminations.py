@@ -13,11 +13,10 @@ with the computed constants.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import log2
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .config import check_size
 from .errors import (DomainError, LamtoolError, PreconditionError,
@@ -156,8 +155,7 @@ def beta_metric(lang: LaminaryLanguage, n) -> int:
 # collapse transport
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TransportRow:
+class TransportRow(NamedTuple):
     n: int
     p_base: int
     p_rose: int
@@ -165,8 +163,7 @@ class TransportRow:
     fiber_ok: bool   # p_base(n) <= C0 * p_rose(n)
 
 
-@dataclass(frozen=True)
-class TransportReport:
+class TransportReport(NamedTuple):
     diameter: int
     lift_stretch: int
     multiplicity_bound: int

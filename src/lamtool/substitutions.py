@@ -20,14 +20,14 @@ standard library alone; only :func:`factor_language` loads numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .config import check_size
 from .errors import (DomainError, InsufficientDataError, MalformedInputError,
                      NotAnEigenletterError, PreconditionError)
-from .graphmaps import GraphSelfMap, OrientationResult, analyze_matrix
+from .graphmaps import (GraphSelfMap, OrientationResult, _primitivity_exponent,
+                        _support)
 from .kernels import (Word, expand_capped, expand_codes, image_tables,
                       substring_counts)
 from .words import Stratified
@@ -51,7 +51,7 @@ __all__ = [
 class Substitution:
     """A letter-to-nonempty-word map over a plain finite alphabet."""
 
-    __slots__ = ("letters", "images", "_index", "_tables", "_analysis")
+    __slots__ = ("letters", "images", "_index", "_tables", "_primitive")
 
     def __init__(self, letters: Sequence[str], images: Sequence[Sequence[int]]):
         self.letters = tuple(letters)
@@ -67,7 +67,7 @@ class Substitution:
                 raise MalformedInputError(f"image of {letter!r} uses unknown letters")
         self._index = {s: i for i, s in enumerate(self.letters)}
         self._tables = None
-        self._analysis = None
+        self._primitive = None
 
     @classmethod
     def from_tokens(cls, rules: Mapping[str, Sequence[str]]) -> "Substitution":
@@ -107,13 +107,13 @@ class Substitution:
         return tuple(tuple(img.count(i) for img in self.images)
                      for i in range(self.sigma))
 
-    def analysis(self):
-        if self._analysis is None:
-            self._analysis = analyze_matrix(self.occurrence_matrix())
-        return self._analysis
-
     def is_primitive(self) -> bool:
-        return self.analysis().primitive
+        """Some power of the occurrence matrix is positive: read from its
+        support alone, with no spectrum (which may need numpy)."""
+        if self._primitive is None:
+            self._primitive = _primitivity_exponent(
+                _support(self.occurrence_matrix())) is not None
+        return self._primitive
 
     def __repr__(self):
         rules = ", ".join(f"{letter} -> {''.join(self.letters[c] for c in img)}"
@@ -487,8 +487,7 @@ def linear_fit_constant(p_values) -> float:
     return max(p / n for n, p in enumerate(p_values, start=1))
 
 
-@dataclass(frozen=True)
-class EquivalenceWitness:
+class EquivalenceWitness(NamedTuple):
     constant: Optional[int]
     tested_to: int
     frontier: tuple[tuple[int, int, str], ...]  # (C, violated n, side)

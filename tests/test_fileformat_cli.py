@@ -573,8 +573,24 @@ def _import_probe(argvs):
 
 class TestImportBudget:
     """numpy loads only on the enumerating route (collapse, non-uniform
-    metric counts, listed languages) and for a reducible matrix; the
-    counting route and every command on a full shift start without it."""
+    metric counts, listed languages) and for a reducible transition matrix;
+    the counting route, every command on a full shift and the refusal of a
+    reducible substitution start without it.  No start-up loads the
+    introspection modules that ``dataclasses`` pulls in."""
+
+    def test_start_up_loads_no_introspection_modules(self):
+        # modules the environment's ``site`` loads are in ``before``
+        probe = ("import json, sys\n"
+                 "before = set(sys.modules)\n"
+                 "import lamtool.cli\n"
+                 "print(json.dumps(sorted(set(sys.modules) - before)))\n")
+        proc = subprocess.run([sys.executable, "-c", probe],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        added = set(json.loads(proc.stdout))
+        assert "lamtool.cli" in added
+        assert not added & {"dataclasses", "inspect", "dis", "ast", "tokenize",
+                            "linecache"}, sorted(added)
 
     def test_numpy_loads_only_for_word_arrays(self, tmp_path):
         light = [["--version"]]
@@ -602,6 +618,13 @@ class TestImportBudget:
                      ["complexity", str(metric), "--max-n", "12"]):
             (_, _, before), (_, code, loaded) = _import_probe([argv])
             assert code == 0 and not before and loaded, argv
+
+        # primitivity is decided from the matrix's support, with no spectrum
+        reducible = tmp_path / "reducible_sub.lam"
+        reducible.write_text("sub a = a b\nsub b = b\n")
+        (_, _, before), (_, code, loaded) = _import_probe(
+            [["complexity", str(reducible), "--max-n", "10"]])
+        assert code == 2 and not before and not loaded
 
 
 class TestDeterminism:

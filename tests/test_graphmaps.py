@@ -1,5 +1,6 @@
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,10 +8,13 @@ import pytest
 from lamtool import (GraphSelfMap, analyze_matrix, conjugacy_growth,
                      is_train_track, orientability, transition_matrix)
 from lamtool.errors import DomainError, MalformedInputError, SizeCapExceeded
+from lamtool.fileformat import parse
 
 from conftest import (brute_force_orientation, brute_force_train_track,
                       compose, naive_cyclic_tighten, naive_iterate_image,
                       naive_tighten, random_reduced_word, random_rose_map)
+
+SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -102,6 +106,14 @@ class TestTrainTrack:
         result = is_train_track(gsm)
         assert not result.is_train_track
         assert result.offending_iterate == 0
+
+    @pytest.mark.parametrize("name, verdict", [("nonorientable_map", False),
+                                               ("fibonacci_map", True)])
+    def test_result_is_true_exactly_for_a_train_track(self, name, verdict):
+        # the result's truth value is its verdict; without ``__bool__`` a
+        # tuple record would be true whatever it holds
+        gsm = parse((SAMPLES / f"{name}.lam").read_text()).graph_map
+        assert bool(is_train_track(gsm)) is verdict
 
     def test_agrees_with_brute_force_on_random_corpus(self):
         rng = random.Random(424242)

@@ -1,6 +1,7 @@
 """Source hygiene of ``src/lamtool``, read with the stdlib ``ast``.
 
-Every ``__all__`` entry resolves, no import goes unused, and every
+Every ``__all__`` entry resolves, no import goes unused, no module
+imports ``dataclasses`` (records are ``typing.NamedTuple``s), and every
 module-level function and class, and every method and property of a class,
 is named somewhere that a command, an acceptance test or the benchmark
 reaches: elsewhere in ``src/lamtool``, in ``tests/test_acceptance.py`` or
@@ -120,6 +121,19 @@ def test_no_unused_imports(path):
                 if name not in used:
                     unused.append(f"{name} (line {node.lineno})")
     assert not unused, f"{path.name} imports without using: {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dataclasses(path):
+    """One record idiom: ``typing.NamedTuple``.  ``dataclasses`` would also
+    load ``inspect``, ``dis``, ``ast`` and ``tokenize`` into every start."""
+    imported = set()
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module.split(".")[0])
+    assert "dataclasses" not in imported, f"{path.name} imports dataclasses"
 
 
 def _unreached_methods(statements, outside):
