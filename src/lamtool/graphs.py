@@ -245,7 +245,7 @@ def project_path(cd: CollapseData, codes) -> tuple[int, ...]:
 
     The input is trusted to be a reduced edge path, and the result is not
     checked: :func:`~lamtool.laminations.project_language`, the caller,
-    tests every stratum it projects in one block test.
+    checks every stratum it projects.
     """
     to_rose = cd.base_to_rose  # exactly the letters outside the subtree
     return tuple([to_rose[c] for c in codes if c in to_rose])

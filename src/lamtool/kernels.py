@@ -5,8 +5,8 @@ alphabets the letter with topological index i and its inverse occupy codes
 ``2i`` and ``2i + 1``, so inversion is ``code ^ 1``; plain substitution
 alphabets just use ``0 .. sigma-1``.  Cancellation is ``words.tighten_raw``.
 
-No numpy here: the counting route runs on these words and lists alone;
-only the enumerating route and a reducible matrix load numpy.
+The counting route runs on these words and lists alone, as the enumerating
+route does on ``str``: only a reducible matrix's spectrum loads an array library.
 
 :func:`expand_capped` asks ``config.check_size`` before it expands.  There
 is one backend; ``BACKEND`` names it for run records.

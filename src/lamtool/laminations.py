@@ -58,12 +58,21 @@ class LaminaryLanguage(Stratified):
         """The members' metric lengths, sorted, as integers in units of
         ``1 / graph.length_unit`` (the lcm of the edge length denominators),
         so that sums and comparisons are exact without a Fraction per member.
-        Each block's rows are weighed as lists of Python ints, so the tuple
-        strata are never decoded and no sum can overflow."""
+        A row of n letters weighs n lightest weights plus each heavier
+        weight class's excess times its count in the row, read off the
+        stratum translated to classes: no letter is weighed one by one."""
         if self._metric_lengths is None:
-            weight = self.graph.weight
-            self._metric_lengths = sorted(weight(row) for block in self.rows[1:]
-                                          for row in block.tolist())
+            weights = [self.graph.weight((c,)) for c in self.graph.alphabet.letters()]
+            classes = sorted(set(weights))
+            table = "".join(chr(classes.index(w)) for w in weights)
+            excess = [(chr(i), w - classes[0]) for i, w in enumerate(classes)][1:]
+            lengths = []
+            for n, stratum in enumerate(self.rows[1:], start=1):
+                flat = "".join(stratum).translate(table)
+                low = n * classes[0]  # n letters of the lightest weight
+                lengths += [low + sum([flat.count(k, i, i + n) * x for k, x in excess])
+                            for i in range(0, len(flat), n)]
+            self._metric_lengths = sorted(lengths)
         return self._metric_lengths
 
     def __repr__(self):
@@ -96,24 +105,23 @@ def _oriented_substitution(gsm: GraphSelfMap):
 def _language_from_substitution(gsm: GraphSelfMap, orn, sub: Substitution,
                                 n_max: int) -> LaminaryLanguage:
     """Relabel the factor language onto edge codes and close it under
-    inversion, block by block.  An orientable map's substitution runs over
-    the letters of the preferred side only, so each block's inverse rows,
-    over the other side's letters, are disjoint from it: the block gains
-    them.
+    inversion, stratum by stratum.  An orientable map's substitution runs
+    over the letters of the preferred side only, so each stratum's inverse
+    rows, over the other side's letters, are disjoint from it: the stratum
+    gains them.
     A non-orientable map's substitution runs over every letter and maps
     inverse letters to inverse images, so it commutes with inversion and
-    each block already holds its inverse rows."""
-    import numpy as np
-
+    each stratum already holds its inverse rows."""
     alphabet = gsm.graph.alphabet
-    code_of = np.asarray([alphabet.index(tok) for tok in sub.letters], dtype=np.int32)
+    code_table = "".join(chr(alphabet.index(tok)) for tok in sub.letters)
+    xor1_table = "".join(chr(c ^ 1) for c in alphabet.letters())
     flang = factor_language(sub, n_max)
-    rows = [flang.rows[0]]
-    for block in flang.rows[1:]:
-        forward = code_of[block]
+    rows = [[]]
+    for n, stratum in enumerate(flang.rows[1:], start=1):
+        flat = "".join(stratum).translate(code_table)
         if orn.orientable:
-            forward = np.concatenate([forward, forward[:, ::-1] ^ 1])
-        rows.append(forward)
+            flat += flat[::-1].translate(xor1_table)  # the rows inverted
+        rows.append([flat[i:i + n] for i in range(0, len(flat), n)])
     return LaminaryLanguage(gsm.graph, rows, symmetric=True,
                             origin="attracting-lamination")
 
@@ -181,39 +189,43 @@ def project_language(lang: LaminaryLanguage, cd: CollapseData) -> LaminaryLangua
     """Image of the language on the collapse rose: the images of length
     1..depth, depth = ``complete_to // lift_stretch``, certified subword-closed.
 
-    Each stratum is checked to hold reduced edge paths in one block test,
-    the only check of the members: :func:`~lamtool.graphs.project_path`
-    trusts it.  Then only members that start and end outside the tree, with
-    at most ``depth`` letters outside it, are projected.  This is exact: an
-    image has one letter per member letter outside the tree, and a member's
-    image is that of the member trimmed of its leading and trailing tree
-    letters, which is a member too: lamlang and attracting languages are
-    subword-closed.  And each call gives a new rose word: between two
-    letters outside the tree a reduced path follows the unique tree
-    geodesic, so such a member is determined by its image.
+    Each stratum is checked to hold reduced edge paths, the only check of
+    the members: :func:`~lamtool.graphs.project_path` trusts it.  ``str``
+    methods check the rows joined: each character is a letter, each letter
+    but a row's last ends where the next starts, and no letter is followed
+    by its inverse (rows joined by ``chr(size)``, no letter).  Then only
+    members that start and end outside the tree, with at most ``depth``
+    letters outside it, are projected.  This is exact: an image has one
+    letter per member letter outside the tree, and a member's image is that
+    of the member trimmed of its leading and trailing tree letters, which is
+    a member too: lamlang and attracting languages are subword-closed.  And
+    each call gives a new rose word: between two letters outside the tree a
+    reduced path follows the unique tree geodesic, so such a member is
+    determined by its image.
     """
-    import numpy as np
-
     base = cd.base
-    size = base.alphabet.size
+    letters = base.alphabet.letters()
     depth = lang.complete_to // cd.lift_stretch
-    kind = np.zeros((size, size), dtype=np.int8)  # 0: no step, 1: backtrack, 2: reduced
-    for step in base._steps:
-        kind[step] = 2 if step in base._reduced_steps else 1
-    outside = np.zeros(size, dtype=bool)
-    outside[list(cd.base_to_rose)] = True
+    terminus = "".join(chr(base.terminus(c)) for c in letters)
+    origin = "".join(chr(base.origin(c)) for c in letters)
+    drop_letters = dict.fromkeys(letters)
+    drop_tree = dict.fromkeys(c for c in letters if c not in cd.base_to_rose)
+    backtracks = [chr(c) + chr(c ^ 1) for c in letters]
+    outside = {chr(c) for c in cd.base_to_rose}
     images = set()
-    for block in lang.rows[1:]:
-        in_alphabet = block.min(initial=0) >= 0 and block.max(initial=0) < size
-        worst = kind[block[:, :-1], block[:, 1:]].min(initial=2) if in_alphabet else 0
-        if worst == 0:
+    for n, stratum in enumerate(lang.rows[1:], start=1):
+        flat = "".join(stratum)
+        termini, origins = flat.translate(terminus), flat.translate(origin)
+        if flat.translate(drop_letters) or any(
+                termini[k::n] != origins[k + 1::n] for k in range(n - 1)):
             raise PreconditionError(
                 "project_path expects an edge path in the base graph")
-        if worst == 1:
+        joined = chr(base.alphabet.size).join(stratum)
+        if any(pair in joined for pair in backtracks):
             raise PreconditionError("project_path expects a reduced path")
-        letters = outside[block]
-        ends = letters[:, 0] & letters[:, -1] & (letters.sum(axis=1) <= depth)
-        images.update(project_path(cd, row) for row in block[ends].tolist())
+        images.update(project_path(cd, map(ord, row)) for row in stratum
+                      if row[0] in outside and row[-1] in outside
+                      and (n <= depth or len(row.translate(drop_tree)) <= depth))
     if any(len(m) > 1 and (m[1:] not in images or m[:-1] not in images)
            for m in images):
         raise LamtoolError("projected language is not subword closed")

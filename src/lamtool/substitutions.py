@@ -14,8 +14,8 @@ Two enumeration routes are provided and cross-checked in the tests:
   only those slices, so the work and the memory follow the slices, not the
   prefix.
 
-The second route makes covering-bound tables to n = 5000 cheap, on the
-standard library alone; only :func:`factor_language` loads numpy.
+The second route makes covering-bound tables to n = 5000 cheap.  Both run
+on the standard library alone.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from .errors import (DomainError, InsufficientDataError, MalformedInputError,
                      NotAnEigenletterError, PreconditionError)
 from .graphmaps import (GraphSelfMap, OrientationResult, _primitivity_exponent,
                         _support)
-from .kernels import (Word, expand_capped, expand_codes, image_tables,
-                      substring_counts)
+from .kernels import Word, expand_codes, image_tables, substring_counts
 from .words import Stratified
 
 __all__ = [
@@ -51,7 +50,7 @@ __all__ = [
 class Substitution:
     """A letter-to-nonempty-word map over a plain finite alphabet."""
 
-    __slots__ = ("letters", "images", "_index", "_tables", "_primitive")
+    __slots__ = ("letters", "images", "_index", "_tables", "_strings", "_primitive")
 
     def __init__(self, letters: Sequence[str], images: Sequence[Sequence[int]]):
         self.letters = tuple(letters)
@@ -67,6 +66,8 @@ class Substitution:
                 raise MalformedInputError(f"image of {letter!r} uses unknown letters")
         self._index = {s: i for i, s in enumerate(self.letters)}
         self._tables = None
+        self._strings = {chr(c): "".join(map(chr, img))
+                         for c, img in enumerate(self.images)}
         self._primitive = None
 
     @classmethod
@@ -98,9 +99,12 @@ class Substitution:
             self._tables = image_tables(self.images)
         return self._tables
 
-    def apply(self, codes) -> Word:
-        """One substitution round on a word of letter codes."""
-        return expand_capped(codes, self.tables(), "substituted word")
+    def apply(self, word: str) -> str:
+        """One substitution round on a ``str`` of letter codes (``chr(code)``),
+        refused before it is joined when the result is over the size cap."""
+        pieces = list(map(self._strings.__getitem__, word))
+        check_size(sum(map(len, pieces)), "substituted word")
+        return "".join(pieces)
 
     def occurrence_matrix(self) -> tuple[tuple[int, ...], ...]:
         """Entry (i, j) counts letter i in the image of letter j."""
@@ -109,7 +113,7 @@ class Substitution:
 
     def is_primitive(self) -> bool:
         """Some power of the occurrence matrix is positive: read from its
-        support alone, with no spectrum (which may need numpy)."""
+        support alone, with no spectrum and so no array library."""
         if self._primitive is None:
             self._primitive = _primitivity_exponent(
                 _support(self.occurrence_matrix())) is not None
@@ -286,44 +290,34 @@ def factor_language(sub: Substitution, n_max: int) -> Stratified:
     which the size cap refuses, so ``n_max`` over the cap is refused before
     any stratum is allocated.  The cap bounds the iterates, not the strata.
 
-    A factor is harvested as the bytes of its codes, a slice of its
-    :class:`~lamtool.kernels.Word`'s buffer, and each stratum is read back
-    as one block of rows.  This route shares no code with
-    :func:`complexity_counts`, which is tested against it.
+    Words are ``str`` of letter codes, so a factor is harvested as a slice of
+    its iterate; a stratum is the list of its distinct factors.  This route
+    shares no code with :func:`complexity_counts`, which is tested against it.
     """
-    import numpy as np
-
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     if not sub.is_primitive():
         raise DomainError("factor enumeration requires a primitive substitution")
     check_size(n_max, "factor strata")
-    width = Word().itemsize
-    top = n_max * width
     strata = [set() for _ in range(n_max + 1)]
 
     def harvest(word) -> bool:
-        data = word.tobytes()
-        size = len(data)
-        new = {data[i:i + top] for i in range(0, size - top + 1, width)}
+        size = len(word)
+        new = {word[i:i + n_max] for i in range(size - n_max + 1)}
         new -= strata[n_max]
-        for i in range(max(0, size - top + width), size, width):
-            if data[i:] not in strata[(size - i) // width]:
-                new.add(data[i:])
+        for i in range(max(0, size - n_max + 1), size):
+            if word[i:] not in strata[size - i]:
+                new.add(word[i:])
         if not new:
             return False
         for n in range(1, n_max + 1):
-            span = n * width
-            strata[n].update([w[:span] for w in new if len(w) >= span])
+            strata[n].update([w[:n] for w in new if len(w) >= n])
         return True
 
-    words = [Word([c]) for c in range(sub.sigma)]
+    words = [chr(c) for c in range(sub.sigma)]
     while any([harvest(w) for w in words]):  # a list, so every word is harvested
         words = [sub.apply(w) for w in words]
-
-    rows = [np.frombuffer(b"".join(stratum), dtype=np.intc).reshape(len(stratum), n)
-            for n, stratum in enumerate(strata)]
-    return Stratified(rows)
+    return Stratified(map(list, strata))
 
 
 # ---------------------------------------------------------------------------

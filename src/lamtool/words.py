@@ -8,20 +8,17 @@ topological (unoriented) edge of a code is ``code >> 1``.
 Path literals use whitespace-separated tokens, an edge name optionally
 suffixed with ``'`` for its inverse, e.g. ``a b' a``.
 
-The row blocks of :class:`Stratified` are numpy arrays, which only the
-enumerating route builds; the counting route never loads numpy.
+A member of a :class:`Stratified` language is a ``str`` of its letter codes
+(``chr(code)``), one byte a letter below code 256, so strata are compact.
 """
 
 from __future__ import annotations
 
 import re
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import MalformedInputError, UnderEnumerationError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 NAME_RE = re.compile(r"\A[a-z][a-z0-9]*\Z")
 
@@ -122,11 +119,11 @@ def iter_factors_raw(codes, n_max: int) -> Iterator[tuple[int, ...]]:
 
 
 class Stratified:
-    """A length-stratified language held as int32 row blocks.
+    """A length-stratified language held as rows of code-point strings.
 
-    ``rows[n]`` is the duplicate-free (p(n), n) int32 block of its words of
-    length n and ``rows[0]`` is empty; the language is complete to the last
-    block.  The tuple ``strata`` are decoded from the blocks on first read.
+    ``rows[n]`` lists the p(n) distinct words of length n, each a ``str`` of
+    its letter codes, and ``rows[0]`` is empty; the language is complete to
+    the last stratum.  The tuple ``strata`` are decoded on first read.
     """
 
     def __init__(self, rows):
@@ -134,7 +131,7 @@ class Stratified:
 
     @cached_property
     def strata(self) -> tuple[frozenset, ...]:
-        return tuple(frozenset(map(tuple, block.tolist())) for block in self.rows)
+        return tuple(frozenset(tuple(map(ord, w)) for w in rows) for rows in self.rows)
 
     @property
     def complete_to(self) -> int:
@@ -145,23 +142,20 @@ class Stratified:
             raise UnderEnumerationError(
                 f"p({n}) not enumerated (depth {self.complete_to})",
                 achieved=self.complete_to, required=n)
-        return self.rows[n].shape[0]
+        return len(self.rows[n])
 
     def p_counts(self) -> list[int]:
-        return [block.shape[0] for block in self.rows[1:]]
+        return [len(stratum) for stratum in self.rows[1:]]
 
     def all_members(self):
         for n in range(1, len(self.strata)):
             yield from self.strata[n]
 
 
-def sorted_blocks(words, depth: int) -> list[np.ndarray]:
-    """Distinct words of length at most ``depth`` as the sorted int32 blocks
+def sorted_blocks(words, depth: int) -> list[list[str]]:
+    """Distinct code tuples of length at most ``depth`` as the sorted rows
     ``rows[0..depth]`` of :class:`Stratified`."""
-    import numpy as np
-
     strata = [[] for _ in range(depth + 1)]
-    for word in sorted(words):
+    for word in sorted("".join(map(chr, word)) for word in words):
         strata[len(word)].append(word)
-    return [np.asarray(s, dtype=np.int32).reshape(len(s), n)
-            for n, s in enumerate(strata)]
+    return strata

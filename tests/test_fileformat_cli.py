@@ -572,11 +572,11 @@ def _import_probe(argvs):
 
 
 class TestImportBudget:
-    """numpy loads only on the enumerating route (collapse, non-uniform
-    metric counts, listed languages) and for a reducible transition matrix;
-    the counting route, every command on a full shift and the refusal of a
-    reducible substitution start without it.  No start-up loads the
-    introspection modules that ``dataclasses`` pulls in."""
+    """numpy loads only for the spectrum of a reducible transition matrix:
+    the counting route, the enumerating route (collapse, compare on a map,
+    non-uniform metric counts), every command on a full shift and the
+    refusal of a reducible substitution start without it.  No start-up
+    loads the introspection modules that ``dataclasses`` pulls in."""
 
     def test_start_up_loads_no_introspection_modules(self):
         # modules the environment's ``site`` loads are in ``before``
@@ -592,32 +592,29 @@ class TestImportBudget:
         assert not added & {"dataclasses", "inspect", "dis", "ast", "tokenize",
                             "linecache"}, sorted(added)
 
-    def test_numpy_loads_only_for_word_arrays(self, tmp_path):
-        light = [["--version"]]
+    def test_words_load_no_numpy(self, tmp_path):
+        metric = tmp_path / "theta_metric.lam"
+        metric.write_text(THETA_METRIC)
+        argvs = [["--version"]]
         for path in (FIB, PERM, NONOR, THETA):
-            light += [["analyze", str(path)], ["analyze", str(path), "--json"]]
-        light.append(["dimension", str(FULL), "--a", "3", "--delta", "0.5",
+            argvs += [["analyze", str(path)], ["analyze", str(path), "--json"]]
+        argvs.append(["dimension", str(FULL), "--a", "3", "--delta", "0.5",
                       "--max-n", "14"])
         for path in (FIBSUB, FIB, THETA):
-            light += [["complexity", str(path), "--max-n", "25"],
+            argvs += [["complexity", str(path), "--max-n", "25"],
                       ["dimension", str(path), "--a", "2", "--delta", "0.5",
                        "--max-n", "40"]]
         for path in (FIBSUB, FIB):
-            light.append(["compare", str(path), str(FULL), "--max-n", "40",
+            argvs.append(["compare", str(path), str(FULL), "--max-n", "40",
                           "--max-c", "6"])
-        results = _import_probe(light)
+        # the enumerating route, whose members are code-point strings
+        argvs += [["collapse", str(THETA), "--max-n", "6"],
+                  ["compare", str(THETA), str(FULL), "--max-n", "6",
+                   "--max-c", "6"],
+                  ["complexity", str(metric), "--max-n", "12"]]
+        results = _import_probe(argvs)
         assert [code for _, code, _ in results] == [0] * len(results)
         assert not any(loaded for _, _, loaded in results), results
-
-        metric = tmp_path / "theta_metric.lam"
-        metric.write_text(THETA_METRIC)
-        # each in a fresh interpreter: once loaded, numpy stays loaded
-        for argv in (["collapse", str(THETA), "--max-n", "6"],
-                     ["compare", str(THETA), str(FULL), "--max-n", "6",
-                      "--max-c", "6"],
-                     ["complexity", str(metric), "--max-n", "12"]):
-            (_, _, before), (_, code, loaded) = _import_probe([argv])
-            assert code == 0 and not before and loaded, argv
 
         # primitivity is decided from the matrix's support, with no spectrum
         reducible = tmp_path / "reducible_sub.lam"

@@ -1,16 +1,16 @@
 """Source hygiene of ``src/lamtool``, read with the stdlib ``ast``.
 
-Every ``__all__`` entry resolves, no import goes unused, no module
-imports ``dataclasses`` (records are ``typing.NamedTuple``s), and every
-module-level function and class, and every method and property of a class,
-is named somewhere that a command, an acceptance test or the benchmark
-reaches: elsewhere in ``src/lamtool``, in ``tests/test_acceptance.py`` or
-in ``perfbench/``.  A method or property is named only as an attribute
-(``x.name``), an imported name or a component of a dotted string, never by
-a variable or a plain string of the same name.  A definition that only unit
-tests call belongs in ``tests/conftest.py``, not in ``src/``.  Only the
-check of methods imports ``lamtool``, to exempt the overrides of a
-base-class method.
+Every ``__all__`` entry resolves, no import goes unused, no module imports
+``dataclasses`` (records are ``typing.NamedTuple``s), no module but
+``graphmaps`` imports numpy, and every module-level function and class, and
+every method and property of a class, is named somewhere that a command, an
+acceptance test or the benchmark reaches: elsewhere in ``src/lamtool``, in
+``tests/test_acceptance.py`` or in ``perfbench/``.  A method or property is
+named only as an attribute (``x.name``), an imported name or a component of
+a dotted string, never by a variable or a plain string of the same name.  A
+definition that only unit tests call belongs in ``tests/conftest.py``, not
+in ``src/``.  Only the check of methods imports ``lamtool``, to exempt the
+overrides of a base-class method.
 """
 
 import ast
@@ -123,17 +123,31 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name} imports without using: {unused}"
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_no_dataclasses(path):
-    """One record idiom: ``typing.NamedTuple``.  ``dataclasses`` would also
-    load ``inspect``, ``dis``, ``ast`` and ``tokenize`` into every start."""
+def _imported_packages(path):
+    """The top-level packages a module imports, at any depth of its tree."""
     imported = set()
     for node in ast.walk(_tree(path)):
         if isinstance(node, ast.Import):
             imported.update(alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module:
             imported.add(node.module.split(".")[0])
+    return imported
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dataclasses(path):
+    """One record idiom: ``typing.NamedTuple``.  ``dataclasses`` would also
+    load ``inspect``, ``dis``, ``ast`` and ``tokenize`` into every start."""
+    imported = _imported_packages(path)
     assert "dataclasses" not in imported, f"{path.name} imports dataclasses"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_numpy_only_for_a_reducible_spectrum(path):
+    """Words are code-point ``str`` or ``array('i')``, never numpy arrays:
+    only ``graphmaps`` imports numpy, for a reducible matrix's spectrum."""
+    if path.name != "graphmaps.py":
+        assert "numpy" not in _imported_packages(path), f"{path.name} imports numpy"
 
 
 def _unreached_methods(statements, outside):

@@ -2,7 +2,6 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +21,7 @@ from lamtool.substitutions import Substitution
 from lamtool.words import inverse_codes, sorted_blocks
 
 from conftest import (check_invariants, fiber_counts, is_reduced,
-                      metric_length, naive_iterate_image)
+                      lamlang_tables, metric_length, naive_iterate_image)
 
 
 def relabelled_oracle(gsm, n_max):
@@ -333,7 +332,19 @@ class TestBlockProjection:
                            match="project_path expects a reduced path"):
             project_language(lang, cd)
 
-    @pytest.mark.parametrize("word", [(0, 0), (0, 99)], ids=["e1 e1", "no letter"])
+    def test_every_backtrack_is_refused(self, silver_map):
+        graph = silver_map.graph
+        cd = maximal_subtree(graph)
+        for c in graph.alphabet.letters():
+            lang = LaminaryLanguage(graph, sorted_blocks({(c, c ^ 1)}, 2), True,
+                                    "by hand")
+            with pytest.raises(PreconditionError,
+                               match="project_path expects a reduced path"):
+                project_language(lang, cd)
+
+    # 6, the theta graph's alphabet size, is the separator of the reduced check
+    @pytest.mark.parametrize("word", [(0, 0), (0, 99), (0, 6), (6,)],
+                             ids=["e1 e1", "no letter", "separator", "lone separator"])
     def test_member_that_is_no_edge_path_is_refused(self, silver_map, word):
         cd = maximal_subtree(silver_map.graph)
         lang = LaminaryLanguage(silver_map.graph, sorted_blocks({word}, 2), True,
@@ -370,14 +381,14 @@ class TestRelabelledStrata:
         p_sub = complexity_counts(from_train_track(gsm, orn), 12)
         lang = attracting_language(gsm, 12)
         for n in range(1, 13):
-            rows = set(map(tuple, lang.rows[n].tolist()))
+            rows = {tuple(map(ord, row)) for row in lang.rows[n]}
             assert len(rows) == lang.p(n)
             assert lang.p(n) == (2 if orn.orientable else 1) * p_sub[n]
             assert {inverse_codes(r) for r in rows} == rows
 
 
 class TestBlockRepresentation:
-    """The blocks against the tuple sets they hold."""
+    """The rows against the tuple sets they hold."""
 
     @staticmethod
     def _cases(fib_map, silver_map):
@@ -405,9 +416,38 @@ class TestBlockRepresentation:
             assert lang.metric_lengths() == sorted(
                 lang.graph.weight(m) for s in oracle for m in s)
             assert check_invariants(lang) == []
-            for n, block in enumerate(lang.rows):
-                assert block.dtype == np.int32 and block.shape == (len(oracle[n]), n)
-                assert len(np.unique(block, axis=0)) == len(block)
+            for n, rows in enumerate(lang.rows):
+                assert len(rows) == len(set(rows)) == len(oracle[n])
+                assert all(isinstance(row, str) and len(row) == n for row in rows)
+                assert {tuple(map(ord, row)) for row in rows} == oracle[n]
+
+
+class TestWideAlphabet:
+    """A lamlang language on 130 parallel edges: its codes run to 259, so
+    its rows hold two bytes a letter, and include 10, a newline."""
+
+    LENGTHS = {f"e{i:03d}": "1" for i in range(130)} | {"e005": "1.5", "e129": "2"}
+    PATHS = ["e005 e129' e000 e064' e005", "e129 e005' e128 e000'",
+             "e127 e126' e127"]
+
+    def test_tables_and_collapse_match_the_oracles(self):
+        edges = [(name, "v0", "v1", length) for name, length in self.LENGTHS.items()]
+        graph = MarkedMetricGraph(["v0", "v1"], edges)
+        assert graph.alphabet.size == 260 and not graph.violations
+        lang = build_language(LanguageSpec("wide", True, "subwords", self.PATHS),
+                              graph)
+        codes = {c for m in lang.all_members() for c in m}
+        assert {10, 256, graph.alphabet.size - 1} <= codes
+        p, _, metric = lamlang_tables(self.PATHS, self.LENGTHS, 5)
+        assert lang.p_counts() == p
+        assert [beta_metric(lang, n) for n in range(1, 6)] == metric
+        assert check_invariants(lang) == []
+        cd = maximal_subtree(graph)
+        rose = project_language(lang, cd)
+        oracle = projection_oracle(lang, cd)
+        assert list(rose.strata) == oracle
+        assert rose.p_counts() == [len(s) for s in oracle[1:]]
+        assert max(c for m in rose.all_members() for c in m) >= 256
 
 
 class TestSources:

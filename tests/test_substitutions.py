@@ -406,8 +406,10 @@ class TestWindowHarvest:
     def test_rows_hold_the_strata(self, fib):
         lang = factor_language(fib, 8)
         for n in range(1, 9):
-            assert lang.rows[n].shape == (lang.p(n), n)
-            assert set(map(tuple, lang.rows[n].tolist())) == lang.strata[n]
+            rows = lang.rows[n]
+            assert len(rows) == len(set(rows)) == lang.p(n)
+            assert all(len(row) == n for row in rows)
+            assert {tuple(map(ord, row)) for row in rows} == lang.strata[n]
 
     def test_independent_of_the_counting_route(self, fib, monkeypatch):
         def refuse(*args, **kwargs):
