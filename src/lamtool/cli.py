@@ -18,7 +18,6 @@ so its input), full-shift tables and the depth of materialized strata.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -167,6 +166,7 @@ def _cmd_analyze(args) -> int:
         "provenance": _provenance(ai),
     }
     if args.json:
+        import json  # loaded only for --json output
         print(json.dumps(payload, sort_keys=True, indent=2))
         return 0
 
@@ -311,6 +311,7 @@ def _cmd_dimension(args) -> int:
         })
 
     if args.json:
+        import json
         print(json.dumps({
             "language": source.description,
             "reports": reports,

@@ -27,7 +27,6 @@ The default, ``closure=subwords``, closes the listed paths under subwords
 
 from __future__ import annotations
 
-import hashlib
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -53,7 +52,12 @@ class AnalysisInput(NamedTuple):
     graph_map: Optional[GraphSelfMap] = None
     substitution: Optional[Substitution] = None
     language: Optional[LanguageSpec] = None
-    sha256: str = ""
+    text: str = ""
+
+    @property
+    def sha256(self) -> str:
+        import hashlib  # only the commands that print it pay for the import
+        return hashlib.sha256(self.text.encode()).hexdigest()
 
     def drivers(self) -> list[str]:
         present = []
@@ -217,8 +221,7 @@ def parse(text: str) -> AnalysisInput:
 
     if graph is None and substitution is None:
         raise ParseError("file defines no graph and no substitution")
-    return AnalysisInput(graph, graph_map, substitution, language,
-                         hashlib.sha256(text.encode()).hexdigest())
+    return AnalysisInput(graph, graph_map, substitution, language, text)
 
 
 def _build_map(graph, vmap, emap) -> GraphSelfMap:
@@ -267,5 +270,6 @@ def build_language(spec: LanguageSpec, graph) -> LaminaryLanguage:
         closed.update(iter_factors_raw(m, len(m)))
     if spec.symmetric:
         closed.update(inverse_codes(m) for m in list(closed))
-    return LaminaryLanguage(graph, sorted_blocks(closed, max(map(len, closed))),
-                            spec.symmetric, origin=f"user-supplied({spec.name})")
+    rows = sorted_blocks({"".join(map(chr, m)) for m in closed}, max(map(len, closed)))
+    return LaminaryLanguage(graph, rows, spec.symmetric,
+                            origin=f"user-supplied({spec.name})")

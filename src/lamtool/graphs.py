@@ -7,7 +7,8 @@ graph runs one breadth-first search when it is built: it records the
 paper's standing hypotheses that fail (connected, rank at least 2, every
 vertex of valence at least 3) in ``violations``, and keeps the search's
 paths for the spanning tree that ``maximal_subtree`` collapses onto a rose.
-``project_path`` carries paths to the rose by deleting tree letters.
+``project_path`` carries a language row, a code-point ``str``, to the rose
+by deleting tree letters.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from math import floor, lcm
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DomainError, MalformedInputError, PreconditionError
 from .words import EdgeAlphabet, inverse_codes, tighten_raw
@@ -192,7 +193,8 @@ class CollapseData(NamedTuple):
     rose: MarkedMetricGraph
     diameter: int
     multiplicity_bound: int
-    base_to_rose: dict[int, int]
+    # each base letter's rose letter, None for a letter of Y: a str.translate table
+    base_to_rose: dict[int, Optional[int]]
 
     @property
     def lift_stretch(self) -> int:
@@ -229,7 +231,7 @@ def maximal_subtree(graph: MarkedMetricGraph) -> CollapseData:
         [rose_vertex],
         [(name, rose_vertex, rose_vertex, Fraction(1)) for name in rose_names])
 
-    base_to_rose = {}
+    base_to_rose = dict.fromkeys(graph.alphabet.letters())
     for name in rose_names:
         b = graph.alphabet.index(name)
         r = rose.alphabet.index(name)
@@ -238,14 +240,14 @@ def maximal_subtree(graph: MarkedMetricGraph) -> CollapseData:
     return CollapseData(graph, tree, rose, diameter, multiplicity, base_to_rose)
 
 
-def project_path(cd: CollapseData, codes) -> tuple[int, ...]:
-    """Delete every subtree letter of a reduced edge path of ``cd.base``;
-    the image is a reduced path of the rose, empty for a path inside the
-    subtree.
+def project_path(cd: CollapseData, row: str) -> str:
+    """Delete every subtree letter of a reduced edge path of ``cd.base``, a
+    code-point ``str`` (``chr(code)`` a letter); the image, in the same form,
+    is a reduced path of the rose, empty for a path inside the subtree.
 
-    The input is trusted to be a reduced edge path, and the result is not
-    checked: :func:`~lamtool.laminations.project_language`, the caller,
-    checks every stratum it projects.
+    One ``str.translate`` through ``cd.base_to_rose``.  The input is trusted
+    to be a reduced edge path, and the result is not checked:
+    :func:`~lamtool.laminations.project_language`, the caller, checks every
+    stratum it projects.
     """
-    to_rose = cd.base_to_rose  # exactly the letters outside the subtree
-    return tuple([to_rose[c] for c in codes if c in to_rose])
+    return row.translate(cd.base_to_rose)

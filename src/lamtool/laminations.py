@@ -201,7 +201,8 @@ def project_language(lang: LaminaryLanguage, cd: CollapseData) -> LaminaryLangua
     a member too: lamlang and attracting languages are subword-closed.  And
     each call gives a new rose word: between two letters outside the tree a
     reduced path follows the unique tree geodesic, so such a member is
-    determined by its image.
+    determined by its image.  Rows go to ``project_path`` as they are, and
+    its images, code-point ``str`` too, become the rose rows unencoded.
     """
     base = cd.base
     letters = base.alphabet.letters()
@@ -209,9 +210,9 @@ def project_language(lang: LaminaryLanguage, cd: CollapseData) -> LaminaryLangua
     terminus = "".join(chr(base.terminus(c)) for c in letters)
     origin = "".join(chr(base.origin(c)) for c in letters)
     drop_letters = dict.fromkeys(letters)
-    drop_tree = dict.fromkeys(c for c in letters if c not in cd.base_to_rose)
+    to_rose = cd.base_to_rose
     backtracks = [chr(c) + chr(c ^ 1) for c in letters]
-    outside = {chr(c) for c in cd.base_to_rose}
+    outside = {chr(c) for c in letters if to_rose[c] is not None}
     images = set()
     for n, stratum in enumerate(lang.rows[1:], start=1):
         flat = "".join(stratum)
@@ -223,9 +224,9 @@ def project_language(lang: LaminaryLanguage, cd: CollapseData) -> LaminaryLangua
         joined = chr(base.alphabet.size).join(stratum)
         if any(pair in joined for pair in backtracks):
             raise PreconditionError("project_path expects a reduced path")
-        images.update(project_path(cd, map(ord, row)) for row in stratum
+        images.update(project_path(cd, row) for row in stratum
                       if row[0] in outside and row[-1] in outside
-                      and (n <= depth or len(row.translate(drop_tree)) <= depth))
+                      and (n <= depth or len(row.translate(to_rose)) <= depth))
     if any(len(m) > 1 and (m[1:] not in images or m[:-1] not in images)
            for m in images):
         raise LamtoolError("projected language is not subword closed")

@@ -282,9 +282,11 @@ def factor_language(sub: Substitution, n_max: int) -> Stratified:
     so far, a factor-closed set; a window already there brings nothing new,
     and a word adds a factor exactly when it adds a window.  A long word
     costs one set comprehension over its length-n_max windows and a lookup
-    of each shorter one, and only the prefixes of new windows are added.
-    The rounds that add a factor are the rounds that add a window, so the
-    stop rule, and with it every iterate, is the one above.
+    of each shorter one.  A new window's prefixes are added longest first,
+    up to the first one already in its stratum: the strata are factor-closed,
+    so its shorter prefixes are there too.  The rounds that add a factor are
+    the rounds that add a window, so the stop rule, and with it every
+    iterate, is the one above.
 
     A factor of length n_max needs an iterate of at least n_max letters,
     which the size cap refuses, so ``n_max`` over the cap is refused before
@@ -308,11 +310,13 @@ def factor_language(sub: Substitution, n_max: int) -> Stratified:
         for i in range(max(0, size - n_max + 1), size):
             if word[i:] not in strata[size - i]:
                 new.add(word[i:])
-        if not new:
-            return False
-        for n in range(1, n_max + 1):
-            strata[n].update([w[:n] for w in new if len(w) >= n])
-        return True
+        for w in new:
+            for n in range(len(w), 0, -1):  # stop at the first known prefix
+                prefix = w[:n]
+                if prefix in strata[n]:
+                    break
+                strata[n].add(prefix)
+        return bool(new)
 
     words = [chr(c) for c in range(sub.sigma)]
     while any([harvest(w) for w in words]):  # a list, so every word is harvested

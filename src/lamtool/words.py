@@ -153,9 +153,9 @@ class Stratified:
 
 
 def sorted_blocks(words, depth: int) -> list[list[str]]:
-    """Distinct code tuples of length at most ``depth`` as the sorted rows
-    ``rows[0..depth]`` of :class:`Stratified`."""
+    """Distinct code-point words of length at most ``depth`` as the sorted
+    rows ``rows[0..depth]`` of :class:`Stratified`."""
     strata = [[] for _ in range(depth + 1)]
-    for word in sorted("".join(map(chr, word)) for word in words):
+    for word in sorted(words):
         strata[len(word)].append(word)
     return strata

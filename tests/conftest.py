@@ -224,9 +224,15 @@ def compose(outer, inner):
                         images)
 
 
+def as_row(codes):
+    """A code tuple as a code-point ``str`` (``chr(code)`` a letter), the
+    form of a language row and of ``project_path``'s input and image."""
+    return "".join(map(chr, codes))
+
+
 def rose_to_base(cd):
     """The letter of ``cd.base`` that each rose letter collapses from."""
-    return {r: b for b, r in cd.base_to_rose.items()}
+    return {r: b for b, r in cd.base_to_rose.items() if r is not None}
 
 
 def tree_geodesic(cd, u, v):
@@ -289,7 +295,7 @@ def fiber_counts(lang, cd):
     """How many enumerated members project onto each nonempty rose word."""
     counts = {}
     for m in lang.all_members():
-        image = project_path(cd, m)
+        image = project_path(cd, as_row(m))
         if image:
             counts[image] = counts.get(image, 0) + 1
     return counts

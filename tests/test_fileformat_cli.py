@@ -564,6 +564,19 @@ print(json.dumps(results))
 """
 
 
+# Runs each argv, its words joined by tabs, through ``cli.main`` in one fresh
+# interpreter that imports neither module itself, and prints per argv its
+# exit code and which of hashlib and json have been imported by then.
+LAZY_IMPORT_PROBE = """
+import contextlib, io, sys
+from lamtool import cli
+for arg in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(arg.split("\\t"))
+    print(code, *sorted({"hashlib", "json"} & set(sys.modules)))
+"""
+
+
 def _import_probe(argvs):
     proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(argvs)],
                           capture_output=True, text=True)
@@ -576,7 +589,8 @@ class TestImportBudget:
     the counting route, the enumerating route (collapse, compare on a map,
     non-uniform metric counts), every command on a full shift and the
     refusal of a reducible substitution start without it.  No start-up
-    loads the introspection modules that ``dataclasses`` pulls in."""
+    loads the introspection modules that ``dataclasses`` pulls in, and only
+    the commands that print a digest or JSON load hashlib or json."""
 
     def test_start_up_loads_no_introspection_modules(self):
         # modules the environment's ``site`` loads are in ``before``
@@ -622,6 +636,21 @@ class TestImportBudget:
         (_, _, before), (_, code, loaded) = _import_probe(
             [["complexity", str(reducible), "--max-n", "10"]])
         assert code == 2 and not before and not loaded
+
+    def test_commands_load_no_hashlib_or_json(self):
+        # the input digest and --json output import them when they print
+        argvs = [["complexity", THETA, "--max-n", "25"],
+                 ["collapse", THETA, "--max-n", "6"],
+                 ["dimension", FIB, "--a", "2", "--delta", "0.5", "--max-n", "40"],
+                 ["compare", FIBSUB, FULL, "--max-n", "40", "--max-c", "6"],
+                 ["compare", THETA, FULL, "--max-n", "6", "--max-c", "6"],
+                 ["analyze", FIB, "--json"]]
+        proc = subprocess.run(
+            [sys.executable, "-c", LAZY_IMPORT_PROBE,
+             *("\t".join(map(str, argv)) for argv in argvs)],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["0"] * 5 + ["0 hashlib json"]
 
 
 class TestDeterminism:

@@ -20,7 +20,7 @@ from lamtool.laminations import (AttractingSource, FullShiftSource,
 from lamtool.substitutions import Substitution
 from lamtool.words import inverse_codes, sorted_blocks
 
-from conftest import (check_invariants, fiber_counts, is_reduced,
+from conftest import (as_row, check_invariants, fiber_counts, is_reduced,
                       lamlang_tables, metric_length, naive_iterate_image)
 
 
@@ -278,7 +278,7 @@ def projection_oracle(lang, cd):
     depth = lang.complete_to // cd.lift_stretch
     strata = [set() for _ in range(depth + 1)]
     for m in lang.all_members():
-        image = project_path(cd, m)
+        image = tuple(map(ord, project_path(cd, as_row(m))))
         if 0 < len(image) <= depth:
             strata[len(image)].add(image)
     return strata
@@ -327,7 +327,8 @@ class TestBlockProjection:
         # e1 spans the tree; this member starts and ends on it
         word = graph.alphabet.parse("e1 e2' e2 e1'")
         assert word[0] >> 1 in cd.subtree and word[-1] >> 1 in cd.subtree
-        lang = LaminaryLanguage(graph, sorted_blocks({word}, 4), True, "by hand")
+        lang = LaminaryLanguage(graph, sorted_blocks({as_row(word)}, 4), True,
+                                "by hand")
         with pytest.raises(PreconditionError,
                            match="project_path expects a reduced path"):
             project_language(lang, cd)
@@ -336,7 +337,7 @@ class TestBlockProjection:
         graph = silver_map.graph
         cd = maximal_subtree(graph)
         for c in graph.alphabet.letters():
-            lang = LaminaryLanguage(graph, sorted_blocks({(c, c ^ 1)}, 2), True,
+            lang = LaminaryLanguage(graph, sorted_blocks({as_row((c, c ^ 1))}, 2), True,
                                     "by hand")
             with pytest.raises(PreconditionError,
                                match="project_path expects a reduced path"):
@@ -347,8 +348,8 @@ class TestBlockProjection:
                              ids=["e1 e1", "no letter", "separator", "lone separator"])
     def test_member_that_is_no_edge_path_is_refused(self, silver_map, word):
         cd = maximal_subtree(silver_map.graph)
-        lang = LaminaryLanguage(silver_map.graph, sorted_blocks({word}, 2), True,
-                                "by hand")
+        lang = LaminaryLanguage(silver_map.graph, sorted_blocks({as_row(word)}, 2),
+                                True, "by hand")
         with pytest.raises(PreconditionError,
                            match="project_path expects an edge path in the base graph"):
             project_language(lang, cd)
@@ -448,6 +449,41 @@ class TestWideAlphabet:
         assert list(rose.strata) == oracle
         assert rose.p_counts() == [len(s) for s in oracle[1:]]
         assert max(c for m in rose.all_members() for c in m) >= 256
+
+
+class TestProjectPath:
+    """project_path against its definition on random reduced paths: drop the
+    tree letters and send the rest through base_to_rose."""
+
+    @staticmethod
+    def graph(name, names, flips):
+        if name == "theta":
+            return relabelled(sample_map("theta_collapse"), names, flips[:3]).graph
+        if name == "rose":
+            return sample_map("fibonacci_map").graph
+        ends = [("v1", "v0") if flip else ("v0", "v1") for flip in flips]
+        return MarkedMetricGraph(["v0", "v1"], [
+            (edge, *end, length)
+            for (edge, length), end in zip(TestWideAlphabet.LENGTHS.items(), ends)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["theta", "wide", "rose"]),
+           st.permutations(["x", "e2", "a"]),
+           st.lists(st.integers(0, 1), min_size=130, max_size=130),
+           st.lists(st.integers(0, 10 ** 6), max_size=40))
+    def test_matches_the_definition(self, name, names, flips, steps):
+        graph = self.graph(name, names, flips)
+        cd = maximal_subtree(graph)
+        path = []
+        for step in steps:
+            choices = [c for c in graph.alphabet.letters() if not path or (
+                graph.origin(c) == graph.terminus(path[-1]) and c != path[-1] ^ 1)]
+            path.append(choices[step % len(choices)])
+        assert graph.is_reduced_path(tuple(path))
+        image = tuple(map(ord, project_path(cd, as_row(path))))
+        assert image == tuple(cd.base_to_rose[c] for c in path
+                              if c >> 1 not in cd.subtree)
+        assert cd.rose.is_reduced_path(image)
 
 
 class TestSources:

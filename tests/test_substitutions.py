@@ -411,6 +411,23 @@ class TestWindowHarvest:
             assert all(len(row) == n for row in rows)
             assert {tuple(map(ord, row)) for row in rows} == lang.strata[n]
 
+    SIX_LETTER = {"a": "abc", "b": "cd", "c": "ea", "d": "fb", "e": "afd", "f": "ba"}
+
+    @pytest.mark.parametrize("name, names", [
+        ("theta_collapse", None), ("theta_collapse", "fcaebd"),
+        ("six_letter", None), ("six_letter", "dfbace")])
+    def test_depth_60_matches_the_counting_route(self, silver_map, name, names):
+        # the oracle of TestFactorLanguageOracle stops at n = 10
+        if name == "theta_collapse":
+            sub = from_train_track(silver_map, orientability(silver_map))
+        else:
+            sub = Substitution.from_tokens(
+                {k: list(v) for k, v in self.SIX_LETTER.items()})
+        if names:  # letter i renamed names[i], which reorders the codes
+            sub = Substitution.from_tokens(
+                {names[i]: [names[c] for c in img] for i, img in enumerate(sub.images)})
+        assert factor_language(sub, 60).p_counts() == complexity_counts(sub, 60)[1:]
+
     def test_independent_of_the_counting_route(self, fib, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("factor_language used the counting route")
