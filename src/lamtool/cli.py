@@ -9,10 +9,11 @@ Commands::
     lamtool compare FILE1 FILE2 --max-n N --max-c C
 
 Exit codes: 0 success, 1 usage or parse error, 2 precondition violation,
-3 resource cap, 4 under-enumeration.  LAMTOOL_SIZE_CAP, the only setting of
-the size cap, counts int32 words (one per letter); the cap bounds expanded
-words, the eigenray prefix whose slices the counting automaton reads (and
-so its input), full-shift tables and the depth of materialized strata.
+3 resource cap (the size cap, or memory running out), 4 under-enumeration.
+LAMTOOL_SIZE_CAP, the only setting of the size cap, counts int32 words (one
+per letter); the cap bounds expanded words, the eigenray prefix whose slices
+the counting automaton reads (and so its input), full-shift tables and the
+depth of materialized strata.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ import math
 import sys
 
 from . import __version__
-from .boundary import EPSILON, cover_bound_series, dim_upper_estimate
+from .boundary import EPSILON, dim_upper_estimate
 from .config import size_cap
-from .errors import (DomainError, LamtoolError, PreconditionError,
-                     SizeCapExceeded, UsageError)
+from .errors import DomainError, LamtoolError, PreconditionError, UsageError
 from .fileformat import AnalysisInput, build_language, format_length, parse
 from .graphmaps import (analyze_matrix, is_train_track, orientability,
                         transition_matrix)
@@ -34,8 +34,6 @@ from .laminations import (AttractingSource, FullShiftSource, LanguageSource,
                           MaterializedSource, SubstitutionSource)
 from .substitutions import (from_train_track, growth_equivalence_witness,
                             linear_fit_constant)
-
-_EXTENSION_LIMIT = 5000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -260,7 +258,6 @@ def _cmd_dimension(args) -> int:
     deltas = _parse_deltas(args.delta)
     ai = _load(args.file)
     source = _source(ai)
-    c0 = source.max_edge_length()
     table = source.metric_beta(args.max_n)
 
     window = (max(1, math.ceil(args.max_n / 2)), args.max_n)
@@ -277,36 +274,20 @@ def _cmd_dimension(args) -> int:
             f"length <= {empty[-1]} (the shortest edge has length "
             f"{format_length(source.graph.min_length())}); raise --max-n") from None
 
+    all_series, extended, note = source.cover_bounds(table, args.a, deltas)
+    if note:
+        print(f"note: {note}", file=sys.stderr)
     reports = []
-    all_series = [cover_bound_series(table, args.a, d, c0) for d in deltas]
-    extend = source.extendable and args.max_n < _EXTENSION_LIMIT
-    big = None  # the extension table, counted once for every delta
-    for delta, series in zip(deltas, all_series):
-        n_star = series.first_below
-        vanishing = series.vanishing
-        extended_to = None
-        if not vanishing and extend and big is None:
-            try:
-                big = source.metric_beta(_EXTENSION_LIMIT)
-            except SizeCapExceeded as exc:
-                # the extension is optional: keep the window's answer
-                print(f"note: search not extended to n={_EXTENSION_LIMIT}: "
-                      f"size cap exceeded: {exc}", file=sys.stderr)
-                extend = False
-        if not vanishing and extend:
-            extended = cover_bound_series(big, args.a, delta, c0)
-            vanishing = extended.vanishing
-            n_star = extended.first_below
-            extended_to = _EXTENSION_LIMIT
+    for delta, series, ext in zip(deltas, all_series, extended):
         reports.append({
             "a": _fmt(args.a),
             "delta": _fmt(delta),
-            "c0": _fmt(float(c0)),
-            "vanishing": vanishing,
-            "n_star": n_star,
+            "c0": _fmt(float(source.max_edge_length())),
+            "vanishing": (ext or series).vanishing,
+            "n_star": (ext or series).first_below,
             "final_bound": _fmt_bound(series.final_bound(),
                                       series.log_bounds[-1]),
-            "extended_to": extended_to,
+            "extended_to": ext and ext.rows[-1][0],
             "dim_estimate": _fmt(dim),
         })
 
@@ -446,7 +427,12 @@ def main(argv=None) -> int:
         for flag in ("max_n", "max_c"):  # of the commands that take them
             if getattr(args, flag, 1) < 1:
                 raise UsageError(f"--{flag.replace('_', '-')} must be >= 1")
-        return args.func(args)
+        try:
+            return args.func(args)
+        except MemoryError:  # memory ran out below the size cap
+            print(f"resource cap: out of memory during {args.command}",
+                  file=sys.stderr)
+            return 3
     except LamtoolError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -18,9 +18,10 @@ from itertools import accumulate
 from math import log2
 from typing import NamedTuple, Optional
 
+from .boundary import cover_bound_series
 from .config import check_size
 from .errors import (DomainError, LamtoolError, PreconditionError,
-                     UnderEnumerationError)
+                     SizeCapExceeded, UnderEnumerationError)
 from .graphs import (CollapseData, MarkedMetricGraph, maximal_subtree,
                      project_path)
 from .graphmaps import (GraphSelfMap, analyze_matrix, is_train_track,
@@ -291,7 +292,7 @@ class LanguageSource:
 
     description: str = ""
     graph: Optional[MarkedMetricGraph] = None
-    extendable: bool = True    # tables can be counted past any depth
+    extension_limit: int = 5000  # how far ``cover_bounds`` extends the search
     substitutive: bool = False  # a primitive substitution's factor language
     _table: list[int] = []  # the deepest p table counted so far
 
@@ -343,10 +344,29 @@ class LanguageSource:
     def max_edge_length(self) -> Fraction:
         return Fraction(1) if self.graph is None else self.graph.max_length()
 
+    def cover_bounds(self, table: list[int], a, deltas):
+        """The covering-bound series of each delta: on ``table``, the metric
+        counts to n = len(table); on one table counted to ``extension_limit``
+        where that is past the window and the window series does not vanish
+        (None elsewhere); and the note, or None, when the size cap refused
+        that table: the extension is optional, and the window answers then."""
+        c0 = self.max_edge_length()
+        window = [cover_bound_series(table, a, d, c0) for d in deltas]
+        limit, none = self.extension_limit, [None] * len(deltas)
+        if len(table) >= limit or all(s.vanishing for s in window):
+            return window, none, None
+        try:
+            big = self.metric_beta(limit)
+        except SizeCapExceeded as exc:
+            return window, none, (f"search not extended to n={limit}: "
+                                  f"size cap exceeded: {exc}")
+        return window, [None if s.vanishing else cover_bound_series(big, a, d, c0)
+                        for d, s in zip(deltas, window)], None
+
 
 class MaterializedSource(LanguageSource):
     """A fully enumerated language (user file or attracting language)."""
-    extendable = False
+    extension_limit = 0  # no table past the enumerated depth
 
     def __init__(self, lang: LaminaryLanguage):
         self.lang = lang
@@ -384,13 +404,13 @@ class AttractingSource(LanguageSource):
     """Attracting language of an expanding primitive train track map."""
     description = "attracting language"
     substitutive = True
+    materialize_limit = 600  # deepest strata that non-uniform metric counts enumerate
 
     def __init__(self, gsm: GraphSelfMap):
         self.gsm = gsm
         self.graph = gsm.graph
         self.orientation, self.sub = _oriented_substitution(gsm)
         self._multiplier = 2 if self.orientation.orientable else 1
-        self._materialize_limit = 600
 
     def _count(self, n_max):
         return [self._multiplier * v
@@ -402,11 +422,11 @@ class AttractingSource(LanguageSource):
 
     def _metric_beta(self, n_max):
         depth = self.graph.depth(n_max)
-        if depth > self._materialize_limit:
+        if depth > self.materialize_limit:
             raise UnderEnumerationError(
                 f"metric counts to n={n_max} need enumeration depth {depth}, "
-                f"beyond the materialization limit {self._materialize_limit}",
-                achieved=self._materialize_limit, required=depth)
+                f"beyond the materialization limit {self.materialize_limit}",
+                achieved=self.materialize_limit, required=depth)
         return super()._metric_beta(n_max)
 
 

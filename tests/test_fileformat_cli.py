@@ -430,6 +430,21 @@ class TestSizeCapSetting:
         assert code == 3
         assert "full-shift counts to depth 1000" in err
 
+    def test_out_of_memory_below_the_cap_exit_3(self):
+        # collapse --max-n 150 fits the default cap and peaks at about 254 MB
+        import resource
+
+        def cap_address_space():  # in the child only
+            resource.setrlimit(resource.RLIMIT_AS, (200 << 20, 200 << 20))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "lamtool.cli", "collapse", str(THETA),
+             "--max-n", "150"],
+            capture_output=True, text=True, preexec_fn=cap_address_space,
+            timeout=60)
+        assert proc.returncode == 3
+        assert proc.stderr == "resource cap: out of memory during collapse\n"
+
 
 class TestCollapseCommand:
     def test_size_cap_exit_3(self):
@@ -706,22 +721,32 @@ class TestExtremeArguments:
         assert bad == []
 
 
-class TestLamlangTables:
-    """complexity and compare on lamlang files, inside their depth, against
-    an independent count of the subword and inverse closure."""
+# (edge lengths, paths) of lamlang fixtures, by id
+LAMLANG = {
+    "unit": ({"a": "1", "b": "1"}, ["a b a b' a' b' a b", "b a b a b a"]),
+    "lengths-1-3/2": ({"a": "1", "b": "1.5"}, ["a b a b' a'", "b a b a"]),
+    "long-lengths-1-3/2": ({"a": "1", "b": "1.5"}, ["a b a b' a' b' a b a b a b'"]),
+}
 
-    @pytest.mark.parametrize("lengths, paths", [
-        ({"a": "1", "b": "1"}, ["a b a b' a' b' a b", "b a b a b a"]),
-        ({"a": "1", "b": "1.5"}, ["a b a b' a'", "b a b a"])],
-        ids=["unit", "lengths-1-3/2"])
-    def test_tables_match_the_closure(self, tmp_path, monkeypatch, capsys,
-                                      lengths, paths):
+
+class TestLamlangTables:
+    """complexity, compare and dimension on lamlang files, inside their
+    depth, against an independent count of the subword and inverse closure."""
+
+    @staticmethod
+    def write(tmp_path, lengths, paths):
+        """The lamlang file and its depth: every length is at least 1, so
+        the depth bounds the metric counts too."""
         source = tmp_path / "lang.lam"
         source.write_text("graph\nvertex v\n"
                           + "".join(f"edge {e} v v {x}\n" for e, x in lengths.items())
                           + "lamlang demo symmetric=1\n" + "\n".join(paths) + "\n")
-        # every length is at least 1, so the depth bounds the metric counts too
-        depth = max(len(text.split()) for text in paths)
+        return source, max(len(text.split()) for text in paths)
+
+    @pytest.mark.parametrize("lengths, paths", LAMLANG.values(), ids=LAMLANG)
+    def test_tables_match_the_closure(self, tmp_path, monkeypatch, capsys,
+                                      lengths, paths):
+        source, depth = self.write(tmp_path, lengths, paths)
         p, beta, metric = lamlang_tables(paths, lengths, depth)
         code, out, _ = run_main(capsys, "complexity", source, "--max-n", depth)
         assert code == 0
@@ -738,6 +763,30 @@ class TestLamlangTables:
         assert code == 0
         assert tables == [(p, p)]
         assert "witness C = 1" in out
+
+    # the dimension window [ceil(n/2), n] needs four points: depth 6 or more
+    @pytest.mark.parametrize("fixture", ["unit", "long-lengths-1-3/2"])
+    def test_dimension_stays_inside_the_depth(self, tmp_path, capsys, fixture):
+        lengths, paths = LAMLANG[fixture]
+        source, depth = self.write(tmp_path, lengths, paths)
+        metric = lamlang_tables(paths, lengths, depth)[2]
+        target = tmp_path / "series.csv"
+        args = ["--a", "2", "--delta", "0.5", "--max-n"]
+        code, out, err = run_main(capsys, "dimension", source, *args, depth,
+                                  "--csv", target)
+        assert code == 0
+        assert "extended search" not in out
+        assert err == ""
+        rows = [row.split(",") for row in target.read_text().splitlines()[1:]]
+        start = math.ceil(2 * max(map(Fraction, lengths.values())))
+        assert [(int(n), int(b)) for n, b, _ in rows] == \
+            [(n, metric[n - 1]) for n in range(start, depth + 1)]
+
+        code, out, err = run_main(capsys, "dimension", source, *args, depth + 1)
+        assert code == 4
+        assert out == ""
+        assert f"beta_metric({depth + 1}) needs depth {depth + 1}, " \
+               f"enumerated {depth}" in err
 
 
 class TestExtremeLengths:
