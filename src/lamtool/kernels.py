@@ -6,7 +6,7 @@ alphabets the letter with topological index i and its inverse occupy codes
 alphabets just use ``0 .. sigma-1``.  Cancellation is ``words.tighten_raw``.
 
 The counting route runs on these words and lists alone, as the enumerating
-route does on ``str``: only a reducible matrix's spectrum loads an array library.
+route does on ``str``: lamtool loads no array library.
 
 :func:`expand_capped` asks ``config.check_size`` before it expands.  There
 is one backend; ``BACKEND`` names it for run records.

@@ -35,6 +35,23 @@ NEAR_FULL_SHIFT = FULL.read_text().replace("edge b v v 1\n", "edge b v v 1.001\n
 THETA_METRIC = (THETA.read_text().replace("edge e2 v0 v1 1\n", "edge e2 v0 v1 1.5\n")
                 .replace("edge e3 v0 v1 1\n", "edge e3 v0 v1 2\n"))
 
+# a reducible map: two golden-mean blocks, {a, b} feeding {c, d}, so the
+# golden ratio is a defective eigenvalue of the whole transition matrix
+TWO_GOLDEN_BLOCKS = """\
+graph
+vertex v
+edge a v v 1
+edge b v v 1
+edge c v v 1
+edge d v v 1
+map
+vmap v = v
+map a = a b c
+map b = a
+map c = c d
+map d = c
+"""
+
 
 def run_cli(*args):
     proc = subprocess.run([sys.executable, "-m", "lamtool.cli", *map(str, args)],
@@ -169,6 +186,14 @@ class TestAnalyzeCommand:
         nomap.write_text("graph\nvertex v\nedge a v v 1\nedge b v v 1\n")
         code, _, _ = run_cli("analyze", nomap)
         assert code == 2
+
+    def test_reducible_map_reports_its_largest_block(self, tmp_path):
+        path = tmp_path / "two_golden_blocks.lam"
+        path.write_text(TWO_GOLDEN_BLOCKS)
+        code, out, _ = run_cli("analyze", path)
+        assert code == 0
+        assert "irreducible: no; primitive: no" in out
+        assert "stretch factor: 1.61803398875 (residual " in out
 
     def test_json_mode(self):
         code, out, _ = run_cli("analyze", FIB, "--json")
@@ -592,6 +617,35 @@ for arg in sys.argv[1:]:
 """
 
 
+# Runs each argv through ``cli.main`` in one fresh interpreter and prints,
+# per argv, its exit code, stdout and stderr.  With "block" as its first
+# argument it first sets ``sys.modules["numpy"]`` to None, which makes every
+# numpy import fail.
+CAPTURE_PROBE = """
+import contextlib, io, json, sys
+if sys.argv[1] == "block":
+    sys.modules["numpy"] = None
+from lamtool import cli
+results = []
+for argv in json.loads(sys.argv[2]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def _readme_commands():
+    """The argv of every README line that runs lamtool on a sample input."""
+    readme = (SAMPLES.parent / "README.md").read_text()
+    return [line.split()[1:] for line in readme.splitlines()
+            if re.match(r"lamtool \w+ sample_inputs/", line)]
+
+
 def _import_probe(argvs):
     proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(argvs)],
                           capture_output=True, text=True)
@@ -600,12 +654,12 @@ def _import_probe(argvs):
 
 
 class TestImportBudget:
-    """numpy loads only for the spectrum of a reducible transition matrix:
-    the counting route, the enumerating route (collapse, compare on a map,
-    non-uniform metric counts), every command on a full shift and the
-    refusal of a reducible substitution start without it.  No start-up
-    loads the introspection modules that ``dataclasses`` pulls in, and only
-    the commands that print a digest or JSON load hashlib or json."""
+    """No command loads numpy: the counting route, the enumerating route
+    (collapse, compare on a map, non-uniform metric counts), every command
+    on a full shift, the spectrum of a reducible map and the refusals of a
+    reducible map or substitution all run without it.  No start-up loads
+    the introspection modules that ``dataclasses`` pulls in, and only the
+    commands that print a digest or JSON load hashlib or json."""
 
     def test_start_up_loads_no_introspection_modules(self):
         # modules the environment's ``site`` loads are in ``before``
@@ -641,8 +695,14 @@ class TestImportBudget:
                   ["compare", str(THETA), str(FULL), "--max-n", "6",
                    "--max-c", "6"],
                   ["complexity", str(metric), "--max-n", "12"]]
-        results = _import_probe(argvs)
-        assert [code for _, code, _ in results] == [0] * len(results)
+        # a reducible map's spectrum comes from its strongly connected blocks
+        blocks = tmp_path / "two_golden_blocks.lam"
+        blocks.write_text(TWO_GOLDEN_BLOCKS)
+        argvs += [["analyze", str(blocks)], ["analyze", str(blocks), "--json"]]
+        results = _import_probe(argvs + [["complexity", str(blocks),
+                                          "--max-n", "10"]])
+        # the import line, one line per argv and the refusal
+        assert [code for _, code, _ in results] == [0] * (len(argvs) + 1) + [2]
         assert not any(loaded for _, _, loaded in results), results
 
         # primitivity is decided from the matrix's support, with no spectrum
@@ -666,6 +726,28 @@ class TestImportBudget:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["0"] * 5 + ["0 hashlib json"]
+
+    def test_numpy_blocked_child_prints_the_same(self):
+        argvs = [["--version"], *_readme_commands()]
+        assert len(argvs) > 1
+        for path in ALL_SAMPLES:
+            path = str(path.relative_to(SAMPLES.parent))
+            argvs += [["analyze", path], ["analyze", path, "--json"],
+                      ["complexity", path, "--max-n", "12"],
+                      ["dimension", path, "--a", "2", "--delta", "0.5",
+                       "--max-n", "20"],
+                      ["collapse", path, "--max-n", "6"],
+                      ["compare", path, "sample_inputs/fullshift_2rose.lam",
+                       "--max-n", "12", "--max-c", "6"]]
+        runs = {}
+        for mode in ("block", "normal"):
+            proc = subprocess.run(
+                [sys.executable, "-c", CAPTURE_PROBE, mode, json.dumps(argvs)],
+                capture_output=True, text=True, cwd=SAMPLES.parent)
+            assert proc.returncode == 0, proc.stderr
+            runs[mode] = json.loads(proc.stdout)
+        assert runs["block"] == runs["normal"]
+        assert {code for code, _, _ in runs["normal"]} == {0, 2}
 
 
 class TestDeterminism:

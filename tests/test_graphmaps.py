@@ -214,6 +214,18 @@ class TestAnalyzeMatrix:
         assert not analysis.irreducible and not analysis.primitive
         assert abs(analysis.stretch_factor - 3.0) < 1e-9
 
+    @pytest.mark.parametrize("matrix, radius", [
+        ([[2, 1], [0, 2]], 2.0),  # a defective eigenvalue
+        ([[0, 1, 1], [0, 0, 1], [0, 0, 0]], 0.0),  # strictly triangular
+        # an imprimitive block beside a vertex without a loop
+        ([[0, 1, 0], [1, 0, 0], [1, 1, 0]], 1.0),
+    ])
+    def test_reducible_radius_is_the_largest_block_radius(self, matrix, radius):
+        analysis = analyze_matrix(matrix)
+        assert not analysis.irreducible
+        assert analysis.stretch_factor == radius
+        assert analysis.converged
+
 
 def reference_analysis(mat):
     """The matrix analysis in numpy: boolean matrix powers to the Wielandt
@@ -258,7 +270,13 @@ def reference_analysis(mat):
         lam, converged = iterate(mat + np.eye(m, dtype=np.int64))
         lam -= 1.0
     else:
-        lam = float(np.abs(np.linalg.eigvals(mat.astype(np.float64))).max())
+        # the spectrum is the union of the strongly connected blocks'
+        # spectra; eigvals of the whole matrix loses digits when the
+        # dominant eigenvalue is defective
+        blocks = {tuple(np.flatnonzero(row)) for row in reach & reach.T}
+        lam = max(float(np.abs(np.linalg.eigvals(
+            mat[np.ix_(block, block)].astype(np.float64))).max())
+            for block in blocks)
         converged = True
     return [irreducible, exponent is not None, exponent, expanding, converged], lam
 

@@ -1,16 +1,17 @@
 """Source hygiene of ``src/lamtool``, read with the stdlib ``ast``.
 
 Every ``__all__`` entry resolves, no import goes unused, no module imports
-``dataclasses`` (records are ``typing.NamedTuple``s), no module but
-``graphmaps`` imports numpy, and every module-level function and class, and
-every method and property of a class, is named somewhere that a command, an
-acceptance test or the benchmark reaches: elsewhere in ``src/lamtool``, in
-``tests/test_acceptance.py`` or in ``perfbench/``.  A method or property is
-named only as an attribute (``x.name``), an imported name or a component of
-a dotted string, never by a variable or a plain string of the same name.  A
-definition that only unit tests call belongs in ``tests/conftest.py``, not
-in ``src/``.  Only the check of methods imports ``lamtool``, to exempt the
-overrides of a base-class method.
+``dataclasses`` (records are ``typing.NamedTuple``s) or numpy, and
+``pyproject.toml`` lists no run-time dependency.  Every module-level
+function and class, and every method and property of a class, is named
+somewhere that a command, an acceptance test or the benchmark reaches:
+elsewhere in ``src/lamtool``, in ``tests/test_acceptance.py`` or in
+``perfbench/``.  A method or property is named only as an attribute
+(``x.name``), an imported name or a component of a dotted string, never by
+a variable or a plain string of the same name.  A definition that only unit
+tests call belongs in ``tests/conftest.py``, not in ``src/``.  Only the
+check of methods imports ``lamtool``, to exempt the overrides of a
+base-class method.
 """
 
 import ast
@@ -144,10 +145,17 @@ def test_no_dataclasses(path):
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_numpy_only_for_a_reducible_spectrum(path):
-    """Words are code-point ``str`` or ``array('i')``, never numpy arrays:
-    only ``graphmaps`` imports numpy, for a reducible matrix's spectrum."""
-    if path.name != "graphmaps.py":
-        assert "numpy" not in _imported_packages(path), f"{path.name} imports numpy"
+    """Words are code-point ``str`` or ``array('i')``, never numpy arrays,
+    and a reducible matrix's spectrum comes from its strongly connected
+    blocks: no module imports numpy."""
+    assert "numpy" not in _imported_packages(path), f"{path.name} imports numpy"
+
+
+def test_no_run_time_dependency():
+    """lamtool runs on the standard library; numpy, a test oracle and a
+    benchmark recorder, is in the ``dev`` extra."""
+    lines = (ROOT / "pyproject.toml").read_text().splitlines()
+    assert "dependencies = []" in lines
 
 
 def _unreached_methods(statements, outside):
