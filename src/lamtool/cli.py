@@ -27,13 +27,11 @@ from .boundary import EPSILON, dim_upper_estimate
 from .config import size_cap
 from .errors import DomainError, LamtoolError, PreconditionError, UsageError
 from .fileformat import AnalysisInput, build_language, format_length, parse
-from .graphmaps import (analyze_matrix, is_train_track, orientability,
-                        transition_matrix)
 from .graphs import maximal_subtree
-from .laminations import (AttractingSource, FullShiftSource, LanguageSource,
-                          MaterializedSource, SubstitutionSource)
-from .substitutions import (from_train_track, growth_equivalence_witness,
-                            linear_fit_constant)
+from .laminations import (IMPRIMITIVE_SUBSTITUTION, AttractingSource,
+                          FullShiftSource, LanguageSource, MaterializedSource,
+                          SubstitutionSource, certify)
+from .substitutions import growth_equivalence_witness, linear_fit_constant
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,18 +109,13 @@ def _cmd_analyze(args) -> int:
     if ai.graph is None or ai.graph_map is None:
         raise PreconditionError("analyze needs a graph section and a map section")
 
-    gsm = ai.graph_map
-    tt = is_train_track(gsm)
-    tm = transition_matrix(gsm)
-    analysis = analyze_matrix(tm)
-    orn = orientability(gsm, analysis, tt)
+    cert = certify(ai.graph_map)
+    tt, tm, analysis, orn, _, sub = cert
     alphabet = ai.graph.alphabet
 
-    sub_rules = None
-    if tt.is_train_track and analysis.primitive and analysis.expanding:
-        sub = from_train_track(gsm, orn)
-        sub_rules = {letter: " ".join(sub.letters[c] for c in img)
-                     for letter, img in zip(sub.letters, sub.images)}
+    sub_rules = None if sub is None else {
+        letter: " ".join(sub.letters[c] for c in img)
+        for letter, img in zip(sub.letters, sub.images)}
 
     payload = {
         "graph": {"rank": ai.graph.betti(), "valid": True},
@@ -195,6 +188,8 @@ def _cmd_analyze(args) -> int:
     if sub_rules:
         rules = "; ".join(f"{k} -> {v}" for k, v in sub_rules.items())
         print(f"substitution: {rules}")
+    elif IMPRIMITIVE_SUBSTITUTION in cert.failures:
+        print(f"no substitution: {IMPRIMITIVE_SUBSTITUTION}")
     print(f"input sha256: {ai.sha256}")
     return 0
 

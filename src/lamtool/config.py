@@ -37,4 +37,4 @@ def check_size(size, what: str) -> None:
     if size > cap:
         size = int(size)
         raise SizeCapExceeded(f"{what} needs {size} int32 words, over the cap {cap}",
-                              attempted=size, cap=cap)
+                              attempted=size)

@@ -46,10 +46,9 @@ class SizeCapExceeded(LamtoolError):
     label = "size cap exceeded"
     exit_code = 3
 
-    def __init__(self, message, attempted, cap):
+    def __init__(self, message, attempted):
         super().__init__(message)
         self.attempted = attempted
-        self.cap = cap
 
 
 class UnderEnumerationError(LamtoolError):
@@ -57,11 +56,6 @@ class UnderEnumerationError(LamtoolError):
 
     label = "under-enumeration"
     exit_code = 4
-
-    def __init__(self, message, achieved=None, required=None):
-        super().__init__(message)
-        self.achieved = achieved
-        self.required = required
 
 
 class InsufficientDataError(LamtoolError):

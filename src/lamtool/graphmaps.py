@@ -15,13 +15,14 @@ image, so the test agrees with brute-force iteration.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from numbers import Real
 from operator import index
 from typing import NamedTuple, Optional, Sequence
 
+from .config import check_size
 from .errors import DomainError, MalformedInputError
 from .graphs import MarkedMetricGraph
-from .kernels import expand_capped, image_tables
 from .words import cyclic_tighten_raw, tighten_raw
 
 __all__ = [
@@ -47,14 +48,13 @@ class GraphSelfMap:
     be compatible with the endpoints of every edge image.
     """
 
-    __slots__ = ("graph", "vertex_image", "edge_images", "_tables")
+    __slots__ = ("graph", "vertex_image", "edge_images")
 
     def __init__(self, graph: MarkedMetricGraph, vertex_image: Sequence[int],
                  edge_images: Sequence[Sequence[int]]):
         self.graph = graph
         self.vertex_image = tuple(vertex_image)
         self.edge_images = tuple(tuple(img) for img in edge_images)
-        self._tables = None
         if len(self.vertex_image) != len(graph.vertices):
             raise MalformedInputError("vertex_image must cover every vertex")
         if len(self.edge_images) != graph.num_topological_edges:
@@ -81,12 +81,6 @@ class GraphSelfMap:
 
     def direction_map(self) -> dict[int, int]:
         return {c: self.image(c)[0] for c in self.graph.alphabet.letters()}
-
-    def tables(self):
-        """Flattened image arrays (offsets, data) for the expansion kernel."""
-        if self._tables is None:
-            self._tables = image_tables(map(self.image, self.graph.alphabet.letters()))
-        return self._tables
 
     def __repr__(self):
         pieces = ", ".join(
@@ -380,25 +374,15 @@ def _both_signs_witness(gsm: GraphSelfMap, max_power: int):
     return None
 
 
-def orientability(gsm: GraphSelfMap, analysis: Optional[MatrixAnalysis] = None,
-                  tt: Optional[TrainTrackResult] = None) -> OrientationResult:
+def orientability(gsm: GraphSelfMap) -> OrientationResult:
     """Decide whether the map admits a preferred orientation.
 
     Fixing the sign of one edge forces, through each occurrence in an edge
     image, the sign of every edge it maps over; the map is orientable exactly
-    when this propagation closes without conflict.  Intended for expanding
-    primitive train track maps; other inputs are still processed, with a
-    warning attached to the result.
+    when this propagation closes without conflict.  The answer is meaningful
+    for expanding primitive train track maps, but any map is processed:
+    ``laminations.certify`` warns when the map is not one.
     """
-    warnings = []
-    if analysis is None:
-        analysis = analyze_matrix(transition_matrix(gsm))
-    if tt is None:
-        tt = is_train_track(gsm)
-    if not (analysis.primitive and analysis.expanding and tt.is_train_track):
-        warnings.append("orientability is meaningful for expanding primitive "
-                        "train track maps; computing on best effort")
-
     m = gsm.graph.num_topological_edges
     # sign constraints are symmetric parity relations: an occurrence of y in
     # f(e_c) forces sign(cls y) = sign(c) * (+1 for y positive, -1 inverse)
@@ -430,16 +414,16 @@ def orientability(gsm: GraphSelfMap, analysis: Optional[MatrixAnalysis] = None,
 
     if conflict:
         witness = _both_signs_witness(gsm, max_power=8 * m * m + 8)
-        if witness is None:
-            warnings.append("no single-image witness found; the sign "
-                            "constraints are still inconsistent")
-        return OrientationResult(False, witness=witness, warnings=tuple(warnings))
+        warnings = () if witness is not None else (
+            "no single-image witness found; the sign constraints are still "
+            "inconsistent",)
+        return OrientationResult(False, witness=witness, warnings=warnings)
 
     positive = frozenset(2 * cls if sign[cls] > 0 else 2 * cls + 1 for cls in range(m))
     for e in positive:
         for y in gsm.image(e):
             assert y in positive, "consistent signs must orient every image"
-    return OrientationResult(True, positive_letters=positive, warnings=tuple(warnings))
+    return OrientationResult(True, positive_letters=positive)
 
 
 # ---------------------------------------------------------------------------
@@ -462,11 +446,13 @@ def conjugacy_growth(gsm: GraphSelfMap, w, n_max: int) -> ConjugacyGrowth:
         raise DomainError("growth of the trivial loop is undefined")
     if gsm.graph.origin(word[0]) != gsm.graph.terminus(word[-1]):
         raise DomainError("conjugacy growth expects a loop")
+    images = [gsm.image(c) for c in gsm.graph.alphabet.letters()]
     lengths = [(0, len(cyclic_tighten_raw(word)))]
     current = word
     for n in range(1, n_max + 1):
-        current = tighten_raw(
-            expand_capped(current, gsm.tables(), "intermediate word").tolist())
+        pieces = [images[c] for c in current]
+        check_size(sum(map(len, pieces)), "intermediate word")
+        current = tighten_raw(chain.from_iterable(pieces))
         lengths.append((n, len(cyclic_tighten_raw(current))))
     last, prev = lengths[-1][1], lengths[-2][1]
     rate = last / prev if prev else 0.0

@@ -6,10 +6,9 @@ alphabets the letter with topological index i and its inverse occupy codes
 alphabets just use ``0 .. sigma-1``.  Cancellation is ``words.tighten_raw``.
 
 The counting route runs on these words and lists alone, as the enumerating
-route does on ``str``: lamtool loads no array library.
-
-:func:`expand_capped` asks ``config.check_size`` before it expands.  There
-is one backend; ``BACKEND`` names it for run records.
+route does on ``str``: lamtool loads no array library.  Callers ask
+``config.check_size`` before they expand.  There is one backend;
+``BACKEND`` names it for run records.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from array import array
 from itertools import accumulate, chain, islice, repeat
 from operator import sub
 
-from .config import check_size
 from .errors import DomainError
 
 __all__ = [
@@ -26,7 +24,6 @@ __all__ = [
     "Word",
     "image_tables",
     "expand_codes",
-    "expand_capped",
     "substring_counts",
 ]
 
@@ -61,15 +58,6 @@ def image_tables(images):
         data.extend(img)
         offsets.append(len(data))
     return offsets, data
-
-
-def expand_capped(codes, tables, what) -> Word:
-    """:func:`expand_codes` over ``tables = (offsets, data)``, refused before
-    anything is expanded when the result is over the size cap; the refusal
-    calls the result ``what``."""
-    offsets, data = tables
-    check_size(sum(offsets[c + 1] - offsets[c] for c in codes), what)
-    return expand_codes(codes, offsets, data)
 
 
 def substring_counts(codes, sigma, n_max):

@@ -4,6 +4,7 @@ A laminary language is stored as length strata of reduced, nonempty edge
 words.  Materialized languages carry their members; the attracting language
 of a train track map additionally has a counting route (through its induced
 substitution) that scales to the depths the covering bounds need.
+``certify`` decides, once per map, whether the map carries one.
 
 ``transport_compare`` realizes the collapse comparison: project the language
 onto the rose of a maximal subtree, then check both complexity inequalities
@@ -24,14 +25,17 @@ from .errors import (DomainError, LamtoolError, PreconditionError,
                      SizeCapExceeded, UnderEnumerationError)
 from .graphs import (CollapseData, MarkedMetricGraph, maximal_subtree,
                      project_path)
-from .graphmaps import (GraphSelfMap, analyze_matrix, is_train_track,
-                        orientability, transition_matrix)
+from .graphmaps import (GraphSelfMap, MatrixAnalysis, OrientationResult,
+                        TrainTrackResult, TransitionMatrix, analyze_matrix,
+                        is_train_track, orientability, transition_matrix)
 from .substitutions import (EquivalenceWitness, Substitution, complexity_counts,
                             factor_language, from_train_track,
                             growth_equivalence_witness)
 from .words import Stratified, sorted_blocks
 
 __all__ = [
+    "MapCertificate",
+    "certify",
     "LaminaryLanguage",
     "attracting_language",
     "beta_metric",
@@ -81,9 +85,38 @@ class LaminaryLanguage(Stratified):
                 f"symmetric={self.symmetric})")
 
 
-def _certify(gsm: GraphSelfMap):
+class MapCertificate(NamedTuple):
+    """Everything lamtool decides about a map, decided once: the train track
+    test, the transition matrix and its analysis, the orientation, the
+    reasons the map carries no attracting language (none when it does) and,
+    exactly when there are none, the induced primitive substitution."""
+
+    train_track: TrainTrackResult
+    matrix: TransitionMatrix
+    analysis: MatrixAnalysis
+    orientation: OrientationResult
+    failures: tuple[str, ...]
+    substitution: Optional[Substitution]
+
+
+# the one failure of a map that meets all three hypotheses: the substitution
+# over both orientations of the edges is then irreducible of period 2, its
+# letters split into the two sides of an orientation that f reverses
+IMPRIMITIVE_SUBSTITUTION = (
+    "the induced substitution is not primitive: the map reverses an "
+    "orientation of the edges; its square keeps that orientation and has "
+    "the same attracting lamination")
+
+
+def certify(gsm: GraphSelfMap) -> MapCertificate:
+    """Decide whether ``gsm`` is an expanding primitive train track map whose
+    induced substitution is primitive, the hypothesis of every count on its
+    attracting lamination.  Failures name each hypothesis that does not
+    hold; the orientation of a map that fails one carries a warning."""
     tt = is_train_track(gsm)
-    analysis = analyze_matrix(transition_matrix(gsm))
+    matrix = transition_matrix(gsm)
+    analysis = analyze_matrix(matrix)
+    orientation = orientability(gsm)
     failures = []
     if not tt.is_train_track:
         failures.append("map is not a train track map: " + tt.reason)
@@ -91,16 +124,24 @@ def _certify(gsm: GraphSelfMap):
         failures.append("transition matrix is not primitive")
     if not analysis.expanding:
         failures.append("map is not expanding")
+    sub = None
     if failures:
-        raise PreconditionError("; ".join(failures))
-    return tt, analysis
+        orientation = orientation._replace(warnings=(
+            "orientability is meaningful for expanding primitive train track "
+            "maps; computing on best effort", *orientation.warnings))
+    else:
+        sub = from_train_track(gsm, orientation)
+        if not sub.is_primitive():
+            failures.append(IMPRIMITIVE_SUBSTITUTION)
+            sub = None
+    return MapCertificate(tt, matrix, analysis, orientation, tuple(failures), sub)
 
 
 def _oriented_substitution(gsm: GraphSelfMap):
-    tt, analysis = _certify(gsm)
-    orn = orientability(gsm, analysis, tt)
-    sub = from_train_track(gsm, orn)
-    return orn, sub
+    cert = certify(gsm)
+    if cert.failures:
+        raise PreconditionError("; ".join(cert.failures))
+    return cert.orientation, cert.substitution
 
 
 def _language_from_substitution(gsm: GraphSelfMap, orn, sub: Substitution,
@@ -155,8 +196,7 @@ def beta_metric(lang: LaminaryLanguage, n) -> int:
     required = lang.graph.depth(bound)
     if required > lang.complete_to:
         raise UnderEnumerationError(
-            f"beta_metric({n}) needs depth {required}, enumerated {lang.complete_to}",
-            achieved=lang.complete_to, required=required)
+            f"beta_metric({n}) needs depth {required}, enumerated {lang.complete_to}")
     return bisect_right(lang.metric_lengths(), lang.graph.weight_bound(bound))
 
 
@@ -250,8 +290,7 @@ def transport_compare(lang: LaminaryLanguage, cd: CollapseData, n_max: int,
     if lang.complete_to < stretch * n_max:
         raise UnderEnumerationError(
             f"transport needs base depth {stretch * n_max}, "
-            f"enumerated {lang.complete_to}",
-            achieved=lang.complete_to, required=stretch * n_max)
+            f"enumerated {lang.complete_to}")
     rose_lang = project_language(lang, cd)
 
     rows = []
@@ -377,8 +416,7 @@ class MaterializedSource(LanguageSource):
         if n_max > self.lang.complete_to:
             raise UnderEnumerationError(
                 f"table to n={n_max} needs depth {n_max}, "
-                f"enumerated {self.lang.complete_to}",
-                achieved=self.lang.complete_to, required=n_max)
+                f"enumerated {self.lang.complete_to}")
         return [self.lang.p(n) for n in range(1, n_max + 1)]
 
     # members at hand: count them, naming the first bound past the depth
@@ -425,8 +463,7 @@ class AttractingSource(LanguageSource):
         if depth > self.materialize_limit:
             raise UnderEnumerationError(
                 f"metric counts to n={n_max} need enumeration depth {depth}, "
-                f"beyond the materialization limit {self.materialize_limit}",
-                achieved=self.materialize_limit, required=depth)
+                f"beyond the materialization limit {self.materialize_limit}")
         return super()._metric_beta(n_max)
 
 

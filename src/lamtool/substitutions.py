@@ -25,7 +25,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .config import check_size
 from .errors import (DomainError, InsufficientDataError, MalformedInputError,
-                     NotAnEigenletterError, PreconditionError)
+                     NotAnEigenletterError)
 from .graphmaps import (GraphSelfMap, OrientationResult, _primitivity_exponent,
                         _support)
 from .kernels import Word, expand_codes, image_tables, substring_counts
@@ -126,31 +126,23 @@ class Substitution:
 
 
 def from_train_track(gsm: GraphSelfMap, orientation: OrientationResult) -> Substitution:
-    """The substitution carried by an expanding primitive train track map.
+    """The substitution carried by a train track map.
 
     Non-orientable maps extend to a substitution over all oriented edges
     (inverse letters map to inverse words); orientable maps restrict to the
-    preferred positive edges.  Either way the result is primitive whenever
-    the map is.
+    preferred positive edges.  The result need not be primitive when the map
+    is: ``laminations.certify`` decides that.
     """
     alphabet = gsm.graph.alphabet
     if orientation.orientable:
         # orientability has asserted that every image stays on this side
         codes = sorted(orientation.positive_letters)
-        letters = [alphabet.token(c) for c in codes]
         position = {c: i for i, c in enumerate(codes)}
         images = [tuple(position[y] for y in gsm.image(c)) for c in codes]
-        sub = Substitution(letters, images)
     else:
         codes = list(alphabet.letters())
-        letters = [alphabet.token(c) for c in codes]
-        images = [tuple(gsm.image(c)) for c in codes]  # codes double as indices
-        sub = Substitution(letters, images)
-    if not sub.is_primitive():
-        raise PreconditionError(
-            "the induced substitution is not primitive; the map must be "
-            "primitive, expanding and train track")
-    return sub
+        images = [gsm.image(c) for c in codes]  # codes double as indices
+    return Substitution([alphabet.token(c) for c in codes], images)
 
 
 # ---------------------------------------------------------------------------

@@ -77,12 +77,6 @@ class EdgeAlphabet:
     def format(self, codes: Iterable[int]) -> str:
         return " ".join(self.token(c) for c in codes)
 
-    def __eq__(self, other):
-        return isinstance(other, EdgeAlphabet) and self.names == other.names
-
-    def __hash__(self):
-        return hash(self.names)
-
     def __repr__(self):
         return f"EdgeAlphabet({', '.join(self.names)})"
 
@@ -140,8 +134,7 @@ class Stratified:
     def p(self, n: int) -> int:
         if not 1 <= n <= self.complete_to:
             raise UnderEnumerationError(
-                f"p({n}) not enumerated (depth {self.complete_to})",
-                achieved=self.complete_to, required=n)
+                f"p({n}) not enumerated (depth {self.complete_to})")
         return len(self.rows[n])
 
     def p_counts(self) -> list[int]:

@@ -276,6 +276,7 @@ def test_criterion_10_deterministic_outputs(tmp_path):
         "thue_morse_sub.lam": ["complexity", "--max-n", "15"],
         "permutation_map.lam": ["analyze", "--json"],
         "nonorientable_map.lam": ["analyze", "--json"],
+        "period2_map.lam": ["analyze", "--json"],
         "theta_collapse.lam": ["collapse", "--max-n", "10"],
         "fullshift_2rose.lam": ["dimension", "--a", "3", "--delta", "0.5",
                                 "--max-n", "12", "--json"],

@@ -26,8 +26,9 @@ THETA = SAMPLES / "theta_collapse.lam"
 FULL = SAMPLES / "fullshift_2rose.lam"
 FIBSUB = SAMPLES / "fibonacci_sub.lam"
 TMSUB = SAMPLES / "thue_morse_sub.lam"
+PERIOD2 = SAMPLES / "period2_map.lam"
 
-ALL_SAMPLES = [FIB, PERM, NONOR, THETA, FULL, FIBSUB, TMSUB]
+ALL_SAMPLES = [FIB, PERM, NONOR, THETA, FULL, FIBSUB, TMSUB, PERIOD2]
 
 # the full 2-rose with lengths 1 and 1.001: 1000 weight rows per unit length
 NEAR_FULL_SHIFT = FULL.read_text().replace("edge b v v 1\n", "edge b v v 1.001\n")
@@ -50,6 +51,20 @@ map a = a b c
 map b = a
 map c = c d
 map d = c
+"""
+
+
+# an expanding primitive train track map that sends the side {a, b'} to the
+# side {a', b}: its substitution over oriented edges has period 2
+PERIOD2_MAP = """\
+graph
+vertex v
+edge a v v 1
+edge b v v 1
+map
+vmap v = v
+map a = a' b'
+map b = a'
 """
 
 
@@ -201,6 +216,38 @@ class TestAnalyzeCommand:
         payload = json.loads(out)
         assert payload["matrix_analysis"]["primitive"] is True
         assert payload["substitution"] == {"a": "a b", "b": "a"}
+
+    def test_orientation_reversing_map_reports_no_substitution(self, tmp_path,
+                                                               capsys):
+        path = tmp_path / "period2.lam"
+        path.write_text(PERIOD2_MAP)
+        code, out, err = run_main(capsys, "analyze", path)
+        assert (code, err) == (0, "")
+        assert "train track: yes" in out
+        assert "primitive: yes (witness k=2); expanding: yes" in out
+        assert not any(line.startswith("substitution:")
+                       for line in out.splitlines())
+        assert ("no substitution: the induced substitution is not primitive: "
+                "the map reverses an orientation of the edges") in out
+        assert PERIOD2.read_text().endswith(PERIOD2_MAP)
+
+    def test_orientation_reversing_map_json(self, tmp_path, capsys):
+        path = tmp_path / "period2.lam"
+        path.write_text(PERIOD2_MAP)
+        code, out, _ = run_main(capsys, "analyze", path, "--json")
+        payload = json.loads(out)
+        assert code == 0 and payload["substitution"] is None
+        assert payload["matrix_analysis"]["primitive"] is True
+
+    def test_orientation_reversing_map_is_not_counted(self, tmp_path, capsys):
+        path = tmp_path / "period2.lam"
+        path.write_text(PERIOD2_MAP)
+        code, out, err = run_main(capsys, "complexity", path, "--max-n", "8")
+        assert (code, out) == (2, "")
+        assert err.startswith("precondition error: the induced substitution "
+                              "is not primitive: the map reverses")
+        assert "its square" in err
+        assert "train track" not in err and "expanding" not in err
 
 
 class TestComplexityCommand:

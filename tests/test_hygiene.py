@@ -1,8 +1,10 @@
 """Source hygiene of ``src/lamtool``, read with the stdlib ``ast``.
 
 Every ``__all__`` entry resolves, no import goes unused, no module imports
-``dataclasses`` (records are ``typing.NamedTuple``s) or numpy, and
-``pyproject.toml`` lists no run-time dependency.  Every module-level
+``dataclasses`` (records are ``typing.NamedTuple``s) or numpy,
+``pyproject.toml`` lists no run-time dependency, and only
+``laminations.certify`` runs the steps that decide whether a map carries
+an attracting language.  Every module-level
 function and class, and every method and property of a class, is named
 somewhere that a command, an acceptance test or the benchmark reaches:
 elsewhere in ``src/lamtool``, in ``tests/test_acceptance.py`` or in
@@ -149,6 +151,24 @@ def test_numpy_only_for_a_reducible_spectrum(path):
     and a reducible matrix's spectrum comes from its strongly connected
     blocks: no module imports numpy."""
     assert "numpy" not in _imported_packages(path), f"{path.name} imports numpy"
+
+
+def test_one_place_certifies_a_map():
+    """Whether a map carries an attracting language is decided once, by
+    ``laminations.certify``: no other function of ``src/lamtool`` calls the
+    steps of that decision."""
+    steps = {"is_train_track", "transition_matrix", "analyze_matrix",
+             "orientability", "from_train_track"}
+    callers = set()
+    for path in MODULES:
+        for func in ast.walk(_tree(path)):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id in steps):
+                    callers.add(f"{path.stem}.{func.name}")
+    assert callers == {"laminations.certify"}
 
 
 def test_no_run_time_dependency():

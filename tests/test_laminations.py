@@ -1,3 +1,4 @@
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -7,21 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lamtool import (GraphSelfMap, MarkedMetricGraph, attracting_language,
-                     beta_metric, complexity_counts, from_train_track,
+                     beta_metric, cli, complexity_counts, from_train_track,
                      laminations, maximal_subtree, orientability,
                      transport_compare)
 from lamtool.errors import (PreconditionError, SizeCapExceeded,
                             UnderEnumerationError)
 from lamtool.fileformat import LanguageSpec, build_language, parse
 from lamtool.graphs import project_path
-from lamtool.laminations import (AttractingSource, FullShiftSource,
-                                 LaminaryLanguage, MaterializedSource,
-                                 SubstitutionSource, project_language)
+from lamtool.laminations import (IMPRIMITIVE_SUBSTITUTION, AttractingSource,
+                                 FullShiftSource, LaminaryLanguage,
+                                 MaterializedSource, SubstitutionSource,
+                                 certify, project_language)
 from lamtool.substitutions import Substitution
 from lamtool.words import inverse_codes, sorted_blocks
 
 from conftest import (as_row, check_invariants, fiber_counts, is_reduced,
-                      lamlang_tables, metric_length, naive_iterate_image)
+                      lamlang_tables, metric_length, naive_iterate_image,
+                      random_rose_map)
 
 
 def relabelled_oracle(gsm, n_max):
@@ -614,3 +617,55 @@ class TestSources:
         sub = SubstitutionSource(Substitution.from_tokens({"a": ["a", "b"], "b": ["a"]}))
         with pytest.raises(PreconditionError, match="map or lamlang"):
             sub.materialize(3)
+
+
+def rose_map_text(gsm):
+    """The input file of a map on a unit rose with one vertex ``v``."""
+    al = gsm.graph.alphabet
+    return "\n".join(["graph", "vertex v",
+                      *(f"edge {name} v v 1" for name in al.names),
+                      "map", "vmap v = v",
+                      *(f"map {name} = {al.format(img)}"
+                        for name, img in zip(al.names, gsm.edge_images))]) + "\n"
+
+
+class TestCertify:
+    def test_failing_map_names_each_hypothesis_and_warns(self, rose2):
+        al = rose2.alphabet
+        swap = GraphSelfMap(rose2, [0], [al.parse("b"), al.parse("a")])
+        cert = certify(swap)
+        assert cert.failures == ("transition matrix is not primitive",
+                                 "map is not expanding")
+        assert cert.substitution is None
+        assert cert.orientation.warnings[0].startswith(
+            "orientability is meaningful for expanding primitive train track")
+        assert orientability(swap).warnings == ()
+
+    def test_orientation_reversing_map_has_one_failure(self, rose2):
+        al = rose2.alphabet
+        gsm = GraphSelfMap(rose2, [0], [al.parse("a' b'"), al.parse("a'")])
+        cert = certify(gsm)
+        assert cert.train_track and cert.analysis.primitive
+        assert cert.analysis.expanding
+        assert cert.failures == (IMPRIMITIVE_SUBSTITUTION,)
+        assert cert.substitution is None
+
+    def test_random_maps_analyze_and_certify(self, tmp_path, capsys):
+        # about one draw in 22 meets the three hypotheses but reverses an
+        # orientation (16 of these 300): analyze reports those maps too
+        rng = random.Random(1)
+        path = tmp_path / "map.lam"
+        certified = reversing = 0
+        for _ in range(300):
+            gsm = random_rose_map(rng, rng.choice([2, 3]))
+            path.write_text(rose_map_text(gsm))
+            code = cli.main(["analyze", str(path)])
+            assert code == 0, capsys.readouterr().err
+            capsys.readouterr()
+            cert = certify(gsm)
+            assert (cert.substitution is None) == bool(cert.failures)
+            if not cert.failures:
+                assert cert.substitution.is_primitive()
+                certified += 1
+            reversing += IMPRIMITIVE_SUBSTITUTION in cert.failures
+        assert certified >= 30 and reversing >= 8

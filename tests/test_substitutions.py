@@ -3,9 +3,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lamtool import (Substitution, analyze_matrix, complexity_counts,
-                     eigenray_prefix, factor_language, from_train_track,
-                     growth_equivalence_witness, orientability)
+from lamtool import (GraphSelfMap, Substitution, analyze_matrix,
+                     complexity_counts, eigenray_prefix, factor_language,
+                     from_train_track, growth_equivalence_witness,
+                     orientability)
 from lamtool import substitutions
 from lamtool.errors import (DomainError, InsufficientDataError,
                             MalformedInputError, NotAnEigenletterError,
@@ -72,6 +73,19 @@ class TestFromTrainTrack:
     def test_result_is_primitive_by_matrix_test(self, nonorientable_map):
         sub = from_train_track(nonorientable_map, orientability(nonorientable_map))
         assert analyze_matrix(sub.occurrence_matrix()).primitive
+
+    def test_orientation_reversing_map_gives_a_period_two_substitution(self, rose2):
+        # f(a) = a' b', f(b) = a' is primitive and expanding but sends the
+        # side {a, b'} to the side {a', b}: the counting routes refuse it
+        al = rose2.alphabet
+        gsm = GraphSelfMap(rose2, [0], [al.parse("a' b'"), al.parse("a'")])
+        sub = from_train_track(gsm, orientability(gsm))
+        analysis = analyze_matrix(sub.occurrence_matrix())
+        assert analysis.irreducible and not analysis.primitive
+        with pytest.raises(DomainError, match="primitive substitution"):
+            factor_language(sub, 4)
+        with pytest.raises(DomainError, match="primitive substitution"):
+            complexity_counts(sub, 4)
 
 
 class TestEigenrays:
