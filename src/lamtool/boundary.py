@@ -69,7 +69,9 @@ def cover_bound_series(beta_values: Sequence[int], a, delta, c0) -> CoverBoundRe
     first_below = None
     for n in range(start, n_max + 1):
         beta = int(beta_values[n - 1])
-        log_bound = _log_int(beta) - n * float(delta) * log_a + shift
+        # as n >= 2*c0, the exponent is -inf, not nan, when the shift overflows
+        log_bound = (_log_int(beta) - n * float(delta) * log_a + shift
+                     if shift < math.inf else -math.inf)
         bound = math.exp(log_bound) if log_bound < 700 else math.inf
         rows.append((n, beta, bound))
         log_bounds.append(log_bound)

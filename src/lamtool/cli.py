@@ -8,8 +8,9 @@ Commands::
     lamtool collapse FILE --max-n N
     lamtool compare FILE1 FILE2 --max-n N --max-c C
 
-Exit codes: 0 success, 1 usage or parse error, 2 precondition violation,
-3 resource cap (the size cap, or memory running out), 4 under-enumeration.
+Exit codes: 0 success, 1 usage or parse error (or stdout closed early),
+2 precondition violation, 3 resource cap (the size cap, or memory running
+out), 4 under-enumeration.
 LAMTOOL_SIZE_CAP, the only setting of the size cap, counts int32 words (one
 per letter); the cap bounds expanded words, the eigenray prefix whose slices
 the counting automaton reads (and so its input), full-shift tables and the
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from . import __version__
@@ -417,20 +419,28 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        size_cap()  # a bad LAMTOOL_SIZE_CAP is a usage error for every command
-        for flag in ("max_n", "max_c"):  # of the commands that take them
-            if getattr(args, flag, 1) < 1:
-                raise UsageError(f"--{flag.replace('_', '-')} must be >= 1")
         try:
-            return args.func(args)
-        except MemoryError:  # memory ran out below the size cap
-            print(f"resource cap: out of memory during {args.command}",
-                  file=sys.stderr)
-            return 3
-    except LamtoolError as exc:
-        print(f"{exc.label}: {exc}", file=sys.stderr)
-        return exc.exit_code
+            args = parser.parse_args(argv)
+            size_cap()  # a bad LAMTOOL_SIZE_CAP is a usage error for every command
+            for flag in ("max_n", "max_c"):  # of the commands that take them
+                if getattr(args, flag, 1) < 1:
+                    raise UsageError(f"--{flag.replace('_', '-')} must be >= 1")
+            try:
+                return args.func(args)
+            except MemoryError:  # memory ran out below the size cap
+                print(f"resource cap: out of memory during {args.command}",
+                      file=sys.stderr)
+                return 3
+        except LamtoolError as exc:
+            print(f"{exc.label}: {exc}", file=sys.stderr)
+            return exc.exit_code
+        finally:
+            sys.stdout.flush()  # here, so that a closed pipe is caught below
+    except BrokenPipeError:  # the reader is gone: exit 1, flush at exit to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

@@ -6,9 +6,10 @@ alphabets the letter with topological index i and its inverse occupy codes
 alphabets just use ``0 .. sigma-1``.  Cancellation is ``words.tighten_raw``.
 
 The counting route runs on these words and lists alone, as the enumerating
-route does on ``str``: lamtool loads no array library.  Callers ask
-``config.check_size`` before they expand.  There is one backend;
-``BACKEND`` names it for run records.
+route does on ``str``: lamtool loads no array library.  Expansion joins
+per-letter pieces, the bytes of each image, which a ``Substitution`` builds
+once with itself.  Callers ask ``config.check_size`` before they expand.
+There is one backend; ``BACKEND`` names it for run records.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .errors import DomainError
 __all__ = [
     "BACKEND",
     "Word",
-    "image_tables",
     "expand_codes",
     "substring_counts",
 ]
@@ -41,23 +41,10 @@ class Word(array):
         return super().__new__(cls, "i", codes)
 
 
-def expand_codes(codes, offsets, data) -> Word:
-    """Concatenate ``data[offsets[c]:offsets[c+1]]`` for every code."""
-    data = array("i", data)
-    pieces = [data[offsets[c]:offsets[c + 1]].tobytes()
-              for c in range(len(offsets) - 1)]
+def expand_codes(codes, pieces) -> Word:
+    """The word that replaces every code c by ``pieces[c]``, the bytes of
+    the ``Word`` of its image, joined in one pass."""
     return Word(b"".join(map(pieces.__getitem__, codes)))
-
-
-def image_tables(images):
-    """The images flattened into ``(offsets, data)`` for :func:`expand_codes`:
-    the image of code c is ``data[offsets[c]:offsets[c + 1]]``."""
-    offsets = [0]
-    data = array("i")
-    for img in images:
-        data.extend(img)
-        offsets.append(len(data))
-    return offsets, data
 
 
 def substring_counts(codes, sigma, n_max):

@@ -20,7 +20,7 @@ on the standard library alone.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .config import check_size
@@ -28,7 +28,7 @@ from .errors import (DomainError, InsufficientDataError, MalformedInputError,
                      NotAnEigenletterError)
 from .graphmaps import (GraphSelfMap, OrientationResult, _primitivity_exponent,
                         _support)
-from .kernels import Word, expand_codes, image_tables, substring_counts
+from .kernels import Word, expand_codes, substring_counts
 from .words import Stratified
 
 __all__ = [
@@ -50,7 +50,7 @@ __all__ = [
 class Substitution:
     """A letter-to-nonempty-word map over a plain finite alphabet."""
 
-    __slots__ = ("letters", "images", "_index", "_tables", "_strings", "_primitive")
+    __slots__ = ("letters", "images", "_index", "_pieces", "_strings", "_primitive")
 
     def __init__(self, letters: Sequence[str], images: Sequence[Sequence[int]]):
         self.letters = tuple(letters)
@@ -65,7 +65,8 @@ class Substitution:
             if any(not 0 <= c < len(self.letters) for c in img):
                 raise MalformedInputError(f"image of {letter!r} uses unknown letters")
         self._index = {s: i for i, s in enumerate(self.letters)}
-        self._tables = None
+        # each image as Word bytes for expand_codes, and as a code-point str
+        self._pieces = tuple(Word(img).tobytes() for img in self.images)
         self._strings = {chr(c): "".join(map(chr, img))
                          for c, img in enumerate(self.images)}
         self._primitive = None
@@ -94,17 +95,19 @@ class Substitution:
         except KeyError:
             raise MalformedInputError(f"unknown letter {token!r}")
 
-    def tables(self):
-        if self._tables is None:
-            self._tables = image_tables(self.images)
-        return self._tables
-
     def apply(self, word: str) -> str:
         """One substitution round on a ``str`` of letter codes (``chr(code)``),
         refused before it is joined when the result is over the size cap."""
         pieces = list(map(self._strings.__getitem__, word))
         check_size(sum(map(len, pieces)), "substituted word")
         return "".join(pieces)
+
+    def block_lengths(self):
+        """The lists ``|theta^j(c)|`` over the letters c, for j = 0, 1, ..."""
+        lengths = [1] * self.sigma
+        while True:
+            yield lengths
+            lengths = [sum(map(lengths.__getitem__, img)) for img in self.images]
 
     def occurrence_matrix(self) -> tuple[tuple[int, ...], ...]:
         """Entry (i, j) counts letter i in the image of letter j."""
@@ -161,10 +164,7 @@ def eigen_exponent(sub: Substitution, seed: int) -> int:
     if current != seed:
         raise NotAnEigenletterError(
             f"letter {sub.letters[seed]!r} never returns to first position")
-    word = (seed,)
-    for _ in range(k):
-        word = tuple(c for letter in word for c in sub.images[letter])
-    if len(word) < 2:
+    if next(islice(sub.block_lengths(), k, None))[seed] < 2:
         raise NotAnEigenletterError(
             f"letter {sub.letters[seed]!r} is periodic and never grows")
     return k
@@ -213,13 +213,12 @@ def eigenray_prefix(sub: Substitution, seed, target_len: int,
     windows = _checked_windows(windows, target_len)
     k = eigen_exponent(sub, seed)
     check_size(target_len, "eigenray prefix")
-    offsets, data = sub.tables()
     # sizes[j][c] = |theta^j(c)|, for j = 0..R
-    lengths = [1] * sub.sigma
-    sizes = [lengths]
-    while (len(sizes) - 1) % k or lengths[seed] < target_len:
-        lengths = [sum(lengths[x] for x in img) for img in sub.images]
+    sizes = []
+    for lengths in sub.block_lengths():
         sizes.append(lengths)
+        if not (len(sizes) - 1) % k and lengths[seed] >= target_len:
+            break
     # one run per window, end to end in ``word``: run i is the slice
     # cuts[i]:cuts[i + 1], and its blocks cover the prefix letters spans[i]
     word = Word([seed] * len(windows))
@@ -246,7 +245,7 @@ def eigenray_prefix(sub: Substitution, seed, target_len: int,
         cuts = [0, *accumulate(last - first if j == 1 else
                                sum(map(sizes[1].__getitem__, run))
                                for run, (first, last) in zip(runs, spans))]
-        word = expand_codes(word, offsets, data)
+        word = expand_codes(word, sub._pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -409,28 +408,24 @@ def counting_certificate(sub: Substitution, n_max: int) -> CountingCertificate:
     mirror = Substitution(sub.letters, [img[::-1] for img in sub.images])
     best = None
     for side in (sub, mirror):
-        pairs = length2_factors(side)
+        pairs = [chr(x) + chr(y) for x, y in length2_factors(side)]
         for seed in range(sub.sigma):
             try:
                 e = eigen_exponent(side, seed)
             except NotAnEigenletterError:
                 continue
-            # the ray prefix theta^(je)(seed), until it holds every pair
-            word = (seed,)
-            while not pairs <= set(zip(word, word[1:])):
+            # theta^(je)(seed) until it holds every pair; uncapped, unlike
+            # ``apply``: the cap is on theta^k(Q), which this ray may outgrow
+            word = chr(seed)
+            while not all(pair in word for pair in pairs):
                 for _ in range(e):
-                    word = tuple(c for x in word for c in side.images[x])
-            missing = set(pairs)
-            end = 0
-            while missing:
-                missing.discard(word[end:end + 2])
-                end += 1
-            lengths = [1] * sub.sigma  # |theta^k(c)|
-            k = 0
-            while k % e or min(lengths) < n_max:
-                lengths = [sum(lengths[x] for x in img) for img in sub.images]
-                k += 1
-            prefix = word[:end + 1]
+                    word = "".join(map(side._strings.__getitem__, word))
+            prefix = tuple(map(ord, word[:max(map(word.find, pairs)) + 2]))
+            # k: the least multiple of e at which every block |theta^k(c)|
+            # (the mirror's too) has n_max letters
+            k, lengths = next((k, lengths) for k, lengths
+                              in enumerate(sub.block_lengths())
+                              if not k % e and min(lengths) >= n_max)
             cert = CountingCertificate(side, seed, k,
                                        sum(lengths[q] for q in prefix), prefix,
                                        _ray_slices(prefix, lengths, n_max))

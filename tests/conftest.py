@@ -10,9 +10,10 @@ from itertools import accumulate
 
 import pytest
 
-from lamtool import GraphSelfMap, MarkedMetricGraph
+from lamtool import GraphSelfMap, MarkedMetricGraph, Substitution
 from lamtool.errors import PreconditionError
 from lamtool.graphs import project_path
+from lamtool.substitutions import _ray_slices, length2_factors
 from lamtool.words import inverse_codes
 
 
@@ -156,6 +157,50 @@ def naive_iterate_image(gsm, code, k):
     for _ in range(k):
         word = [c for y in word for c in gsm.image(y)]
     return tuple(word)
+
+
+def certificate_oracle(sub, n_max):
+    """``counting_certificate``'s (images, seed, power, letters, prefix,
+    slices), derived step by step: the eigen exponent and the ray by tuple
+    expansion, Q by a scan for the pairs still missing, and the block
+    lengths |theta^k(c)| anew for each seed.  None when no letter generates
+    an eigenray."""
+    best = None
+    for images in (sub.images, tuple(img[::-1] for img in sub.images)):
+        side = Substitution(sub.letters, images)
+
+        def step(word):
+            return tuple(c for x in word for c in images[x])
+
+        pairs = length2_factors(side)
+        for seed in range(sub.sigma):
+            e, first = 1, images[seed][0]
+            while first != seed and e <= sub.sigma:
+                first, e = images[first][0], e + 1
+            word = (seed,)
+            for _ in range(e):
+                word = step(word)
+            if first != seed or len(word) < 2:
+                continue
+            word = (seed,)
+            while not pairs <= set(zip(word, word[1:])):
+                for _ in range(e):
+                    word = step(word)
+            missing, end = set(pairs), 0
+            while missing:
+                missing.discard(word[end:end + 2])
+                end += 1
+            lengths, k = [1] * sub.sigma, 0
+            while k % e or min(lengths) < n_max:
+                lengths = [sum(lengths[x] for x in img) for img in images]
+                k += 1
+            prefix = word[:end + 1]
+            letters = sum(lengths[q] for q in prefix)
+            slices = _ray_slices(prefix, lengths, n_max)
+            key = (letters, sum(stop - start for start, stop in slices))
+            if best is None or key < best[0]:
+                best = key, (images, seed, k, letters, prefix, slices)
+    return best and best[1]
 
 
 def _image_table(gsm):

@@ -169,6 +169,14 @@ class TestCoverBoundSeries:
         report = cover_bound_series([1] * 20, 2, 0.5, 3.0)
         assert report.rows[0][0] == 6  # ceil(2 * c0)
 
+    def test_overflowing_shift_gives_zero_bounds(self):
+        # c0 * delta * ln a is past float range, so inf - inf would read nan;
+        # each row's exponent -(n - c0) * delta * ln a, n >= 2 * c0, is -inf
+        report = cover_bound_series([10, 18, 28, 40], 1e308, 1e308, 1.0)
+        assert report.rows == ((2, 18, 0.0), (3, 28, 0.0), (4, 40, 0.0))
+        assert report.log_bounds == (-math.inf,) * 3
+        assert report.vanishing and report.first_below == 2
+
 
 class TestDimUpperEstimate:
     def test_full_shift_slope_is_one(self):

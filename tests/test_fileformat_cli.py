@@ -445,6 +445,14 @@ class TestDimensionCommand:
         # bounds a float holds print as before: 16 * 3^(-2/2) * 3^(1/2)
         assert rows[1] == "2,16,9.23760430703"
 
+    def test_overflowing_exponent_vanishes_at_the_start(self, capsys):
+        # c0 * delta * ln a is past float range: every bound is 0, not inf
+        code, out, err = run_main(capsys, "dimension", FIB, "--a", "1e308",
+                                  "--delta", "1e308", "--max-n", "20")
+        assert (code, err) == (0, "")
+        assert out.endswith("delta=1e+308: vanishing=yes, first bound < 1e-06 "
+                            "at n* = 2, final bound at n=20: 0\n")
+
     def test_csv_columns(self, tmp_path):
         target = tmp_path / "series.csv"
         code, _, _ = run_cli("dimension", FIB, "--a", "2", "--delta", "0.5",
@@ -795,6 +803,30 @@ class TestImportBudget:
             runs[mode] = json.loads(proc.stdout)
         assert runs["block"] == runs["normal"]
         assert {code for code, _, _ in runs["normal"]} == {0, 2}
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("unbuffered", [False, True],
+                             ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("args", [
+        ("analyze", FIB, "--json"),
+        ("complexity", FIBSUB, "--max-n", "3"),
+    ], ids=["analyze", "complexity"])
+    def test_reader_gone_exit_1_quietly(self, args, unbuffered):
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before the child starts
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "lamtool.cli", *map(str, args)],
+                stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write)
+        assert proc.returncode == 1
+        assert proc.stderr == b""
 
 
 class TestDeterminism:

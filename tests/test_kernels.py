@@ -15,12 +15,17 @@ from lamtool.words import tighten_raw
 from conftest import fibonacci_word, naive_tighten, random_word
 
 
-def list_expand(codes, offsets, data):
-    """Concatenate the blocks one letter at a time, in plain lists."""
+def list_expand(codes, images):
+    """Concatenate the images one letter at a time, in plain lists."""
     out = []
     for c in codes:
-        out.extend(data[offsets[c]:offsets[c + 1]])
+        out.extend(images[c])
     return out
+
+
+def image_pieces(images):
+    """The per-letter pieces ``expand_codes`` joins: each image's bytes."""
+    return [array("i", img).tobytes() for img in images]
 
 
 def brute_force_counts(word, n_max):
@@ -101,21 +106,17 @@ class TestExpand:
         rng = random.Random(3)
         for _ in range(100):
             sigma = rng.randint(1, 6)
-            sizes = [rng.randint(0, 4) for _ in range(sigma)]
-            offsets = np.cumsum([0] + sizes).astype(np.int64)
-            data = np.array([rng.randrange(sigma) for _ in range(sum(sizes))],
-                            dtype=np.int32)
+            images = [[rng.randrange(sigma) for _ in range(rng.randint(0, 4))]
+                      for _ in range(sigma)]
             word = np.array([rng.randrange(sigma)
                              for _ in range(rng.randint(0, 50))], dtype=np.int32)
-            out = expand_codes(word, offsets, data)
+            out = expand_codes(word, image_pieces(images))
             assert out.typecode == "i"
-            assert out.tolist() == list_expand(word.tolist(), offsets.tolist(),
-                                               data.tolist())
+            assert out.tolist() == list_expand(word.tolist(), images)
 
     def test_empty_word(self):
-        offsets = np.array([0, 1], dtype=np.int64)
-        data = np.array([0], dtype=np.int32)
-        assert expand_codes(np.array([], dtype=np.int32), offsets, data).size == 0
+        pieces = image_pieces([[0]])
+        assert expand_codes(np.array([], dtype=np.int32), pieces).size == 0
 
 
 class TestSubstringCounts:

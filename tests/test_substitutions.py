@@ -1,3 +1,5 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -17,7 +19,8 @@ from lamtool.substitutions import (counting_certificate, eigen_exponent,
                                    length2_factors, linear_fit_constant)
 from lamtool.words import iter_factors_raw
 
-from conftest import fibonacci_word, string_factors, thue_morse_word
+from conftest import (certificate_oracle, fibonacci_word, string_factors,
+                      thue_morse_word)
 
 
 @pytest.fixture
@@ -460,6 +463,27 @@ class TestCertifiedCounting:
         lang = factor_language(sub, 12)
         counts = complexity_counts(sub, 12)
         assert list(counts[1:]) == [lang.p(n) for n in range(1, 13)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(primitive_substitutions())
+    def test_block_lengths_are_the_iterated_images(self, sub):
+        words = [(c,) for c in range(sub.sigma)]
+        for lengths in islice(sub.block_lengths(), 7):
+            assert lengths == [len(word) for word in words]
+            words = [tuple(y for x in word for y in sub.images[x])
+                     for word in words]
+
+    @settings(max_examples=80, deadline=None)
+    @given(primitive_substitutions(), st.integers(1, 300))
+    def test_certificate_matches_the_oracle(self, sub, n):
+        cert = counting_certificate(sub, n)
+        assert (cert.sub.images, cert.seed, cert.power, cert.letters,
+                cert.prefix, cert.slices) == certificate_oracle(sub, n)
+
+    def test_fixed_letter_has_no_eigenray(self):
+        # a -> a is primitive, but its block never grows to n_max letters
+        with pytest.raises(NotAnEigenletterError, match="no letter generates"):
+            complexity_counts(Substitution(["a"], [(0,)]), 5)
 
     def test_length2_factors_of_fibonacci(self, fib):
         assert length2_factors(fib) == {(0, 0), (0, 1), (1, 0)}
