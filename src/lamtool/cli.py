@@ -12,9 +12,9 @@ Exit codes: 0 success, 1 usage or parse error (or stdout closed early),
 2 precondition violation, 3 resource cap (the size cap, or memory running
 out), 4 under-enumeration.
 LAMTOOL_SIZE_CAP, the only setting of the size cap, counts int32 words (one
-per letter); the cap bounds expanded words, the eigenray prefix whose slices
-the counting automaton reads (and so its input), full-shift tables and the
-depth of materialized strata.
+per letter); it bounds expanded words, the automaton's input (by the
+eigenray prefix whose slices it reads, or by a lamlang language's paths),
+full-shift tables and the depth of materialized strata.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from .errors import DomainError, LamtoolError, PreconditionError, UsageError
 from .fileformat import AnalysisInput, build_language, format_length, parse
 from .graphs import maximal_subtree
 from .laminations import (IMPRIMITIVE_SUBSTITUTION, AttractingSource,
-                          FullShiftSource, LanguageSource, MaterializedSource,
-                          SubstitutionSource, certify)
+                          FullShiftSource, LanguageSource, SubstitutionSource,
+                          certify)
 from .substitutions import growth_equivalence_witness, linear_fit_constant
 
 
@@ -90,7 +90,7 @@ def _source(ai: AnalysisInput) -> LanguageSource:
         return SubstitutionSource(ai.substitution)
     if ai.language.closure == "fullshift":
         return FullShiftSource(ai.graph)
-    return MaterializedSource(build_language(ai.language, ai.graph))
+    return build_language(ai.language, ai.graph)
 
 
 def _provenance(ai: AnalysisInput, **params):

@@ -21,8 +21,8 @@ decimal literals, stored exactly.
 
 Extension: a ``lamlang`` header may carry ``closure=fullshift`` to denote
 the language of all reduced edge paths of the graph, with no path lines.
-The default, ``closure=subwords``, closes the listed paths under subwords
-(and inversion when ``symmetric=1``).
+The default, ``closure=subwords``, denotes the subwords of the listed paths
+(and of their inverses when ``symmetric=1``), counted from the paths alone.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ from typing import NamedTuple, Optional
 from .errors import MalformedInputError, ParseError
 from .graphs import MarkedMetricGraph
 from .graphmaps import GraphSelfMap
-from .laminations import LaminaryLanguage
+from .laminations import LamlangSource
 from .substitutions import Substitution
-from .words import NAME_RE, inverse_codes, iter_factors_raw, sorted_blocks
+from .words import NAME_RE
 
 _KEYWORDS = {"graph", "vertex", "edge", "map", "vmap", "sub", "lamlang"}
 
@@ -249,10 +249,10 @@ def _build_map(graph, vmap, emap) -> GraphSelfMap:
     return GraphSelfMap(graph, vertex_image, images)
 
 
-def build_language(spec: LanguageSpec, graph) -> LaminaryLanguage:
-    """Materialize a lamlang section: close the listed paths under subwords,
-    and under inversion when flagged symmetric."""
-    members = set()
+def build_language(spec: LanguageSpec, graph) -> LamlangSource:
+    """A lamlang section's language: each listed path checked to be a
+    reduced edge path, and held as a code-point ``str``."""
+    paths = []
     for text in spec.paths:
         try:
             codes = graph.alphabet.parse(text)
@@ -264,12 +264,5 @@ def build_language(spec: LanguageSpec, graph) -> LaminaryLanguage:
             if not graph.is_edge_path(codes):
                 raise ParseError(f"lamlang path {text!r} is not an edge path")
             raise ParseError(f"lamlang path {text!r} is not reduced")
-        members.add(codes)
-    closed = set(members)
-    for m in members:
-        closed.update(iter_factors_raw(m, len(m)))
-    if spec.symmetric:
-        closed.update(inverse_codes(m) for m in list(closed))
-    rows = sorted_blocks({"".join(map(chr, m)) for m in closed}, max(map(len, closed)))
-    return LaminaryLanguage(graph, rows, spec.symmetric,
-                            origin=f"user-supplied({spec.name})")
+        paths.append("".join(map(chr, codes)))
+    return LamlangSource(graph, paths, spec.symmetric, spec.name)

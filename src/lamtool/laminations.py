@@ -28,10 +28,11 @@ from .graphs import (CollapseData, MarkedMetricGraph, maximal_subtree,
 from .graphmaps import (GraphSelfMap, MatrixAnalysis, OrientationResult,
                         TrainTrackResult, TransitionMatrix, analyze_matrix,
                         is_train_track, orientability, transition_matrix)
+from .kernels import substring_counts
 from .substitutions import (EquivalenceWitness, Substitution, complexity_counts,
                             factor_language, from_train_track,
                             growth_equivalence_witness)
-from .words import Stratified, sorted_blocks
+from .words import Stratified, harvest
 
 __all__ = [
     "MapCertificate",
@@ -42,7 +43,7 @@ __all__ = [
     "transport_compare",
     "TransportReport",
     "LanguageSource",
-    "MaterializedSource",
+    "LamlangSource",
     "SubstitutionSource",
     "AttractingSource",
     "FullShiftSource",
@@ -271,7 +272,10 @@ def project_language(lang: LaminaryLanguage, cd: CollapseData) -> LaminaryLangua
     if any(len(m) > 1 and (m[1:] not in images or m[:-1] not in images)
            for m in images):
         raise LamtoolError("projected language is not subword closed")
-    return LaminaryLanguage(cd.rose, sorted_blocks(images, depth), lang.symmetric,
+    strata = [[] for _ in range(depth + 1)]
+    for image in images:
+        strata[len(image)].append(image)
+    return LaminaryLanguage(cd.rose, strata, lang.symmetric,
                             f"transported({lang.origin})")
 
 
@@ -403,27 +407,45 @@ class LanguageSource:
                         for d, s in zip(deltas, window)], None
 
 
-class MaterializedSource(LanguageSource):
-    """A fully enumerated language (user file or attracting language)."""
-    extension_limit = 0  # no table past the enumerated depth
+class LamlangSource(LanguageSource):
+    """A listed ``lamlang`` language: the factors of its paths, code-point
+    ``str``, and of each path inverted when it is symmetric.  It is complete
+    to the longest path and refuses every table past it.  One automaton
+    over the words counts ``p``; members are harvested only when asked for."""
+    extension_limit = 0  # no table past the longest path
 
-    def __init__(self, lang: LaminaryLanguage):
-        self.lang = lang
-        self.graph = lang.graph
-        self.description = lang.origin
+    def __init__(self, graph: MarkedMetricGraph, paths: list[str],
+                 symmetric: bool, name: str):
+        self.graph, self.symmetric = graph, symmetric
+        self.description = f"user-supplied({name})"
+        xor1 = "".join(chr(c ^ 1) for c in graph.alphabet.letters())
+        # a path inverted is the path reversed, with every code ^ 1
+        self.words = paths + [w[::-1].translate(xor1) for w in paths if symmetric]
+        self.depth = max(map(len, paths))
 
     def _count(self, n_max):
-        if n_max > self.lang.complete_to:
+        if n_max > self.depth:
             raise UnderEnumerationError(
-                f"table to n={n_max} needs depth {n_max}, "
-                f"enumerated {self.lang.complete_to}")
-        return [self.lang.p(n) for n in range(1, n_max + 1)]
+                f"table to n={n_max} needs depth {n_max}, enumerated {self.depth}")
+        check_size(sum(map(len, self.words)), "lamlang paths")
+        codes = [c for word in self.words for c in (-1, *map(ord, word))]
+        return substring_counts(codes, self.graph.alphabet.size, n_max)[1:]
 
-    # members at hand: count them, naming the first bound past the depth
-    metric_beta = LanguageSource._metric_beta
+    def metric_beta(self, n_max):
+        depth = self.graph.depth
+        if depth(n_max) > self.depth:  # name the first bound past the depth
+            n = next(n for n in range(1, n_max + 1) if depth(n) > self.depth)
+            raise UnderEnumerationError(f"beta_metric({n}) needs depth "
+                                        f"{depth(n)}, enumerated {self.depth}")
+        return super().metric_beta(n_max)
 
-    def materialize(self, depth):
-        return self.lang
+    def materialize(self, depth) -> LaminaryLanguage:
+        check_size(sum(map(len, self.words)), "lamlang paths")
+        strata = [set() for _ in range(min(depth, self.depth) + 1)]
+        for word in self.words:
+            harvest(strata, word)
+        return LaminaryLanguage(self.graph, map(list, strata), self.symmetric,
+                                self.description)
 
 
 class SubstitutionSource(LanguageSource):

@@ -29,7 +29,7 @@ from .errors import (DomainError, InsufficientDataError, MalformedInputError,
 from .graphmaps import (GraphSelfMap, OrientationResult, _primitivity_exponent,
                         _support)
 from .kernels import Word, expand_codes, substring_counts
-from .words import Stratified
+from .words import Stratified, harvest
 
 __all__ = [
     "Substitution",
@@ -265,27 +265,17 @@ def factor_language(sub: Substitution, n_max: int) -> Stratified:
     Primitivity is required: it makes these iterates carry the language of
     every eigenray.
 
-    A word is harvested by its windows, the factor of length
-    min(n_max, letters left) at each position.  A factor of length <= n_max
-    is a prefix of the window at its start: in a word of length >= n_max it
-    is a prefix of a length-n_max window or lies in the last window.  So the
-    strata hold, at every point, exactly the factors of the words harvested
-    so far, a factor-closed set; a window already there brings nothing new,
-    and a word adds a factor exactly when it adds a window.  A long word
-    costs one set comprehension over its length-n_max windows and a lookup
-    of each shorter one.  A new window's prefixes are added longest first,
-    up to the first one already in its stratum: the strata are factor-closed,
-    so its shorter prefixes are there too.  The rounds that add a factor are
-    the rounds that add a window, so the stop rule, and with it every
-    iterate, is the one above.
+    Each iterate, a ``str`` of letter codes, is harvested by
+    :func:`~lamtool.words.harvest`, which adds a factor exactly when it adds
+    a window, so the stop rule, and with it every iterate, is the one above;
+    a stratum is the list of its distinct factors.  ``lamlang`` languages
+    are harvested by the same routine.
 
     A factor of length n_max needs an iterate of at least n_max letters,
     which the size cap refuses, so ``n_max`` over the cap is refused before
     any stratum is allocated.  The cap bounds the iterates, not the strata.
-
-    Words are ``str`` of letter codes, so a factor is harvested as a slice of
-    its iterate; a stratum is the list of its distinct factors.  This route
-    shares no code with :func:`complexity_counts`, which is tested against it.
+    This route shares no code with :func:`complexity_counts`, which is
+    tested against it.
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
@@ -293,24 +283,8 @@ def factor_language(sub: Substitution, n_max: int) -> Stratified:
         raise DomainError("factor enumeration requires a primitive substitution")
     check_size(n_max, "factor strata")
     strata = [set() for _ in range(n_max + 1)]
-
-    def harvest(word) -> bool:
-        size = len(word)
-        new = {word[i:i + n_max] for i in range(size - n_max + 1)}
-        new -= strata[n_max]
-        for i in range(max(0, size - n_max + 1), size):
-            if word[i:] not in strata[size - i]:
-                new.add(word[i:])
-        for w in new:
-            for n in range(len(w), 0, -1):  # stop at the first known prefix
-                prefix = w[:n]
-                if prefix in strata[n]:
-                    break
-                strata[n].add(prefix)
-        return bool(new)
-
     words = [chr(c) for c in range(sub.sigma)]
-    while any([harvest(w) for w in words]):  # a list, so every word is harvested
+    while any([harvest(strata, w) for w in words]):  # a list: harvest each
         words = [sub.apply(w) for w in words]
     return Stratified(map(list, strata))
 
@@ -404,7 +378,11 @@ def counting_certificate(sub: Substitution, n_max: int) -> CountingCertificate:
     the prefix length, do not depend on which orientation an input chose.
     Ties in the prefix length go to the smaller slice total, which makes
     that total independent of the orientation and the letter names too.
+    A non-primitive substitution is refused: some letter's blocks may stay
+    short, and the search for k would not end.
     """
+    if not sub.is_primitive():
+        raise DomainError("complexity counting requires a primitive substitution")
     mirror = Substitution(sub.letters, [img[::-1] for img in sub.images])
     best = None
     for side in (sub, mirror):
@@ -451,9 +429,7 @@ def complexity_counts(sub: Substitution, n_max: int) -> list[int]:
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
-    if not sub.is_primitive():
-        raise DomainError("complexity counting requires a primitive substitution")
-    cert = counting_certificate(sub, n_max)
+    cert = counting_certificate(sub, n_max)  # refuses a non-primitive one
     slices = eigenray_prefix(cert.sub, cert.seed, cert.letters, cert.slices)
     cuts = [0, *accumulate(stop - start for start, stop in cert.slices)]
     joined = Word([-1]).tobytes().join(

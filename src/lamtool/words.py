@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import MalformedInputError, UnderEnumerationError
 
@@ -105,13 +105,6 @@ def cyclic_tighten_raw(codes) -> tuple[int, ...]:
     return tuple(word[lo:hi])
 
 
-def iter_factors_raw(codes, n_max: int) -> Iterator[tuple[int, ...]]:
-    codes = tuple(codes)
-    for length in range(1, min(n_max, len(codes)) + 1):
-        for start in range(len(codes) - length + 1):
-            yield codes[start:start + length]
-
-
 class Stratified:
     """A length-stratified language held as rows of code-point strings.
 
@@ -145,10 +138,26 @@ class Stratified:
             yield from self.strata[n]
 
 
-def sorted_blocks(words, depth: int) -> list[list[str]]:
-    """Distinct code-point words of length at most ``depth`` as the sorted
-    rows ``rows[0..depth]`` of :class:`Stratified`."""
-    strata = [[] for _ in range(depth + 1)]
-    for word in sorted(words):
-        strata[len(word)].append(word)
-    return strata
+def harvest(strata, word) -> bool:
+    """Add the factors of length <= n_max = ``len(strata) - 1`` of ``word``,
+    a code-point ``str``, to ``strata``, the per-length sets of a
+    factor-closed language; True when one is new.  A factor is a prefix of
+    the window at its start, the factor of length min(n_max, letters left),
+    so the strata stay exactly the factors of the words harvested, and a
+    word adds a factor exactly when it adds a window.  A new window's
+    prefixes are added longest first, up to the first one already there:
+    the strata are factor-closed, so the shorter ones are there too."""
+    n_max = len(strata) - 1
+    size = len(word)
+    new = {word[i:i + n_max] for i in range(size - n_max + 1)}
+    new -= strata[n_max]
+    for i in range(max(0, size - n_max + 1), size):
+        if word[i:] not in strata[size - i]:
+            new.add(word[i:])
+    for w in new:
+        for n in range(len(w), 0, -1):  # stop at the first known prefix
+            prefix = w[:n]
+            if prefix in strata[n]:
+                break
+            strata[n].add(prefix)
+    return bool(new)

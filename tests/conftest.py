@@ -117,6 +117,24 @@ def string_factors(word, n_max):
             for i in range(len(word) - k + 1)}
 
 
+def iter_factors_raw(codes, n_max: int):
+    """Every factor of length 1..n_max of a code sequence, as tuples, with
+    repeats: a brute-force enumeration."""
+    codes = tuple(codes)
+    for length in range(1, min(n_max, len(codes)) + 1):
+        for start in range(len(codes) - length + 1):
+            yield codes[start:start + length]
+
+
+def sorted_blocks(words, depth: int) -> list[list[str]]:
+    """Distinct code-point words of length at most ``depth`` as the sorted
+    rows ``rows[0..depth]`` of a ``Stratified`` language."""
+    strata = [[] for _ in range(depth + 1)]
+    for word in sorted(words):
+        strata[len(word)].append(word)
+    return strata
+
+
 def random_reduced_word(rng, alphabet_size, length):
     """Uniform-ish reduced word over an involutive alphabet of 2*size letters."""
     word = []
@@ -127,11 +145,11 @@ def random_reduced_word(rng, alphabet_size, length):
     return tuple(word)
 
 
-def lamlang_tables(paths, lengths, n_max):
-    """p, beta and beta_metric for n = 1..n_max of the symmetric lamlang
-    language of ``paths`` (token strings such as "a b'"): every factor of a
-    path and its inverse, spelled as tokens; ``lengths`` maps edge names to
-    lengths."""
+def lamlang_tables(paths, lengths, n_max, symmetric=True):
+    """p, beta and beta_metric for n = 1..n_max of the lamlang language of
+    ``paths`` (token strings such as "a b'"): every factor of a path, and
+    of its inverse when ``symmetric``, spelled as tokens; ``lengths`` maps
+    edge names to lengths."""
     def inverse(word):
         return tuple(t[:-1] if t.endswith("'") else t + "'" for t in reversed(word))
 
@@ -140,11 +158,37 @@ def lamlang_tables(paths, lengths, n_max):
         word = tuple(text.split())
         members |= {word[i:j] for i in range(len(word))
                     for j in range(i + 1, len(word) + 1)}
-    members |= {inverse(m) for m in members}
+    if symmetric:
+        members |= {inverse(m) for m in members}
     metric = [sum(Fraction(lengths[t.rstrip("'")]) for t in m) for m in members]
     p = [sum(1 for m in members if len(m) == n) for n in range(1, n_max + 1)]
     return (p, list(accumulate(p)),
             [sum(1 for x in metric if x <= n) for n in range(1, n_max + 1)])
+
+
+def thue_morse_complexity(n):
+    """p(n) of the Thue-Morse language in closed form (Brlek 1989; de Luca
+    and Varricchio 1989): for n >= 3, n = 2^r + q + 1 with 0 < q <= 2^r,
+    p(n) = 6 * 2^(r-1) + 4q when q <= 2^(r-1), else 8 * 2^(r-1) + 2q."""
+    if n <= 2:
+        return 2 * n
+    r = (n - 2).bit_length() - 1
+    q = n - 1 - 2 ** r
+    return 3 * 2 ** r + 4 * q if 2 * q <= 2 ** r else 4 * 2 ** r + 2 * q
+
+
+def arnoux_rauzy_substitution(rng, k, extra=3):
+    """A random composition of the Arnoux-Rauzy maps sigma_i: i -> i,
+    j -> j i (j != i) on k letters, each i used at least once, with up to
+    ``extra`` more factors.  Its language has p(n) = (k - 1) n + 1
+    (Arnoux and Rauzy, Bull. SMF 119, 1991)."""
+    order = list(range(k)) + [rng.randrange(k) for _ in range(rng.randint(0, extra))]
+    rng.shuffle(order)
+    images = [(c,) for c in range(k)]
+    for i in order:  # compose on the left: sigma_i after the product so far
+        sigma = [(j,) if j == i else (j, i) for j in range(k)]
+        images = [tuple(x for y in img for x in sigma[y]) for img in images]
+    return Substitution([chr(ord("a") + c) for c in range(k)], images)
 
 
 def random_word(rng, alphabet_size, length):

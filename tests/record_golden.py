@@ -90,7 +90,7 @@ def _bench_files():
     return {f"bench-{name}.lam": workloads.SAMPLES[name] for name in BENCH_ONLY}
 
 
-def _readme_commands():
+def readme_commands():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     return [line.split()[1:] for line in readme.splitlines()
             if re.match(r"lamtool \w+ sample_inputs/", line)]
@@ -98,7 +98,7 @@ def _readme_commands():
 
 def corpus() -> list[tuple[list[str], dict[str, str]]]:
     """Every (argv, environment) recorded."""
-    runs = [(argv, {}) for argv in _readme_commands()]
+    runs = [(argv, {}) for argv in readme_commands()]
     fib_sub = "sample_inputs/fibonacci_sub.lam"
     dim = ["--a", "2", "--delta", "0.5,0.01"]
     for name in SAMPLES:

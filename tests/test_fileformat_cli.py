@@ -15,7 +15,7 @@ from lamtool import cli, graphs
 from lamtool.errors import ParseError
 from lamtool.fileformat import build_language, format_length, parse
 
-from conftest import check_invariants, lamlang_tables
+from conftest import check_invariants, lamlang_tables, random_reduced_word
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
 
@@ -139,8 +139,11 @@ class TestParser:
         text = ("graph\nvertex v\nedge a v v 1\nedge b v v 1\n"
                 "lamlang demo symmetric=1\na b\nb a\n")
         ai = parse(text)
-        lang = build_language(ai.language, ai.graph)
-        assert lang.p(1) == 4  # letters closed under inversion
+        source = build_language(ai.language, ai.graph)
+        assert source.p_counts(2) == [4, 4]  # letters closed under inversion
+        assert source.words == [chr(0) + chr(2), chr(2) + chr(0),
+                                chr(3) + chr(1), chr(1) + chr(3)]
+        lang = source.materialize(2)
         assert lang.symmetric and not check_invariants(lang)
 
     @pytest.mark.parametrize("path, fault", [
@@ -150,7 +153,7 @@ class TestParser:
         text = THETA.read_text() + f"lamlang demo symmetric=0\n{path}\n"
         ai = parse(text)
         if fault is None:
-            assert build_language(ai.language, ai.graph).p(3) == 1
+            assert build_language(ai.language, ai.graph).p_counts(3)[2] == 1
             return
         with pytest.raises(ParseError, match=re.escape(f"lamlang path {path!r} {fault}")):
             build_language(ai.language, ai.graph)
@@ -948,6 +951,40 @@ class TestLamlangTables:
         assert out == ""
         assert f"beta_metric({depth + 1}) needs depth {depth + 1}, " \
                f"enumerated {depth}" in err
+
+
+class TestLongLamlangPath:
+    """One 1000-letter reduced path on the 2-rose: its table is counted from
+    the path, not from a listing of its subwords, and the size cap bounds
+    the path's letters."""
+
+    @staticmethod
+    def write(tmp_path):
+        word = random_reduced_word(random.Random(26), 2, 1000)
+        names = ["a", "a'", "b", "b'"]
+        source = tmp_path / "long.lam"
+        source.write_text("graph\nvertex v\nedge a v v 1\nedge b v v 1\n"
+                          "lamlang long symmetric=1\n"
+                          + " ".join(names[c] for c in word) + "\n")
+        return source, word
+
+    def test_table_to_the_path_length(self, tmp_path, capsys):
+        source, word = self.write(tmp_path)
+        code, out, err = run_main(capsys, "complexity", source, "--max-n", 1000)
+        assert (code, err) == (0, "")
+        p = [int(row.split(",")[1]) for row in table_rows(out)]
+        assert len(p) == 1000
+        inverse = tuple(c ^ 1 for c in reversed(word))
+        assert p[:40] == [len({w[i:i + n] for w in (word, inverse)
+                               for i in range(1001 - n)}) for n in range(1, 41)]
+        assert all(p[n - 1] <= 2 * (1001 - n) for n in range(1, 1001))
+
+    def test_size_cap_bounds_the_path(self, tmp_path, capsys, monkeypatch):
+        source, _ = self.write(tmp_path)
+        monkeypatch.setenv("LAMTOOL_SIZE_CAP", "1999")  # the words hold 2000
+        code, out, err = run_main(capsys, "complexity", source, "--max-n", 1000)
+        assert (code, out) == (3, "")
+        assert err.startswith("size cap exceeded: lamlang paths needs 2000 int32 words")
 
 
 class TestExtremeLengths:

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from record_golden import GOLDEN, ROOT, _readme_commands, run
+from record_golden import GOLDEN, ROOT, readme_commands, run
 
 RECORDS = sorted(GOLDEN.glob("*.json"))
 
@@ -14,8 +14,8 @@ RECORDS = sorted(GOLDEN.glob("*.json"))
 def test_corpus_holds_every_readme_command():
     recorded = [json.loads(path.read_text(encoding="utf-8"))["argv"]
                 for path in RECORDS]
-    assert _readme_commands() and all(argv in recorded
-                                      for argv in _readme_commands())
+    assert readme_commands()
+    assert all(argv in recorded for argv in readme_commands())
 
 
 @pytest.mark.parametrize("path", RECORDS, ids=lambda p: p.stem)

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from fractions import Fraction
@@ -17,14 +18,14 @@ from lamtool.fileformat import LanguageSpec, build_language, parse
 from lamtool.graphs import project_path
 from lamtool.laminations import (IMPRIMITIVE_SUBSTITUTION, AttractingSource,
                                  FullShiftSource, LaminaryLanguage,
-                                 MaterializedSource, SubstitutionSource,
-                                 certify, project_language)
+                                 LamlangSource, SubstitutionSource, certify,
+                                 project_language)
 from lamtool.substitutions import Substitution
-from lamtool.words import inverse_codes, sorted_blocks
+from lamtool.words import inverse_codes
 
 from conftest import (as_row, check_invariants, fiber_counts, is_reduced,
                       lamlang_tables, metric_length, naive_iterate_image,
-                      random_rose_map)
+                      random_rose_map, sorted_blocks)
 
 
 def relabelled_oracle(gsm, n_max):
@@ -268,11 +269,20 @@ def relabelled(gsm, names, flips):
 
 def lamlang_language(gsm, symmetric, depth=24, count=40):
     """A lamlang language on ``gsm``'s graph listing ``count`` members of
-    length ``depth`` of its attracting language."""
+    length ``depth`` of its attracting language, materialized."""
     al = gsm.graph.alphabet
     members = sorted(attracting_language(gsm, depth).strata[depth])[:count]
     paths = [al.format(m) for m in members]
-    return build_language(LanguageSpec("demo", symmetric, "subwords", paths), gsm.graph)
+    spec = LanguageSpec("demo", symmetric, "subwords", paths)
+    return build_language(spec, gsm.graph).materialize(depth)
+
+
+def lamlang_source(gsm, depth):
+    """The lamlang source listing every member of length ``depth`` of the
+    map's attracting language: its language is the attracting language to
+    that depth, for every member extends to one of length ``depth``."""
+    members = attracting_language(gsm, depth).rows[depth]
+    return LamlangSource(gsm.graph, list(members), True, "listed")
 
 
 def projection_oracle(lang, cd):
@@ -399,8 +409,8 @@ class TestBlockRepresentation:
         rose = fib_map.graph
         theta = sample_map("theta_collapse")
         spec = LanguageSpec("demo", True, "subwords", ["a b", "b a"])
-        cases = [(build_language(spec, rose), [set(), {(0,), (1,), (2,), (3,)},
-                                               {(0, 2), (2, 0), (3, 1), (1, 3)}]),
+        cases = [(build_language(spec, rose).materialize(2),
+                  [set(), {(0,), (1,), (2,), (3,)}, {(0, 2), (2, 0), (3, 1), (1, 3)}]),
                  (attracting_language(fib_map, 10), relabelled_oracle(fib_map, 10)),
                  (attracting_language(theta, 10), relabelled_oracle(theta, 10))]
         for symmetric in (True, False):
@@ -438,12 +448,14 @@ class TestWideAlphabet:
         edges = [(name, "v0", "v1", length) for name, length in self.LENGTHS.items()]
         graph = MarkedMetricGraph(["v0", "v1"], edges)
         assert graph.alphabet.size == 260 and not graph.violations
-        lang = build_language(LanguageSpec("wide", True, "subwords", self.PATHS),
-                              graph)
+        source = build_language(LanguageSpec("wide", True, "subwords", self.PATHS),
+                                graph)
+        lang = source.materialize(5)
         codes = {c for m in lang.all_members() for c in m}
         assert {10, 256, graph.alphabet.size - 1} <= codes
         p, _, metric = lamlang_tables(self.PATHS, self.LENGTHS, 5)
-        assert lang.p_counts() == p
+        assert lang.p_counts() == source.p_counts(5) == p
+        assert source.metric_beta(5) == metric
         assert [beta_metric(lang, n) for n in range(1, 6)] == metric
         assert check_invariants(lang) == []
         cd = maximal_subtree(graph)
@@ -452,6 +464,65 @@ class TestWideAlphabet:
         assert list(rose.strata) == oracle
         assert rose.p_counts() == [len(s) for s in oracle[1:]]
         assert max(c for m in rose.all_members() for c in m) >= 256
+
+
+class TestLamlangSource:
+    """The tables and members of random lamlang files on the 2-rose and the
+    theta graph, symmetric or not, against brute force: the factors of the
+    paths, and of their inverses when symmetric, listed as tuples."""
+
+    GRAPHS = {"rose": (["v"], ["a", "b"]), "theta": (["v0", "v1"], ["e1", "e2", "e3"])}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(GRAPHS)), st.booleans(),
+           st.lists(st.sampled_from(["1", "1.5", "2"]), min_size=3, max_size=3),
+           st.lists(st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=14),
+                    min_size=1, max_size=4))
+    def test_tables_and_members_match_brute_force(self, name, symmetric, lengths,
+                                                  walks):
+        vertices, edges = self.GRAPHS[name]
+        lengths = dict(zip(edges, lengths))
+        graph = MarkedMetricGraph(vertices, [(e, vertices[0], vertices[-1], x)
+                                             for e, x in lengths.items()])
+        words = []
+        for steps in walks:
+            path = []
+            for step in steps:
+                choices = [c for c in graph.alphabet.letters() if not path or (
+                    graph.origin(c) == graph.terminus(path[-1]) and c != path[-1] ^ 1)]
+                path.append(choices[step % len(choices)])
+            words.append(tuple(path))
+        paths = [graph.alphabet.format(w) for w in words]
+        text = ("graph\n" + "".join(f"vertex {v}\n" for v in vertices)
+                + "".join(f"edge {e} {vertices[0]} {vertices[-1]} {x}\n"
+                          for e, x in lengths.items())
+                + f"lamlang demo symmetric={int(symmetric)}\n" + "\n".join(paths))
+        ai = parse(text)
+        source = build_language(ai.language, ai.graph)
+        depth = max(map(len, words))
+
+        p, beta, metric = lamlang_tables(paths, lengths, depth, symmetric)
+        assert source.p_counts(depth) == p
+        assert source.beta_counts(depth) == beta
+        assert source.metric_beta(depth) == metric  # every length is >= 1
+        with pytest.raises(UnderEnumerationError, match=re.escape(
+                f"table to n={depth + 1} needs depth {depth + 1}, enumerated {depth}")):
+            source.p_counts(depth + 1)
+        # the first bound whose ball can hold a path of depth + 1 letters
+        first = math.ceil((depth + 1) * min(map(Fraction, lengths.values())))
+        with pytest.raises(UnderEnumerationError, match=re.escape(
+                f"beta_metric({first}) needs depth {depth + 1}, enumerated {depth}")):
+            source.metric_beta(first)
+
+        members = {w[i:j] for w in words
+                   for i in range(len(w)) for j in range(i + 1, len(w) + 1)}
+        if symmetric:
+            members |= {inverse_codes(m) for m in members}
+        for d in range(1, depth + 2):
+            lang = source.materialize(d)
+            assert lang.complete_to == min(d, depth)
+            assert list(lang.strata) == [{m for m in members if len(m) == n}
+                                         for n in range(lang.complete_to + 1)]
 
 
 class TestProjectPath:
@@ -560,9 +631,11 @@ class TestSources:
         assert AttractingSource(gsm).metric_beta(12) == \
             [sum(1 for x in weighed if x <= n) for n in range(1, 13)]
 
-    def test_materialized_source_depth_guard(self, fib_map):
-        src = MaterializedSource(attracting_language(fib_map, 6))
-        with pytest.raises(UnderEnumerationError):
+    def test_lamlang_source_depth_guard(self, fib_map):
+        src = lamlang_source(fib_map, 6)
+        assert src.p_counts(6) == attracting_language(fib_map, 6).p_counts()
+        with pytest.raises(UnderEnumerationError,
+                           match="table to n=7 needs depth 7, enumerated 6"):
             src.p_counts(7)
 
     def test_full_shift_on_theta_against_brute_force(self):
@@ -606,11 +679,14 @@ class TestSources:
         lang = attracting_language(silver_map, cd.lift_stretch * 12)
         expected = transport_compare(lang, cd, 12).rose_counts()
         assert AttractingSource(silver_map).rose_counts(12) == expected
-        assert MaterializedSource(lang).rose_counts(12) == expected
+        assert lamlang_source(silver_map, cd.lift_stretch * 12).rose_counts(12) \
+            == expected
 
     def test_materialize_by_source(self, fib_map, rose2):
         lang = attracting_language(fib_map, 6)
-        assert MaterializedSource(lang).materialize(3) is lang
+        listed = lamlang_source(fib_map, 6)
+        assert listed.materialize(3).strata == attracting_language(fib_map, 3).strata
+        assert listed.materialize(9).strata == lang.strata
         assert AttractingSource(fib_map).materialize(6).strata == lang.strata
         with pytest.raises(PreconditionError, match="fullshift"):
             FullShiftSource(rose2).materialize(3)

@@ -1,4 +1,9 @@
+import os
+import random
+import subprocess
+import sys
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,10 +22,10 @@ from lamtool.kernels import substring_counts
 from lamtool.laminations import SubstitutionSource
 from lamtool.substitutions import (counting_certificate, eigen_exponent,
                                    length2_factors, linear_fit_constant)
-from lamtool.words import iter_factors_raw
 
-from conftest import (certificate_oracle, fibonacci_word, string_factors,
-                      thue_morse_word)
+from conftest import (arnoux_rauzy_substitution, certificate_oracle,
+                      fibonacci_word, iter_factors_raw, string_factors,
+                      thue_morse_complexity, thue_morse_word)
 
 
 @pytest.fixture
@@ -301,6 +306,19 @@ class TestCountsAtScale:
         counts = complexity_counts(fib, 1000)
         assert list(counts[1:]) == [n + 1 for n in range(1, 1001)]
 
+    def test_thue_morse_closed_form_to_5000(self, thue_morse):
+        counts = complexity_counts(thue_morse, 5000)
+        assert list(counts[1:]) == [thue_morse_complexity(n)
+                                    for n in range(1, 5001)]
+
+    def test_arnoux_rauzy_closed_form_to_2000(self):
+        rng = random.Random(18)
+        for k in [2, 3, 4] * 6 + [3, 4]:
+            sub = arnoux_rauzy_substitution(rng, k)
+            assert sub.is_primitive(), sub
+            counts = complexity_counts(sub, 2000)
+            assert list(counts[1:]) == [(k - 1) * n + 1 for n in range(1, 2001)], sub
+
     def test_tribonacci_linear_bound(self):
         sub = Substitution.from_tokens(
             {"a": ["a", "b"], "b": ["a", "c"], "c": ["a"]})
@@ -479,6 +497,25 @@ class TestCertifiedCounting:
         cert = counting_certificate(sub, n)
         assert (cert.sub.images, cert.seed, cert.power, cert.letters,
                 cert.prefix, cert.slices) == certificate_oracle(sub, n)
+
+    def test_non_primitive_input_is_refused_not_searched(self):
+        # a -> ab, b -> b: b's block stays one letter long, so a search for
+        # the power that makes every block n_max long would never end
+        child = ("from lamtool.errors import DomainError\n"
+                 "from lamtool.substitutions import Substitution, "
+                 "counting_certificate\n"
+                 "try:\n"
+                 "    counting_certificate(Substitution(['a', 'b'], "
+                 "[(0, 1), (1,)]), 5)\n"
+                 "except DomainError as exc:\n"
+                 "    print(exc)\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                              text=True, timeout=60, env=env)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "complexity counting requires a primitive substitution\n"
 
     def test_fixed_letter_has_no_eigenray(self):
         # a -> a is primitive, but its block never grows to n_max letters

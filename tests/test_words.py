@@ -6,12 +6,11 @@ from hypothesis import strategies as st
 
 from lamtool import EdgeAlphabet, Substitution, complexity_counts, factor_language
 from lamtool.errors import DomainError, MalformedInputError
-from lamtool.words import (cyclic_tighten_raw, inverse_codes, iter_factors_raw,
-                           tighten_raw)
+from lamtool.words import cyclic_tighten_raw, inverse_codes, tighten_raw
 
-from conftest import (fibonacci_word, is_reduced, naive_cyclic_tighten,
-                      naive_tighten, random_reduced_word, random_word,
-                      string_factors)
+from conftest import (fibonacci_word, is_reduced, iter_factors_raw,
+                      naive_cyclic_tighten, naive_tighten, random_reduced_word,
+                      random_word, string_factors)
 
 
 @pytest.fixture
