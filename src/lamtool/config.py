@@ -1,11 +1,13 @@
 """Runtime limits: the size cap is read, and compared with sizes, only here.
 
-The cap counts int32 words, but a unit costs more than 4 bytes (peaks traced
-by ``tracemalloc``, CPython 3.11): the counting automaton takes 140-170 B a
-letter it reads, at most that a unit of the capped eigenray prefix (13.1 MB
-for six_letter's 78142 slice letters at n = 2000); materialized strata take
-2.6-5.5 B a member letter, and the cap counts their depth, whose cube the
-letters grow as (221 MB for theta_collapse at depth 300).
+The cap counts letters, named int32 words in its messages; an expanded
+letter is a ``str`` code point, one byte below code 256, but costs more
+(``tracemalloc`` peaks, CPython 3.11): the counting automaton takes
+150-190 B a letter it reads, at most that a unit of the capped eigenray
+prefix (10.3 MB for six_letter at n = 2000: 54154 of 78142 slice letters
+read); materialized strata take 2.6-5.5 B a member letter, and the cap
+counts their depth, whose cube the letters grow as (221 MB for
+theta_collapse at depth 300).
 """
 
 import os

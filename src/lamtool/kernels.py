@@ -1,20 +1,20 @@
 """Hot inner-loop kernels over words of letter codes, in the standard library.
 
-A word is a :class:`Word`, an ``array('i')``.  For involutive (edge)
-alphabets the letter with topological index i and its inverse occupy codes
-``2i`` and ``2i + 1``, so inversion is ``code ^ 1``; plain substitution
-alphabets just use ``0 .. sigma-1``.  Cancellation is ``words.tighten_raw``.
+A word is a code-point ``str``, ``chr(code)`` a letter, as the strata of
+``words.Stratified`` are: one byte a letter below code 256.  For involutive
+(edge) alphabets the letter with topological index i and its inverse occupy
+codes ``2i`` and ``2i + 1``, so inversion is ``code ^ 1``; plain
+substitution alphabets just use ``0 .. sigma-1``.  Cancellation is
+``words.tighten_raw``.
 
-The counting route runs on these words and lists alone, as the enumerating
-route does on ``str``: lamtool loads no array library.  Expansion joins
-per-letter pieces, the bytes of each image, which a ``Substitution`` builds
-once with itself.  Callers ask ``config.check_size`` before they expand.
-There is one backend; ``BACKEND`` names it for run records.
+Expansion joins the images, as ``str``, that a ``Substitution`` builds once
+with itself; the automaton reads words separated by ``chr(sigma)``, which
+is no letter.  Callers ask ``config.check_size`` before they expand.  There
+is one backend; ``BACKEND`` names it for run records.
 """
 
 from __future__ import annotations
 
-from array import array
 from itertools import accumulate, chain, islice, repeat
 from operator import sub
 
@@ -30,30 +30,30 @@ __all__ = [
 BACKEND = "python"
 
 
-class Word(array):
-    """An ``array('i')`` of letter codes, from codes or their bytes, that
-    also answers ``size``, its length, which the benchmark's spans read."""
+class Word(str):
+    """A code-point ``str`` that also answers ``size``, its length, which
+    the benchmark's spans read."""
 
     __slots__ = ()
     size = property(len)
 
-    def __new__(cls, codes=()):
-        return super().__new__(cls, "i", codes)
+
+def expand_codes(word, images) -> Word:
+    """The word that replaces every letter c by ``images[c]``, its image as
+    a code-point ``str``, joined in one pass."""
+    return Word("".join(map(images.__getitem__, word)))
 
 
-def expand_codes(codes, pieces) -> Word:
-    """The word that replaces every code c by ``pieces[c]``, the bytes of
-    the ``Word`` of its image, joined in one pass."""
-    return Word(b"".join(map(pieces.__getitem__, codes)))
-
-
-def substring_counts(codes, sigma, n_max):
+def substring_counts(text, sigma, n_max):
     """Exact distinct-substring counts of a word list for lengths 1..n_max.
 
-    ``codes`` holds the words one after another, each pair separated by the
-    code -1; a -1 at either end, or two in a row, adds no word.  The counts
-    are those of the union of the words' factor sets, so no factor across a
-    -1 is counted.  A single word needs no -1.
+    ``text`` holds the words, code-point ``str`` over the letters
+    ``0 .. sigma-1``, each pair separated by ``chr(sigma)``; a separator at
+    either end, or two in a row, adds no word.  The counts are those of the
+    union of the words' factor sets, so no factor across a separator is
+    counted.  A single word needs no separator.  A word found in the text
+    before it lies inside one earlier word, since it holds no separator, and
+    adds no factor: it is skipped, as is the empty word.
 
     Builds the generalized suffix automaton of the words (Blumer et al.,
     JACM 1987) with one flat transition list, ``trans[state * sigma + c]``
@@ -78,16 +78,14 @@ def substring_counts(codes, sigma, n_max):
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
-    codes = array("i", codes).tolist()
-    cuts = [-1]
-    try:
-        while True:
-            cuts.append(codes.index(-1, cuts[-1] + 1))
-    except ValueError:
-        cuts.append(len(codes))
-    words = [codes[a + 1:b] for a, b in zip(cuts, cuts[1:])]
+    words = []
+    read = 0  # the letters and separators before the word
+    for word in text.split(chr(sigma)):
+        if text.find(word, 0, read) < 0:
+            words.append(word)
+        read += len(word) + 1
     # one shared int per length, for the states' lengths
-    sizes = list(range(max(map(len, words)) + 1))
+    sizes = list(range(max(map(len, words), default=0) + 1))
     # lows[k]: new states whose link has length k; highs: their lengths
     lows = [0] * len(sizes)
     highs = [0] * (len(sizes) + 1)
@@ -111,7 +109,7 @@ def substring_counts(codes, sigma, n_max):
     for word in words:
         # the word's known prefix: walk, splitting where a state is too long
         last = start = 0
-        for c in word:
+        for c in map(ord, word):
             q = trans[last * sigma + c]
             if q == -1:
                 break
@@ -120,7 +118,7 @@ def substring_counts(codes, sigma, n_max):
         # then the one-word construction, one new state per letter
         highs[start + 1] += 1
         highs[len(word) + 1] -= 1
-        for c, size in zip(word[start:], islice(sizes, start + 1, None)):
+        for c, size in zip(map(ord, word[start:]), islice(sizes, start + 1, None)):
             cur = len(length)
             trans += blank
             length.append(size)

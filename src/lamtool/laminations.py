@@ -428,8 +428,8 @@ class LamlangSource(LanguageSource):
             raise UnderEnumerationError(
                 f"table to n={n_max} needs depth {n_max}, enumerated {self.depth}")
         check_size(sum(map(len, self.words)), "lamlang paths")
-        codes = [c for word in self.words for c in (-1, *map(ord, word))]
-        return substring_counts(codes, self.graph.alphabet.size, n_max)[1:]
+        size = self.graph.alphabet.size
+        return substring_counts(chr(size).join(self.words), size, n_max)[1:]
 
     def metric_beta(self, n_max):
         depth = self.graph.depth

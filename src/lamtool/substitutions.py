@@ -50,7 +50,7 @@ __all__ = [
 class Substitution:
     """A letter-to-nonempty-word map over a plain finite alphabet."""
 
-    __slots__ = ("letters", "images", "_index", "_pieces", "_strings", "_primitive")
+    __slots__ = ("letters", "images", "_index", "_strings", "_primitive")
 
     def __init__(self, letters: Sequence[str], images: Sequence[Sequence[int]]):
         self.letters = tuple(letters)
@@ -65,8 +65,8 @@ class Substitution:
             if any(not 0 <= c < len(self.letters) for c in img):
                 raise MalformedInputError(f"image of {letter!r} uses unknown letters")
         self._index = {s: i for i, s in enumerate(self.letters)}
-        # each image as Word bytes for expand_codes, and as a code-point str
-        self._pieces = tuple(Word(img).tobytes() for img in self.images)
+        # each image as a code-point str, keyed by its letter, for apply and
+        # expand_codes
         self._strings = {chr(c): "".join(map(chr, img))
                          for c, img in enumerate(self.images)}
         self._primitive = None
@@ -213,17 +213,17 @@ def eigenray_prefix(sub: Substitution, seed, target_len: int,
     windows = _checked_windows(windows, target_len)
     k = eigen_exponent(sub, seed)
     check_size(target_len, "eigenray prefix")
-    # sizes[j][c] = |theta^j(c)|, for j = 0..R
+    # sizes[j][chr(c)] = |theta^j(c)|, for j = 0..R
     sizes = []
     for lengths in sub.block_lengths():
-        sizes.append(lengths)
+        sizes.append(dict(zip(sub._strings, lengths)))
         if not (len(sizes) - 1) % k and lengths[seed] >= target_len:
             break
     # one run per window, end to end in ``word``: run i is the slice
     # cuts[i]:cuts[i + 1], and its blocks cover the prefix letters spans[i]
-    word = Word([seed] * len(windows))
+    word = chr(seed) * len(windows)
     cuts = list(range(len(windows) + 1))
-    spans = [(0, sizes[-1][seed])] * len(windows)
+    spans = [(0, sizes[-1][chr(seed)])] * len(windows)
     for j in reversed(range(len(sizes))):
         block = sizes[j]
         runs = []
@@ -238,14 +238,13 @@ def eigenray_prefix(sub: Substitution, seed, target_len: int,
                 b -= 1
             runs.append(word[a:b])
             spans[i] = first, last
-        word = Word(b"".join(run.tobytes() for run in runs))
         if not j:
-            return word
+            return Word("".join(runs))
         # the runs' letters after expanding (at the last, one per span letter)
         cuts = [0, *accumulate(last - first if j == 1 else
                                sum(map(sizes[1].__getitem__, run))
                                for run, (first, last) in zip(runs, spans))]
-        word = expand_codes(word, sub._pieces)
+        word = expand_codes("".join(runs), sub._strings)
 
 
 # ---------------------------------------------------------------------------
@@ -421,20 +420,19 @@ def complexity_counts(sub: Substitution, n_max: int) -> list[int]:
     Expands the slices of the eigenray prefix that
     :func:`counting_certificate` proves holds every factor of length
     <= n_max, and only those, and counts the distinct factors of all of them
-    in one automaton, the slices joined by the separator code -1.  The cap
-    bounds that prefix, and so the automaton's input, which is never longer:
-    merged slices lie at least one letter apart, and each -1 stands in for
-    such a gap.  A prefix beyond the cap is refused before anything is
-    expanded.  Index 0 of the returned list is 0.
+    in one automaton, the slices joined by the separator ``chr(sigma)``.
+    The cap bounds that prefix, and so the automaton's input, which is never
+    longer: merged slices lie at least one letter apart, and each separator
+    stands in for such a gap.  A prefix beyond the cap is refused before
+    anything is expanded.  Index 0 of the returned list is 0.
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     cert = counting_certificate(sub, n_max)  # refuses a non-primitive one
     slices = eigenray_prefix(cert.sub, cert.seed, cert.letters, cert.slices)
     cuts = [0, *accumulate(stop - start for start, stop in cert.slices)]
-    joined = Word([-1]).tobytes().join(
-        slices[a:b].tobytes() for a, b in zip(cuts, cuts[1:]))
-    return substring_counts(Word(joined), sub.sigma, n_max)
+    joined = chr(sub.sigma).join(slices[a:b] for a, b in zip(cuts, cuts[1:]))
+    return substring_counts(joined, sub.sigma, n_max)
 
 
 # ---------------------------------------------------------------------------

@@ -5,17 +5,22 @@
 Each record is one JSON file: the argv given to ``lamtool``, the
 environment it ran with, the exit code, and stdout and stderr as lists of
 lines (``str.split("\\n")``, so a final newline shows as a last empty
-line).  The text is stored, not a digest, so a change in behaviour shows as
-a diff.  ``tests/test_golden.py`` replays every record through ``cli.main``
-in process, from the repository root, and compares.
+line).  Every run gets a scratch directory, named ``{tmp}`` in its argv
+and in its printed text; a run that writes files there (``--csv``) also
+records the text of each, by name.  The text is stored, not a digest, so
+a change in behaviour shows as a diff.  ``tests/test_golden.py`` replays
+every record through ``cli.main`` in process, from the repository root,
+and compares.
 
 The corpus is every README command; on every sample input ``analyze``
 (plain and ``--json``), ``complexity`` at ``--max-n`` 12 and 60,
 ``dimension`` plain and ``--json``, ``collapse`` and ``compare`` against
-``fibonacci_sub``; the benchmark inputs at their smoke argvs; one case of
-each error exit code; and ``complexity``, ``dimension`` (plain and
-``--json``), ``collapse`` and ``compare`` on listed ``lamlang`` languages
-(``LAMLANG`` below), at depths inside their longest path and past it.
+``fibonacci_sub``; ``complexity --csv`` and ``dimension --csv``, with one
+delta and with two (one file each), on two samples; the benchmark inputs
+at their smoke argvs; one case of each error exit code; and
+``complexity``, ``dimension`` (plain and ``--json``), ``collapse`` and
+``compare`` on listed ``lamlang`` languages (``LAMLANG`` below), at depths
+inside their longest path and past it.
 The ``lamlang`` files and copies of the benchmark-only inputs are written
 to ``tests/golden/inputs/`` with the records.  Re-record only when a change
 of the printed output is intended, and review the diff.
@@ -28,6 +33,7 @@ import json
 import os
 import re
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -36,6 +42,7 @@ GOLDEN = ROOT / "tests" / "golden"
 INPUTS = GOLDEN / "inputs"
 SAMPLES = sorted(p.name for p in (ROOT / "sample_inputs").glob("*.lam"))
 BENCH_ONLY = ("six_letter", "theta_metric")  # the others copy sample_inputs
+TMP = "{tmp}"  # a scratch directory, in a record's argv and printed text
 
 _WIDE = {f"e{i:03d}": "1" for i in range(130)} | {"e005": "1.5", "e129": "2"}
 _THETA = {"e1": "1", "e2": "1", "e3": "1"}
@@ -111,6 +118,13 @@ def corpus() -> list[tuple[list[str], dict[str, str]]]:
                      ["collapse", path, "--max-n", "8"],
                      ["compare", path, fib_sub, "--max-n", "20", "--max-c", "4"]):
             runs.append((argv, {}))
+    for name in ("fibonacci_sub", "theta_collapse"):
+        path = f"sample_inputs/{name}.lam"
+        csv = ["--csv", f"{TMP}/{name}.csv"]
+        runs += [(["complexity", path, "--max-n", "12", *csv], {}),
+                 (["dimension", path, "--a", "2", "--delta", "0.5",
+                   "--max-n", "30", *csv], {}),
+                 (["dimension", path, *dim, "--max-n", "30", *csv], {})]
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
     paths = {name: (f"tests/golden/inputs/bench-{name}.lam" if name in BENCH_ONLY
@@ -151,11 +165,14 @@ def corpus() -> list[tuple[list[str], dict[str, str]]]:
     return unique
 
 
-def run(argv, env) -> tuple[int, str, str]:
+def run(argv, env, tmp) -> tuple[int, str, str]:
     """``lamtool argv`` through ``cli.main`` in process, with ``env`` set
-    over the current environment: the exit code, stdout and stderr."""
+    over the current environment: the exit code, stdout and stderr.  The
+    directory ``tmp`` stands in for ``TMP`` in the argv, and ``TMP`` for it
+    in stdout and stderr."""
     from lamtool import cli
 
+    argv = [arg.replace(TMP, str(tmp)) for arg in argv]
     saved = {key: os.environ.get(key) for key in env}
     os.environ.update(env)
     out, err = io.StringIO(), io.StringIO()
@@ -171,7 +188,14 @@ def run(argv, env) -> tuple[int, str, str]:
                 os.environ.pop(key, None)
             else:
                 os.environ[key] = value
-    return code, out.getvalue(), err.getvalue()
+    return (code, out.getvalue().replace(str(tmp), TMP),
+            err.getvalue().replace(str(tmp), TMP))
+
+
+def written(directory) -> dict:
+    """The text of each file in ``directory``, by name, as lists of lines."""
+    return {path.name: path.read_text(encoding="utf-8").split("\n")
+            for path in sorted(Path(directory).iterdir())}
 
 
 def record_name(argv, env) -> str:
@@ -181,9 +205,14 @@ def record_name(argv, env) -> str:
 
 
 def record(argv, env) -> dict:
-    code, out, err = run(argv, env)
-    return {"argv": list(argv), "env": dict(env), "exit": code,
-            "stdout": out.split("\n"), "stderr": err.split("\n")}
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out, err = run(argv, env, tmp)
+        files = written(tmp)
+    rec = {"argv": list(argv), "env": dict(env), "exit": code,
+           "stdout": out.split("\n"), "stderr": err.split("\n")}
+    if files:
+        rec["files"] = files
+    return rec
 
 
 def main() -> int:

@@ -15,7 +15,8 @@ from lamtool import cli, graphs
 from lamtool.errors import ParseError
 from lamtool.fileformat import build_language, format_length, parse
 
-from conftest import check_invariants, lamlang_tables, random_reduced_word
+from conftest import (arnoux_rauzy_substitution, check_invariants,
+                      lamlang_tables, random_reduced_word)
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
 
@@ -299,6 +300,25 @@ class TestComplexityCommand:
         assert code == 0
         assert table_rows(out)[-1].startswith("200,995,")
         assert "with C = 4.975 (pass; evidence, not a proof)" in out
+
+    def test_arnoux_rauzy_rose_maps_to_800(self, tmp_path, capsys):
+        # a composition of Arnoux-Rauzy maps is a positive automorphism, an
+        # orientable train track on the unit rose: its language and the
+        # inverses give p(n) = 2((k - 1) n + 1)
+        rng = random.Random(1991)
+        for k in [2, 3, 4] * 4:
+            sub = arnoux_rauzy_substitution(rng, k)
+            source = tmp_path / f"ar{k}.lam"
+            source.write_text(
+                "graph\nvertex v\n"
+                + "".join(f"edge {x} v v 1\n" for x in sub.letters)
+                + "map\nvmap v = v\n"
+                + "".join(f"map {x} = {' '.join(sub.letters[c] for c in img)}\n"
+                          for x, img in zip(sub.letters, sub.images)))
+            code, out, _ = run_main(capsys, "complexity", source, "--max-n", "800")
+            assert code == 0, sub
+            assert [int(row.split(",")[1]) for row in table_rows(out)] == \
+                [2 * ((k - 1) * n + 1) for n in range(1, 801)], sub
 
     def test_csv_file_output(self, tmp_path):
         target = tmp_path / "out.csv"

@@ -1,8 +1,9 @@
 """Source hygiene of ``src/lamtool``, read with the stdlib ``ast``.
 
 Every ``__all__`` entry resolves, no import goes unused, no module imports
-``dataclasses`` (records are ``typing.NamedTuple``s) or numpy,
-``pyproject.toml`` lists no run-time dependency, and only
+``dataclasses`` (records are ``typing.NamedTuple``s), numpy or ``array``
+(a word is a code-point ``str``), ``pyproject.toml`` lists no run-time
+dependency, and only
 ``laminations.certify`` runs the steps that decide whether a map carries
 an attracting language.  Every module-level
 function and class, and every method and property of a class, is named
@@ -147,10 +148,20 @@ def test_no_dataclasses(path):
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_numpy_only_for_a_reducible_spectrum(path):
-    """Words are code-point ``str`` or ``array('i')``, never numpy arrays,
-    and a reducible matrix's spectrum comes from its strongly connected
-    blocks: no module imports numpy."""
+    """Words are code-point ``str``, never numpy arrays, and a reducible
+    matrix's spectrum comes from its strongly connected blocks: no module
+    imports numpy."""
     assert "numpy" not in _imported_packages(path), f"{path.name} imports numpy"
+
+
+def test_one_word_format():
+    """A word is a code-point ``str`` from expansion to the automaton: no
+    module imports ``array`` or packs a word into bytes."""
+    offenders = {path.name for path in MODULES
+                 if "array" in _imported_packages(path)
+                 or any(isinstance(node, ast.Attribute) and node.attr == "tobytes"
+                        for node in ast.walk(_tree(path)))}
+    assert not offenders, f"{sorted(offenders)} use another word format"
 
 
 def test_one_place_certifies_a_map():

@@ -2,7 +2,6 @@
 plain-list expand and brute-force substring sets."""
 
 import random
-from array import array
 
 import numpy as np
 import pytest
@@ -23,9 +22,14 @@ def list_expand(codes, images):
     return out
 
 
-def image_pieces(images):
-    """The per-letter pieces ``expand_codes`` joins: each image's bytes."""
-    return [array("i", img).tobytes() for img in images]
+def code_str(codes):
+    """The code-point ``str`` of a list of letter codes."""
+    return "".join(map(chr, codes))
+
+
+def image_strings(images):
+    """The images ``expand_codes`` joins, as ``Substitution`` keys them."""
+    return {chr(c): code_str(img) for c, img in enumerate(images)}
 
 
 def brute_force_counts(word, n_max):
@@ -63,16 +67,16 @@ def random_word_list(rng, sigma):
     return words
 
 
-def joined(rng, words):
-    """The words separated by -1, with a leading, trailing or doubled -1 at
-    random."""
-    codes = [-1] * rng.randint(0, 2)
+def joined(rng, words, sigma):
+    """The words separated by ``chr(sigma)``, with a leading, trailing or
+    doubled separator at random."""
+    sep = chr(sigma)
+    text = sep * rng.randint(0, 2)
     for w in words:
-        codes += w + [-1] * rng.randint(1, 3)
+        text += code_str(w) + sep * rng.randint(1, 3)
     if rng.random() < 0.5:
-        while codes and codes[-1] == -1:
-            codes.pop()
-    return np.array(codes, dtype=np.int32)
+        text = text.rstrip(sep)
+    return text
 
 
 def test_backend_is_reported():
@@ -108,22 +112,20 @@ class TestExpand:
             sigma = rng.randint(1, 6)
             images = [[rng.randrange(sigma) for _ in range(rng.randint(0, 4))]
                       for _ in range(sigma)]
-            word = np.array([rng.randrange(sigma)
-                             for _ in range(rng.randint(0, 50))], dtype=np.int32)
-            out = expand_codes(word, image_pieces(images))
-            assert out.typecode == "i"
-            assert out.tolist() == list_expand(word.tolist(), images)
+            word = [rng.randrange(sigma) for _ in range(rng.randint(0, 50))]
+            out = expand_codes(code_str(word), image_strings(images))
+            assert type(out) is kernels.Word and out.size == len(out)
+            assert list(map(ord, out)) == list_expand(word, images)
 
     def test_empty_word(self):
-        pieces = image_pieces([[0]])
-        assert expand_codes(np.array([], dtype=np.int32), pieces).size == 0
+        assert expand_codes("", image_strings([[0]])).size == 0
 
 
 class TestSubstringCounts:
     def test_matches_brute_force_on_fibonacci_prefix(self):
         text = fibonacci_word(300)
-        codes = np.array([0 if c == "a" else 1 for c in text], dtype=np.int32)
-        counts = substring_counts(codes, 2, 12)
+        word = text.translate({ord("a"): 0, ord("b"): 1})
+        counts = substring_counts(word, 2, 12)
         for n in range(1, 13):
             oracle = len({text[i:i + n] for i in range(len(text) - n + 1)})
             assert counts[n] == oracle
@@ -136,13 +138,12 @@ class TestSubstringCounts:
             used = rng.randint(1, sigma)
             word = [rng.randrange(used) for _ in range(rng.randint(0, 300))]
             n_max = rng.randint(1, 20)
-            counts = substring_counts(np.array(word, dtype=np.int32), sigma, n_max)
+            counts = substring_counts(code_str(word), sigma, n_max)
             assert list(counts) == brute_force_counts(word, n_max)
 
     def test_total_distinct_substrings(self):
         # abcabc...: n distinct substrings per length until wrap
-        word = np.array([0, 1, 2] * 10, dtype=np.int32)
-        counts = substring_counts(word, 3, 5)
+        counts = substring_counts(code_str([0, 1, 2] * 10), 3, 5)
         assert list(counts[1:]) == [3, 3, 3, 3, 3]
 
     def test_word_lists_match_the_union_of_substring_sets(self):
@@ -151,32 +152,26 @@ class TestSubstringCounts:
             sigma = rng.randint(1, 6)
             words = random_word_list(rng, sigma)
             n_max = rng.randint(1, max(map(len, words)) + 5)
-            counts = substring_counts(joined(rng, words), sigma, n_max)
+            counts = substring_counts(joined(rng, words, sigma), sigma, n_max)
             assert list(counts) == brute_force_union_counts(words, n_max)
 
     def test_repeats_and_factors_change_no_count(self):
         # once a word is in, its repeats and factors change no count
-        word = [0, 1, 1, 0, 2, 0, 1]
-        alone = substring_counts(np.array(word, dtype=np.int32), 3, 10)
-        codes = word + [-1] + word + [-1, -1] + word[2:5] + [-1] + word[:1]
-        again = substring_counts(np.array(codes, dtype=np.int32), 3, 10)
+        word = code_str([0, 1, 1, 0, 2, 0, 1])
+        alone = substring_counts(word, 3, 10)
+        sep = chr(3)
+        again = substring_counts(
+            word + sep + word + sep * 2 + word[2:5] + sep + word[:1], 3, 10)
         assert list(again) == list(alone)
 
     def test_separators_alone(self):
-        codes = np.array([-1, -1], dtype=np.int32)
-        assert list(substring_counts(codes, 2, 3)) == [0, 0, 0, 0]
+        assert list(substring_counts(chr(2) * 2, 2, 3)) == [0, 0, 0, 0]
 
     def test_depth_beyond_the_word(self):
-        word = np.array([0, 1, 0, 0, 1], dtype=np.int32)
+        word = code_str([0, 1, 0, 0, 1])
         assert list(substring_counts(word, 2, 7)) == [0, 2, 3, 3, 2, 1, 0, 0]
-
-    def test_list_array_and_numpy_inputs_agree(self):
-        codes = [-1, -1, 0, 1, 1, 0, 2, -1, -1, 2, 1, 0, 1, -1, -1]
-        want = brute_force_union_counts([[0, 1, 1, 0, 2], [2, 1, 0, 1]], 7)
-        for given in (codes, array("i", codes), np.array(codes, dtype=np.int32)):
-            assert substring_counts(given, 3, 7) == want
 
     @pytest.mark.parametrize("n_max", [0, -3])
     def test_depth_below_one_is_a_domain_error(self, n_max):
         with pytest.raises(DomainError, match="n_max must be >= 1"):
-            substring_counts([0, 1], 2, n_max)
+            substring_counts(code_str([0, 1]), 2, n_max)
