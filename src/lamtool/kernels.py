@@ -53,7 +53,8 @@ def substring_counts(text, sigma, n_max):
     union of the words' factor sets, so no factor across a separator is
     counted.  A single word needs no separator.  A word found in the text
     before it lies inside one earlier word, since it holds no separator, and
-    adds no factor: it is skipped, as is the empty word.
+    adds no factor: it is skipped.  A word is sought only in a text at most
+    64 times its length, so the searches read at most 64 letters a letter.
 
     Builds the generalized suffix automaton of the words (Blumer et al.,
     JACM 1987) with one flat transition list, ``trans[state * sigma + c]``
@@ -81,7 +82,7 @@ def substring_counts(text, sigma, n_max):
     words = []
     read = 0  # the letters and separators before the word
     for word in text.split(chr(sigma)):
-        if text.find(word, 0, read) < 0:
+        if read > 64 * len(word) or text.find(word, 0, read) < 0:
             words.append(word)
         read += len(word) + 1
     # one shared int per length, for the states' lengths

@@ -164,6 +164,18 @@ class TestSubstringCounts:
             word + sep + word + sep * 2 + word[2:5] + sep + word[:1], 3, 10)
         assert list(again) == list(alone)
 
+    def test_many_short_words_after_a_long_one(self):
+        # a word more than 64 times its length into the text is walked, not
+        # sought, and counts the same; a lamlang section of many short paths
+        # reads so
+        rng = random.Random(7)
+        words = [[rng.randrange(3) for _ in range(600)]]
+        words += [[rng.randrange(4) for _ in range(rng.randint(1, 9))]
+                  for _ in range(300)]
+        text = chr(4).join(map(code_str, words))
+        assert list(substring_counts(text, 4, 12)) == \
+            brute_force_union_counts(words, 12)
+
     def test_separators_alone(self):
         assert list(substring_counts(chr(2) * 2, 2, 3)) == [0, 0, 0, 0]
 
