@@ -20,7 +20,11 @@ delta and with two (one file each), on two samples; the benchmark inputs
 at their smoke argvs; one case of each error exit code; and
 ``complexity``, ``dimension`` (plain and ``--json``), ``collapse`` and
 ``compare`` on listed ``lamlang`` languages (``LAMLANG`` below), at depths
-inside their longest path and past it.
+inside their longest path and past it.  A few more runs reach branches
+that no other record does (``EXTRA`` below): metric counts of a full
+shift with two edge lengths, a covering bound printed past float range, a
+collapse whose growth scan finds no constant, and a dimension window with
+no path in it.
 The ``lamlang`` files and copies of the benchmark-only inputs are written
 to ``tests/golden/inputs/`` with the records.  Re-record only when a change
 of the printed output is intended, and review the diff.
@@ -71,6 +75,24 @@ LAMLANG = {
                ["a b a' b' a b a b' a' b a b", "b b a"]),
     "twos": (["v"], {"a": "2", "b": "2"}, ["a b a' b'", "b a"]),
 }
+
+
+# name -> (sample input, edit of its text): inputs derived from a sample
+DERIVED = {
+    "fullshift-lengths-1-2.lam": ("fullshift_2rose", ("edge b v v 1\n", "edge b v v 2\n")),
+    "fibonacci-map-lengths-10.lam": ("fibonacci_map", (" 1\n", " 10\n")),
+}
+_FULL_1_2 = "tests/golden/inputs/fullshift-lengths-1-2.lam"
+EXTRA = [
+    ["complexity", _FULL_1_2, "--max-n", "12"],
+    ["dimension", _FULL_1_2, "--a", "2", "--delta", "0.5,0.01", "--max-n", "30"],
+    ["dimension", "sample_inputs/fullshift_2rose.lam", "--a", "1.0001",
+     "--delta", "0.001", "--max-n", "700"],
+    ["collapse", "sample_inputs/theta_collapse.lam", "--max-n", "15",
+     "--max-c", "1"],
+    ["dimension", "tests/golden/inputs/fibonacci-map-lengths-10.lam",
+     "--a", "2", "--delta", "0.5", "--max-n", "8"],
+]
 
 
 def lamlang_text(vertices, lengths, paths, symmetric) -> str:
@@ -158,6 +180,7 @@ def corpus() -> list[tuple[list[str], dict[str, str]]]:
         for n in sorted({max(1, depth // 2), depth, depth + 1, 2 * depth + 2}):
             runs += [(["dimension", path, *dim, "--max-n", str(n)], {}),
                      (["dimension", path, *dim, "--max-n", str(n), "--json"], {})]
+    runs += [(argv, {}) for argv in EXTRA]
     unique = []  # README runs recur among the sample and benchmark runs
     for argv, env in runs:
         if (argv, env) not in unique:
@@ -219,6 +242,9 @@ def main() -> int:
     INPUTS.mkdir(parents=True, exist_ok=True)
     files = {name: text for name, (text, _) in _lamlang_files().items()}
     files |= _bench_files()
+    for name, (sample, edit) in DERIVED.items():
+        text = (ROOT / "sample_inputs" / f"{sample}.lam").read_text(encoding="utf-8")
+        files[name] = text.replace(*edit)
     files["parse-error.lam"] = "graph\nvertex v\nedge a v v 1\nedge b v v one\n"
     files["invalid-graph.lam"] = ("graph\nvertex v\nedge a v v 1\n"
                                   "lamlang demo symmetric=1\na a\n")
