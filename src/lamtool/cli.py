@@ -261,10 +261,9 @@ def _cmd_dimension(args) -> int:
     try:
         dim = dim_upper_estimate(table, args.a, window)
     except DomainError:
-        # the estimate takes the log of every count in the window
+        # a <= 1 is refused above, so a zero count in the window, whose log
+        # the estimate takes, is the one cause
         empty = [n for n in range(window[0], window[1] + 1) if not table[n - 1]]
-        if not empty:
-            raise
         raise PreconditionError(
             f"beta_metric({empty[-1]}) = 0 in the dimension window "
             f"[{window[0]}, {window[1]}]: no path of the language has metric "

@@ -328,6 +328,9 @@ def transport_compare(lang: LaminaryLanguage, cd: CollapseData, n_max: int,
 # language sources (the CLI's drivers)
 # ---------------------------------------------------------------------------
 
+EXTENSION_DEPTH = 5000  # how far ``cover_bounds`` extends the search
+
+
 class LanguageSource:
     """Every table the CLI prints: subclasses count ``p`` (``_count``) and,
     where they can, members (``materialize``) and non-uniform metric counts
@@ -335,13 +338,16 @@ class LanguageSource:
 
     description: str = ""
     graph: Optional[MarkedMetricGraph] = None
-    extension_limit: int = 5000  # how far ``cover_bounds`` extends the search
+    complete_to: Optional[int] = None  # no table past it; None: unbounded
     substitutive: bool = False  # a primitive substitution's factor language
     _table: list[int] = []  # the deepest p table counted so far
 
     def p_counts(self, n_max: int) -> list[int]:
         """p(n) for n = 1..n_max, sliced from the deepest table counted so
         far when that table reaches n_max."""
+        if self.complete_to is not None and n_max > self.complete_to:
+            raise UnderEnumerationError(f"table to n={n_max} needs depth "
+                                        f"{n_max}, enumerated {self.complete_to}")
         if n_max > len(self._table):
             self._table = self._count(n_max)
         return self._table[:n_max]
@@ -357,9 +363,13 @@ class LanguageSource:
         every edge has the same length (beta(n) without a graph)."""
         if self.graph is None:
             return self.beta_counts(n_max)
+        depth, known = self.graph.depth, self.complete_to
+        if known is not None and depth(n_max) > known:  # name the first n past it
+            n = next(n for n in range(1, n_max + 1) if depth(n) > known)
+            raise UnderEnumerationError(f"beta_metric({n}) needs depth "
+                                        f"{depth(n)}, enumerated {known}")
         if len(set(self.graph.lengths)) > 1:
             return self._metric_beta(n_max)
-        depth = self.graph.depth
         betas = [0] + self.beta_counts(depth(n_max))
         return [betas[depth(n)] for n in range(1, n_max + 1)]
 
@@ -389,14 +399,14 @@ class LanguageSource:
 
     def cover_bounds(self, table: list[int], a, deltas):
         """The covering-bound series of each delta: on ``table``, the metric
-        counts to n = len(table); on one table counted to ``extension_limit``
-        where that is past the window and the window series does not vanish
-        (None elsewhere); and the note, or None, when the size cap refused
-        that table: the extension is optional, and the window answers then."""
+        counts to n = len(table); on a table to ``EXTENSION_DEPTH`` past the
+        window, for an unbounded language whose window series does not vanish
+        (None elsewhere); and the note, or None, when the size cap refused it."""
         c0 = self.max_edge_length()
         window = [cover_bound_series(table, a, d, c0) for d in deltas]
-        limit, none = self.extension_limit, [None] * len(deltas)
-        if len(table) >= limit or all(s.vanishing for s in window):
+        limit, none = EXTENSION_DEPTH, [None] * len(deltas)
+        if (self.complete_to is not None or len(table) >= limit
+                or all(s.vanishing for s in window)):
             return window, none, None
         try:
             big = self.metric_beta(limit)
@@ -412,7 +422,6 @@ class LamlangSource(LanguageSource):
     ``str``, and of each path inverted when it is symmetric.  It is complete
     to the longest path and refuses every table past it.  One automaton
     over the words counts ``p``; members are harvested only when asked for."""
-    extension_limit = 0  # no table past the longest path
 
     def __init__(self, graph: MarkedMetricGraph, paths: list[str],
                  symmetric: bool, name: str):
@@ -421,27 +430,16 @@ class LamlangSource(LanguageSource):
         xor1 = "".join(chr(c ^ 1) for c in graph.alphabet.letters())
         # a path inverted is the path reversed, with every code ^ 1
         self.words = paths + [w[::-1].translate(xor1) for w in paths if symmetric]
-        self.depth = max(map(len, paths))
+        self.complete_to = max(map(len, paths))
 
     def _count(self, n_max):
-        if n_max > self.depth:
-            raise UnderEnumerationError(
-                f"table to n={n_max} needs depth {n_max}, enumerated {self.depth}")
         check_size(sum(map(len, self.words)), "lamlang paths")
         size = self.graph.alphabet.size
         return substring_counts(chr(size).join(self.words), size, n_max)[1:]
 
-    def metric_beta(self, n_max):
-        depth = self.graph.depth
-        if depth(n_max) > self.depth:  # name the first bound past the depth
-            n = next(n for n in range(1, n_max + 1) if depth(n) > self.depth)
-            raise UnderEnumerationError(f"beta_metric({n}) needs depth "
-                                        f"{depth(n)}, enumerated {self.depth}")
-        return super().metric_beta(n_max)
-
     def materialize(self, depth) -> LaminaryLanguage:
         check_size(sum(map(len, self.words)), "lamlang paths")
-        strata = [set() for _ in range(min(depth, self.depth) + 1)]
+        strata = [set() for _ in range(min(depth, self.complete_to) + 1)]
         for word in self.words:
             harvest(strata, word)
         return LaminaryLanguage(self.graph, map(list, strata), self.symmetric,
@@ -452,29 +450,25 @@ class SubstitutionSource(LanguageSource):
     """Factor language of a primitive substitution (letters have length 1)."""
     description = "substitution language"
     substitutive = True
+    _multiplier = 1  # words of the language per factor of the substitution
 
     def __init__(self, sub: Substitution):
         self.sub = sub
 
     def _count(self, n_max):
-        return complexity_counts(self.sub, n_max)[1:]
+        return [self._multiplier * v
+                for v in complexity_counts(self.sub, n_max)[1:]]
 
 
-class AttractingSource(LanguageSource):
+class AttractingSource(SubstitutionSource):
     """Attracting language of an expanding primitive train track map."""
     description = "attracting language"
-    substitutive = True
     materialize_limit = 600  # deepest strata that non-uniform metric counts enumerate
 
     def __init__(self, gsm: GraphSelfMap):
-        self.gsm = gsm
-        self.graph = gsm.graph
+        self.gsm, self.graph = gsm, gsm.graph
         self.orientation, self.sub = _oriented_substitution(gsm)
         self._multiplier = 2 if self.orientation.orientable else 1
-
-    def _count(self, n_max):
-        return [self._multiplier * v
-                for v in complexity_counts(self.sub, n_max)[1:]]
 
     def materialize(self, n_max) -> LaminaryLanguage:
         return _language_from_substitution(self.gsm, self.orientation,

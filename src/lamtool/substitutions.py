@@ -23,7 +23,7 @@ from __future__ import annotations
 from itertools import accumulate, islice
 from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .config import check_size
+from .config import check_size, size_cap
 from .errors import (DomainError, InsufficientDataError, MalformedInputError,
                      NotAnEigenletterError)
 from .graphmaps import (GraphSelfMap, OrientationResult, _primitivity_exponent,
@@ -378,12 +378,14 @@ def counting_certificate(sub: Substitution, n_max: int) -> CountingCertificate:
     Ties in the prefix length go to the smaller slice total, which makes
     that total independent of the orientation and the letter names too.
     A non-primitive substitution is refused: some letter's blocks may stay
-    short, and the search for k would not end.
+    short, and the search for k would not end.  The search reads at most cap
+    letters of each ray: a seed whose first cap letters lack a pair has
+    |Q| > cap, so |theta^k(Q)| >= |Q| n_max > cap, and is skipped.
     """
     if not sub.is_primitive():
         raise DomainError("complexity counting requires a primitive substitution")
     mirror = Substitution(sub.letters, [img[::-1] for img in sub.images])
-    best = None
+    cap, best, skipped = size_cap(), None, False
     for side in (sub, mirror):
         pairs = [chr(x) + chr(y) for x, y in length2_factors(side)]
         for seed in range(sub.sigma):
@@ -391,12 +393,14 @@ def counting_certificate(sub: Substitution, n_max: int) -> CountingCertificate:
                 e = eigen_exponent(side, seed)
             except NotAnEigenletterError:
                 continue
-            # theta^(je)(seed) until it holds every pair; uncapped, unlike
-            # ``apply``: the cap is on theta^k(Q), which this ray may outgrow
-            word = chr(seed)
-            while not all(pair in word for pair in pairs):
-                for _ in range(e):
-                    word = "".join(map(side._strings.__getitem__, word))
+            # theta^(je)(seed), j = 1, 2, ..., cut to the cap, until it holds
+            # every pair
+            word, rounds = "", islice(side.block_lengths(), e, None, e)
+            while len(word) < cap and not all(pair in word for pair in pairs):
+                word = eigenray_prefix(side, seed, min(next(rounds)[seed], cap))
+            if not all(pair in word for pair in pairs):
+                skipped = True
+                continue
             prefix = tuple(map(ord, word[:max(map(word.find, pairs)) + 2]))
             # k: the least multiple of e at which every block |theta^k(c)|
             # (the mirror's too) has n_max letters
@@ -409,6 +413,8 @@ def counting_certificate(sub: Substitution, n_max: int) -> CountingCertificate:
             if best is None or ((cert.letters, cert.slice_letters)
                                 < (best.letters, best.slice_letters)):
                 best = cert
+    if skipped and best is None:  # each |theta^k(Q)| is >= (cap + 1) n_max
+        check_size((cap + 1) * n_max, "eigenray prefix")
     if best is None:
         raise NotAnEigenletterError("no letter generates an eigenray")
     return best
@@ -423,8 +429,9 @@ def complexity_counts(sub: Substitution, n_max: int) -> list[int]:
     in one automaton, the slices joined by the separator ``chr(sigma)``.
     The cap bounds that prefix, and so the automaton's input, which is never
     longer: merged slices lie at least one letter apart, and each separator
-    stands in for such a gap.  A prefix beyond the cap is refused before
-    anything is expanded.  Index 0 of the returned list is 0.
+    stands in for such a gap.  A prefix beyond the cap is refused before the
+    prefix is expanded; the search reads at most cap letters of each ray.
+    Index 0 of the returned list is 0.
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")

@@ -548,6 +548,29 @@ class TestSizeCapSetting:
         assert proc.returncode == 3
         assert proc.stderr == "resource cap: out of memory during collapse\n"
 
+    def test_certificate_search_within_the_cap_exit_3(self, tmp_path):
+        # each ray of this substitution holds every length-2 factor only
+        # billions of letters out; the search reads at most the cap of each,
+        # and the prefix it finds is refused, in bounded memory
+        import resource
+
+        def cap_address_space():  # in the child only
+            resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+        source = tmp_path / "slow_rays.lam"
+        source.write_text("sub\nsub a = c d a f a a a f\nsub b = d a f a e c e e\n"
+                          "sub c = c c a f c c f c\nsub d = b\nsub e = d\n"
+                          "sub f = c f c c d a\n")
+        env = {k: v for k, v in os.environ.items() if k != "LAMTOOL_SIZE_CAP"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "lamtool.cli", "complexity", str(source),
+             "--max-n", "3"],
+            capture_output=True, text=True, env=env,
+            preexec_fn=cap_address_space, timeout=60)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("size cap exceeded: eigenray prefix needs")
+        assert "out of memory" not in proc.stderr
+
 
 class TestCollapseCommand:
     def test_size_cap_exit_3(self):

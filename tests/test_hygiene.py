@@ -3,7 +3,8 @@
 Every ``__all__`` entry resolves, no import goes unused, no module imports
 ``dataclasses`` (records are ``typing.NamedTuple``s), numpy or ``array``
 (a word is a code-point ``str``), ``pyproject.toml`` lists no run-time
-dependency, and only
+dependency, no subclass of ``LanguageSource`` redefines a table the base
+derives, and only
 ``laminations.certify`` runs the steps that decide whether a map carries
 an attracting language.  Every module-level
 function and class, and every method and property of a class, is named
@@ -180,6 +181,27 @@ def test_one_place_certifies_a_map():
                         and node.func.id in steps):
                     callers.add(f"{path.stem}.{func.name}")
     assert callers == {"laminations.certify"}
+
+
+def test_one_shape_for_every_language_source():
+    """``LanguageSource`` derives every table, and refuses it past
+    ``complete_to``: no subclass defines one of the derived tables, and no
+    class states a limit of its own on the extension of the search."""
+    derived = {"p_counts", "beta_counts", "metric_beta", "cover_bounds",
+               "rose_counts", "transport"}
+    classes = {node.name: node for path in MODULES
+               for node in ast.walk(_tree(path)) if isinstance(node, ast.ClassDef)}
+    sources = ["LanguageSource"]
+    for name in sources:  # read as it grows: every subclass, at any depth
+        sources += [sub for sub, node in classes.items()
+                    if name in {getattr(base, "id", None) for base in node.bases}]
+    overrides = sorted(f"{name}.{child.name}" for name in sources[1:]
+                       for child in classes[name].body
+                       if isinstance(child, ast.FunctionDef) and child.name in derived)
+    assert not overrides, f"subclasses define derived tables: {overrides}"
+    limits = sorted(path.name for path in MODULES
+                    if "extension_limit" in _references(_tree(path)))
+    assert not limits, f"{limits} name extension_limit"
 
 
 def test_no_run_time_dependency():

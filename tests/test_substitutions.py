@@ -597,16 +597,31 @@ class TestCertifiedCounting:
         assert cert.slice_letters == 1597 + 2584 + 999 + 2 * 999
 
     def test_cap_refuses_before_expanding(self, fib, monkeypatch):
+        # the search expands short ray prefixes, never one past the cap
         letters = counting_certificate(fib, 1000).letters
+        expand, sizes = substitutions.expand_codes, []
 
-        def no_expand(*args):
-            raise AssertionError("expanded past the cap")
+        def recorded(*args):
+            out = expand(*args)
+            sizes.append(out.size)
+            return out
 
-        monkeypatch.setattr(substitutions, "expand_codes", no_expand)
+        monkeypatch.setattr(substitutions, "expand_codes", recorded)
         monkeypatch.setenv("LAMTOOL_SIZE_CAP", str(letters - 1))
         with pytest.raises(SizeCapExceeded) as err:
             complexity_counts(fib, 1000)
         assert err.value.attempted == letters
+        assert max(sizes) <= letters - 1
+
+    def test_cap_bounds_the_search(self, fib, monkeypatch):
+        # every seed's Q has 4 letters (b a a b on the winning side): under a
+        # cap of 3 each is skipped, and |theta^k(Q)| >= 4 n_max is refused
+        monkeypatch.setenv("LAMTOOL_SIZE_CAP", "3")
+        with pytest.raises(SizeCapExceeded, match="eigenray prefix") as err:
+            counting_certificate(fib, 5)
+        assert err.value.attempted == 4 * 5
+        monkeypatch.setenv("LAMTOOL_SIZE_CAP", "4")
+        assert counting_certificate(fib, 5).prefix == (1, 0, 0, 1)
 
     def test_cap_equal_to_the_prefix_suffices(self, fib, monkeypatch):
         letters = counting_certificate(fib, 1000).letters
