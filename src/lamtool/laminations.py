@@ -404,14 +404,14 @@ class LanguageSource:
         (None elsewhere); and the note, or None, when the size cap refused it."""
         c0 = self.max_edge_length()
         window = [cover_bound_series(table, a, d, c0) for d in deltas]
-        limit, none = EXTENSION_DEPTH, [None] * len(deltas)
-        if (self.complete_to is not None or len(table) >= limit
+        none = [None] * len(deltas)
+        if (self.complete_to is not None or len(table) >= EXTENSION_DEPTH
                 or all(s.vanishing for s in window)):
             return window, none, None
         try:
-            big = self.metric_beta(limit)
+            big = self.metric_beta(EXTENSION_DEPTH)
         except SizeCapExceeded as exc:
-            return window, none, (f"search not extended to n={limit}: "
+            return window, none, (f"search not extended to n={EXTENSION_DEPTH}: "
                                   f"size cap exceeded: {exc}")
         return window, [None if s.vanishing else cover_bound_series(big, a, d, c0)
                         for d, s in zip(deltas, window)], None

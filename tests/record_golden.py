@@ -79,7 +79,8 @@ LAMLANG = {
 
 # name -> (sample input, edit of its text): inputs derived from a sample
 DERIVED = {
-    "fullshift-lengths-1-2.lam": ("fullshift_2rose", ("edge b v v 1\n", "edge b v v 2\n")),
+    "fullshift-lengths-1-2.lam": ("fullshift_2rose",
+                                  ("edge b v v 1\n", "edge b v v 2\n")),
     "fibonacci-map-lengths-10.lam": ("fibonacci_map", (" 1\n", " 10\n")),
 }
 _FULL_1_2 = "tests/golden/inputs/fullshift-lengths-1-2.lam"

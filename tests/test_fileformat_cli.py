@@ -550,8 +550,9 @@ class TestSizeCapSetting:
 
     def test_certificate_search_within_the_cap_exit_3(self, tmp_path):
         # each ray of this substitution holds every length-2 factor only
-        # billions of letters out; the search reads at most the cap of each,
-        # and the prefix it finds is refused, in bounded memory
+        # millions of letters out, and the certified prefix has billions:
+        # the search reads at most the cap of each ray, and the prefix is
+        # refused, in bounded memory
         import resource
 
         def cap_address_space():  # in the child only
