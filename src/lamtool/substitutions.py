@@ -10,9 +10,10 @@ Two enumeration routes are provided and cross-checked in the tests:
   kernel runs once, over the slices of that prefix that can hold a factor:
   the block theta^k(x) of the first occurrence of each letter x in Q, and
   ``n_max - 1`` letters on each side of the block boundary at the first
-  occurrence of each pair of letters in Q.  :func:`eigenray_prefix` expands
-  only those slices, so the work and the memory follow the slices, not the
-  prefix.
+  occurrence of each pair of letters in Q.  Each slice is a run of whole
+  blocks theta^k(c) cut at its ends, so each letter's block is expanded
+  once and the slices are cut from the blocks; :func:`eigenray_prefix`
+  serves only the search for Q.
 
 The second route makes covering-bound tables to n = 5000 cheap.  Both run
 on the standard library alone.
@@ -20,6 +21,7 @@ on the standard library alone.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from itertools import accumulate, islice
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -170,47 +172,22 @@ def eigen_exponent(sub: Substitution, seed: int) -> int:
     return k
 
 
-def _checked_windows(windows, target_len) -> list:
-    """``windows`` as a list of pairs, by default the whole prefix; raises
-    unless they are nonempty (start, stop) pairs, sorted and disjoint,
-    inside [0, target_len]."""
-    if windows is None:
-        windows = ((0, target_len),)
-    windows = [tuple(window) for window in windows]
-    if not windows:
-        raise DomainError("windows must hold at least one (start, stop) pair")
-    last = 0
-    for window in windows:
-        if len(window) != 2 or not last <= window[0] < window[1] <= target_len:
-            raise DomainError(
-                f"windows must be sorted, disjoint, nonempty (start, stop) "
-                f"pairs in [0, {target_len}]; got {window} after {last}")
-        last = window[1]
-    return windows
+def eigenray_prefix(sub: Substitution, seed, target_len: int) -> Word:
+    """The prefix of length target_len of the eigenray of ``seed``.
 
-
-def eigenray_prefix(sub: Substitution, seed, target_len: int,
-                    windows=None) -> Word:
-    """The windows of the prefix of length target_len of the eigenray of
-    ``seed``, concatenated; the default single window (0, target_len) is the
-    whole prefix.
-
-    ``windows`` are sorted, disjoint (start, stop) pairs.  With R the least
-    multiple of the eigen exponent with |theta^R(seed)| >= target_len, the
-    prefix is a prefix of theta^R(seed), and a letter c of theta^(R-j)(seed)
-    stands for a block of |theta^j(c)| letters of it.  The rounds work down
-    from the seed and keep, for each window, the run of letters whose blocks
-    meet it; only those runs are expanded, so the work and the memory follow
-    the windows, not the prefix.  A letter whose block meets two windows is
-    kept in both runs; at the last round the blocks are single letters and
-    the runs are the windows.  A target beyond the cap is refused before
-    anything is expanded.
+    With R the least multiple of the eigen exponent with |theta^R(seed)| >=
+    target_len, the prefix is a prefix of theta^R(seed), and a letter c of
+    theta^(R-j)(seed) stands for a block of |theta^j(c)| letters of it.  The
+    rounds work down from the seed, and before each expansion the run drops
+    the letters whose blocks lie past the target.  Every kept block but the
+    last lies below it, and |theta(c)| <= |theta^j(c)|, so no expansion
+    writes more than target_len + max_c |theta(c)| - 1 letters.  A target
+    beyond the cap is refused before anything is expanded.
     """
     if isinstance(seed, str):
         seed = sub.index(seed)
     if target_len < 1:
         raise DomainError("target length must be >= 1")
-    windows = _checked_windows(windows, target_len)
     k = eigen_exponent(sub, seed)
     check_size(target_len, "eigenray prefix")
     # sizes[j][chr(c)] = |theta^j(c)|, for j = 0..R
@@ -219,32 +196,16 @@ def eigenray_prefix(sub: Substitution, seed, target_len: int,
         sizes.append(dict(zip(sub._strings, lengths)))
         if not (len(sizes) - 1) % k and lengths[seed] >= target_len:
             break
-    # one run per window, end to end in ``word``: run i is the slice
-    # cuts[i]:cuts[i + 1], and its blocks cover the prefix letters spans[i]
-    word = chr(seed) * len(windows)
-    cuts = list(range(len(windows) + 1))
-    spans = [(0, sizes[-1][chr(seed)])] * len(windows)
-    for j in reversed(range(len(sizes))):
-        block = sizes[j]
-        runs = []
-        for i, (start, stop) in enumerate(windows):
-            (first, last), a, b = spans[i], cuts[i], cuts[i + 1]
-            # drop the letters whose blocks miss the window, from each end
-            while first + block[word[a]] <= start:
-                first += block[word[a]]
-                a += 1
-            while last - block[word[b - 1]] >= stop:
-                last -= block[word[b - 1]]
-                b -= 1
-            runs.append(word[a:b])
-            spans[i] = first, last
-        if not j:
-            return Word("".join(runs))
-        # the runs' letters after expanding (at the last, one per span letter)
-        cuts = [0, *accumulate(last - first if j == 1 else
-                               sum(map(sizes[1].__getitem__, run))
-                               for run, (first, last) in zip(runs, spans))]
-        word = expand_codes("".join(runs), sub._strings)
+    # the run's blocks cover its first ``total`` prefix letters, whatever
+    # the round, since expanding a letter splits its block into smaller ones
+    word, total = chr(seed), sizes[-1][chr(seed)]
+    for block in reversed(sizes[1:]):
+        end = len(word)
+        while total - block[word[end - 1]] >= target_len:
+            end -= 1
+            total -= block[word[end]]
+        word = expand_codes(word[:end], sub._strings)
+    return Word(word[:target_len])
 
 
 # ---------------------------------------------------------------------------
@@ -327,37 +288,37 @@ class CountingCertificate(NamedTuple):
         return sum(stop - start for start, stop in self.slices)
 
 
-def _ray_slices(prefix, lengths, n_max) -> tuple:
-    """The windows of theta^k(Q) that hold every factor of length <= n_max.
+def _ray_slices(prefix, pairs, lengths, n_max) -> tuple:
+    """|theta^k(Q)| and the windows of it that hold every factor of length
+    <= n_max.
 
-    ``prefix`` is Q and ``lengths[c]`` is |theta^k(c)|, at least n_max.  A
-    factor lies inside one block theta^k(x), or it crosses one boundary
-    between blocks theta^k(x) theta^k(y), with at most n_max - 1 letters on
-    each side.  So the block of the first occurrence of each letter in Q,
-    and the n_max - 1 letters on each side of the boundary at the first
-    occurrence of each pair, hold every factor.  The windows come in order
-    of their starts; overlapping or touching ones are merged.
+    ``prefix`` is Q as a ``str``, ``pairs`` its length-2 factors and
+    ``lengths[c]`` is |theta^k(c)|, at least n_max.  A factor lies inside one
+    block theta^k(x), or it crosses one boundary between blocks
+    theta^k(x) theta^k(y), with at most n_max - 1 letters on each side.  So
+    the block of the first occurrence of each letter in Q, and the n_max - 1
+    letters on each side of the boundary at the first occurrence of each
+    pair, hold every factor.  The offset of a position of Q in theta^k(Q)
+    weighs each letter before it by its block, counted with ``str.count``
+    between the positions that cut a window.  The windows come in order of
+    their starts; overlapping or touching ones are merged.
     """
     reach = n_max - 1
-    windows = []
-    seen = set()
-    stop = 0
-    for i, q in enumerate(prefix):
-        start, stop = stop, stop + lengths[q]
-        if q not in seen:
-            seen.add(q)
-            windows.append((start, stop))
-        pair = prefix[i:i + 2]
-        if reach and len(pair) == 2 and pair not in seen:
-            seen.add(pair)
-            windows.append((stop - reach, stop + reach))
+    firsts = [prefix.find(chr(c)) for c in range(len(lengths))]
+    boundaries = [prefix.find(pair) + 1 for pair in pairs] if reach else []
+    cuts = sorted({*firsts, *(i + 1 for i in firsts), *boundaries, len(prefix)})
+    offset = dict(zip(cuts, accumulate(
+        sum(n * prefix.count(chr(c), a, b) for c, n in enumerate(lengths))
+        for a, b in zip([0, *cuts], cuts))))
     merged = []
-    for start, stop in windows:
+    for start, stop in sorted([(offset[i], offset[i + 1]) for i in firsts] +
+                              [(offset[i] - reach, offset[i] + reach)
+                               for i in boundaries]):
         if merged and start <= merged[-1][1]:
             merged[-1] = (merged[-1][0], max(merged[-1][1], stop))
         else:
             merged.append((start, stop))
-    return tuple(merged)
+    return offset[len(prefix)], tuple(merged)
 
 
 def counting_certificate(sub: Substitution, n_max: int) -> CountingCertificate:
@@ -401,15 +362,14 @@ def counting_certificate(sub: Substitution, n_max: int) -> CountingCertificate:
             if not all(pair in word for pair in pairs):
                 skipped = True
                 continue
-            prefix = tuple(map(ord, word[:max(map(word.find, pairs)) + 2]))
+            prefix = word[:max(map(word.find, pairs)) + 2]
             # k: the least multiple of e at which every block |theta^k(c)|
             # (the mirror's too) has n_max letters
             k, lengths = next((k, lengths) for k, lengths
                               in enumerate(sub.block_lengths())
                               if not k % e and min(lengths) >= n_max)
-            cert = CountingCertificate(side, seed, k,
-                                       sum(lengths[q] for q in prefix), prefix,
-                                       _ray_slices(prefix, lengths, n_max))
+            letters, slices = _ray_slices(prefix, pairs, lengths, n_max)
+            cert = CountingCertificate(side, seed, k, letters, prefix, slices)
             if best is None or ((cert.letters, cert.slice_letters)
                                 < (best.letters, best.slice_letters)):
                 best = cert
@@ -417,29 +377,41 @@ def counting_certificate(sub: Substitution, n_max: int) -> CountingCertificate:
         check_size((cap + 1) * n_max, "eigenray prefix")
     if best is None:
         raise NotAnEigenletterError("no letter generates an eigenray")
-    return best
+    return best._replace(prefix=tuple(map(ord, best.prefix)))
 
 
 def complexity_counts(sub: Substitution, n_max: int) -> list[int]:
     """Exact p(n) for n = 1..n_max without materializing the language.
 
-    Expands the slices of the eigenray prefix that
-    :func:`counting_certificate` proves holds every factor of length
-    <= n_max, and only those, and counts the distinct factors of all of them
-    in one automaton, the slices joined by the separator ``chr(sigma)``.
-    The cap bounds that prefix, and so the automaton's input, which is never
-    longer: merged slices lie at least one letter apart, and each separator
-    stands in for such a gap.  A prefix beyond the cap is refused before the
-    prefix is expanded; the search reads at most cap letters of each ray.
-    Index 0 of the returned list is 0.
+    Counts the distinct factors of the slices of the eigenray prefix
+    theta^k(Q) that :func:`counting_certificate` proves hold every factor
+    of length <= n_max, in one automaton, the slices joined by the
+    separator ``chr(sigma)``.  A slice is a run of whole blocks theta^k(c),
+    cut at its two ends, so each letter's block is expanded once, by k
+    rounds, and every slice is cut from the blocks.  Q holds every letter,
+    so the blocks have at most |theta^k(Q)| letters.  The cap bounds that
+    prefix, and so the automaton's input, which is never longer: merged
+    slices lie at least one letter apart, and each separator stands in for
+    such a gap.  A prefix beyond the cap is refused before anything is
+    expanded; the search reads at most cap letters of each ray.  Index 0 of
+    the returned list is 0.
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     cert = counting_certificate(sub, n_max)  # refuses a non-primitive one
-    slices = eigenray_prefix(cert.sub, cert.seed, cert.letters, cert.slices)
-    cuts = [0, *accumulate(stop - start for start, stop in cert.slices)]
-    joined = chr(sub.sigma).join(slices[a:b] for a, b in zip(cuts, cuts[1:]))
-    return substring_counts(joined, sub.sigma, n_max)
+    check_size(cert.letters, "eigenray prefix")
+    blocks = [chr(c) for c in range(sub.sigma)]
+    for _ in range(cert.power):
+        blocks = [expand_codes(block, cert.sub._strings) for block in blocks]
+    ends = list(accumulate(len(blocks[q]) for q in cert.prefix))
+    slices = []
+    for start, stop in cert.slices:
+        # the run of whole blocks that holds the slice, cut at both ends
+        first, last = bisect_right(ends, start), bisect_left(ends, stop)
+        offset = ends[first] - len(blocks[cert.prefix[first]])
+        run = "".join(map(blocks.__getitem__, cert.prefix[first:last + 1]))
+        slices.append(run[start - offset:stop - offset])
+    return substring_counts(chr(sub.sigma).join(slices), sub.sigma, n_max)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 from lamtool import GraphSelfMap, MarkedMetricGraph, Substitution
 from lamtool.errors import PreconditionError
 from lamtool.graphs import project_path
-from lamtool.substitutions import _ray_slices, length2_factors
+from lamtool.substitutions import length2_factors
 from lamtool.words import inverse_codes
 
 
@@ -203,12 +203,39 @@ def naive_iterate_image(gsm, code, k):
     return tuple(word)
 
 
+def ray_slices_walk(prefix, lengths, n_max):
+    """The merged windows of theta^k(Q) that ``counting_certificate`` names,
+    by one walk over the tuple Q: the block of the first occurrence of each
+    letter, and n_max - 1 letters on each side of the boundary at the first
+    occurrence of each pair, in order of their starts."""
+    reach = n_max - 1
+    windows = []
+    seen = set()
+    stop = 0
+    for i, q in enumerate(prefix):
+        start, stop = stop, stop + lengths[q]
+        if q not in seen:
+            seen.add(q)
+            windows.append((start, stop))
+        pair = prefix[i:i + 2]
+        if reach and len(pair) == 2 and pair not in seen:
+            seen.add(pair)
+            windows.append((stop - reach, stop + reach))
+    merged = []
+    for start, stop in windows:
+        if merged and start <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], stop))
+        else:
+            merged.append((start, stop))
+    return tuple(merged)
+
+
 def certificate_oracle(sub, n_max):
     """``counting_certificate``'s (images, seed, power, letters, prefix,
     slices), derived step by step: the eigen exponent and the ray by tuple
-    expansion, Q by a scan for the pairs still missing, and the block
-    lengths |theta^k(c)| anew for each seed.  None when no letter generates
-    an eigenray."""
+    expansion, Q by a scan for the pairs still missing, the block lengths
+    |theta^k(c)| anew for each seed, and the slices by
+    :func:`ray_slices_walk`.  None when no letter generates an eigenray."""
     best = None
     for images in (sub.images, tuple(img[::-1] for img in sub.images)):
         side = Substitution(sub.letters, images)
@@ -240,7 +267,7 @@ def certificate_oracle(sub, n_max):
                 k += 1
             prefix = word[:end + 1]
             letters = sum(lengths[q] for q in prefix)
-            slices = _ray_slices(prefix, lengths, n_max)
+            slices = ray_slices_walk(prefix, lengths, n_max)
             key = (letters, sum(stop - start for start, stop in slices))
             if best is None or key < best[0]:
                 best = key, (images, seed, k, letters, prefix, slices)

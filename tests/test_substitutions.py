@@ -129,84 +129,6 @@ class TestEigenrays:
             thue_morse_word(512)
 
 
-@st.composite
-def eigenray_windows(draw):
-    """A primitive substitution, one of its eigenletters, a target length
-    and sorted, disjoint, nonempty windows of the prefix of that length."""
-    sub = draw(primitive_substitutions())
-    seeds = []
-    for seed in range(sub.sigma):
-        try:
-            eigen_exponent(sub, seed)
-        except NotAnEigenletterError:
-            continue
-        seeds.append(seed)
-    assume(seeds)
-    target = draw(st.integers(1, 400))
-    bounds = sorted(draw(st.sets(st.integers(0, target), min_size=2, max_size=8)))
-    if draw(st.booleans()):
-        bounds = sorted({0, target, *bounds})
-    windows = list(zip(bounds[::2], bounds[1::2]))
-    return sub, draw(st.sampled_from(seeds)), target, windows
-
-
-class TestEigenrayWindows:
-    @settings(max_examples=80, deadline=None)
-    @given(eigenray_windows())
-    def test_windows_are_the_sliced_prefix(self, case):
-        sub, seed, target, windows = case
-        whole = eigenray_prefix(sub, seed, target)
-        assert whole.size == target
-        got = eigenray_prefix(sub, seed, target, windows)
-        assert got == "".join(whole[start:stop] for start, stop in windows)
-
-    def test_touching_windows_at_both_ends(self, fib):
-        word = fibonacci_word(500)
-        got = eigenray_prefix(fib, "a", 500, [(0, 3), (7, 20), (20, 21), (497, 500)])
-        assert ray_str(fib, got) == word[:3] + word[7:21] + word[497:]
-
-    @pytest.mark.parametrize("windows", [
-        [(5, 9), (0, 3)],      # unsorted
-        [(0, 6), (5, 9)],      # overlapping
-        [(3, 3)],              # empty
-        [(-1, 4)],             # before the prefix
-        [(8, 21)],             # past its end
-        [(1, 2, 3)],           # not a pair
-        []])                   # none
-    def test_bad_windows_refused(self, fib, windows):
-        with pytest.raises(DomainError, match="windows must"):
-            eigenray_prefix(fib, "a", 20, windows)
-
-    def test_bad_windows_refused_before_expanding(self, fib, monkeypatch):
-        def no_expand(*args):
-            raise AssertionError("expanded before checking the windows")
-
-        monkeypatch.setattr(substitutions, "expand_codes", no_expand)
-        with pytest.raises(DomainError):
-            eigenray_prefix(fib, "a", 20, [(4, 8), (2, 3)])
-
-    def test_counting_expands_about_the_slices(self, monkeypatch):
-        # expanding all of theta^k(Q) writes 10 times the slices' letters
-        # over its rounds; only the letters whose blocks meet a slice are
-        # expanded
-        six = Substitution.from_tokens(
-            {k: list(v) for k, v in dict(a="abc", b="cd", c="ea", d="fb",
-                                         e="afd", f="ba").items()})
-        letters = []
-        expand = substitutions.expand_codes
-
-        def counted(*args):
-            out = expand(*args)
-            letters.append(out.size)
-            return out
-
-        monkeypatch.setattr(substitutions, "expand_codes", counted)
-        cert = counting_certificate(six, 2000)
-        complexity_counts(six, 2000)
-        assert cert.letters > 3 * cert.slice_letters
-        assert sum(letters) <= 2 * cert.slice_letters
-
-
 class TestFactorLanguage:
     def test_fibonacci_counts(self, fib):
         lang = factor_language(fib, 3)
@@ -476,6 +398,78 @@ class TestWindowHarvest:
             monkeypatch.setattr(substitutions, name, refuse)
         lang = factor_language(fib, 30)
         assert lang.p_counts() == [n + 1 for n in range(1, 31)]
+
+
+@st.composite
+def eigenray_targets(draw):
+    """A primitive substitution, one of its eigenletters and a target
+    length."""
+    sub = draw(primitive_substitutions())
+    seeds = []
+    for seed in range(sub.sigma):
+        try:
+            eigen_exponent(sub, seed)
+        except NotAnEigenletterError:
+            continue
+        seeds.append(seed)
+    assume(seeds)
+    return sub, draw(st.sampled_from(seeds)), draw(st.integers(1, 400))
+
+
+def recorded_expansions(monkeypatch):
+    """The length of every ``expand_codes`` output, in call order."""
+    expand, sizes = substitutions.expand_codes, []
+
+    def recorded(*args):
+        out = expand(*args)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(substitutions, "expand_codes", recorded)
+    return sizes
+
+
+class TestExpansionBounds:
+    """The work follows what is read: the eigenray search expands at most
+    one image past its target, and the count at most the certified
+    prefix."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(eigenray_targets())
+    def test_eigenray_expands_at_most_one_image_past_the_target(self, case):
+        sub, seed, target = case
+        with pytest.MonkeyPatch.context() as patch:
+            sizes = recorded_expansions(patch)
+            got = eigenray_prefix(sub, seed, target)
+        # every kept block but the last lies below the target, and
+        # |theta(c)| <= |theta^j(c)|
+        assert max(sizes, default=0) <= target + max(map(len, sub.images)) - 1
+        e, word = eigen_exponent(sub, seed), (seed,)
+        while len(word) < target:
+            for _ in range(e):
+                word = tuple(y for x in word for y in sub.images[x])
+        assert got == "".join(map(chr, word[:target]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(primitive_substitutions(), st.integers(1, 300))
+    def test_counting_expands_within_the_prefix(self, sub, n):
+        search, certs = substitutions.counting_certificate, []
+        with pytest.MonkeyPatch.context() as patch:
+            sizes = recorded_expansions(patch)
+
+            def certified(*args):
+                certs.append(search(*args))
+                sizes.clear()  # the search's own expansions
+                return certs[0]
+
+            patch.setattr(substitutions, "counting_certificate", certified)
+            complexity_counts(sub, n)
+        cert = certs[0]
+        # k rounds over every letter; the last writes each block
+        # theta^k(c) once, and Q holds every letter
+        assert len(sizes) == cert.power * sub.sigma
+        assert sum(sizes[len(sizes) - sub.sigma:]) <= cert.letters
+        assert max(sizes, default=0) <= cert.letters
 
 
 class TestCertifiedCounting:
