@@ -279,7 +279,7 @@ class CountingCertificate(NamedTuple):
     sub: Substitution    # theta or its mirror, with the same p(n)
     seed: int            # the eigenletter
     power: int           # k, a multiple of the eigen exponent
-    letters: int         # |theta^k(Q)|, the ray prefix that is expanded
+    letters: int         # |theta^k(Q)|, the prefix the cap is asked about
     prefix: tuple        # Q, the shortest ray prefix holding every pair
     slices: tuple        # merged (start, stop) windows of theta^k(Q)
 
@@ -377,6 +377,7 @@ def counting_certificate(sub: Substitution, n_max: int) -> CountingCertificate:
         check_size((cap + 1) * n_max, "eigenray prefix")
     if best is None:
         raise NotAnEigenletterError("no letter generates an eigenray")
+    # Q as letter codes, for the winner only: the search keeps it a str
     return best._replace(prefix=tuple(map(ord, best.prefix)))
 
 

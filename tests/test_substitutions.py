@@ -593,14 +593,7 @@ class TestCertifiedCounting:
     def test_cap_refuses_before_expanding(self, fib, monkeypatch):
         # the search expands short ray prefixes, never one past the cap
         letters = counting_certificate(fib, 1000).letters
-        expand, sizes = substitutions.expand_codes, []
-
-        def recorded(*args):
-            out = expand(*args)
-            sizes.append(out.size)
-            return out
-
-        monkeypatch.setattr(substitutions, "expand_codes", recorded)
+        sizes = recorded_expansions(monkeypatch)
         monkeypatch.setenv("LAMTOOL_SIZE_CAP", str(letters - 1))
         with pytest.raises(SizeCapExceeded) as err:
             complexity_counts(fib, 1000)
