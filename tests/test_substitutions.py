@@ -24,8 +24,8 @@ from lamtool.substitutions import (counting_certificate, eigen_exponent,
                                    length2_factors, linear_fit_constant)
 
 from conftest import (arnoux_rauzy_substitution, certificate_oracle,
-                      fibonacci_word, iter_factors_raw, string_factors,
-                      thue_morse_complexity, thue_morse_word)
+                      fibonacci_word, iter_factors_raw, ray_slices_walk,
+                      string_factors, thue_morse_complexity, thue_morse_word)
 
 
 @pytest.fixture
@@ -470,6 +470,114 @@ class TestExpansionBounds:
         assert len(sizes) == cert.power * sub.sigma
         assert sum(sizes[len(sizes) - sub.sigma:]) <= cert.letters
         assert max(sizes, default=0) <= cert.letters
+
+
+class TestEigenrayWindows:
+    """The windows of the certified eigenray prefix theta^k(Q), the
+    certificate's slices, which ``complexity_counts`` cuts from one block
+    per letter."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(primitive_substitutions(), st.integers(1, 100))
+    def test_windows_are_the_sliced_prefix(self, sub, n):
+        read = []
+
+        def recorded(codes, sigma, n_max):
+            read.append(codes)
+            return substring_counts(codes, sigma, n_max)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(substitutions, "substring_counts", recorded)
+            complexity_counts(sub, n)
+        cert = counting_certificate(sub, n)
+        # theta^k(Q) by tuple expansion, not by the blocks
+        whole = cert.prefix
+        for _ in range(cert.power):
+            whole = tuple(y for x in whole for y in cert.sub.images[x])
+        assert len(whole) == cert.letters
+        text = "".join(map(chr, whole))
+        assert read == [chr(sub.sigma).join(text[start:stop]
+                                            for start, stop in cert.slices)]
+
+    def test_touching_windows_at_both_ends(self):
+        # blocks of 3 letters: the blocks of the first a and the first b,
+        # (0, 3) and (3, 6), touch and merge into the whole prefix
+        assert substitutions._ray_slices("\0\1", [], [3, 3], 1) == \
+            (6, ((0, 6),))
+        assert ray_slices_walk((0, 1), [3, 3], 1) == ((0, 6),)
+        # with n_max = 2 the boundaries a|b and b|a add (2, 4) and (5, 7),
+        # which overlap the blocks; the third block lies past them
+        assert substitutions._ray_slices(
+            "\0\1\0", ["\0\1", "\1\0"], [3, 3], 2) == (9, ((0, 7),))
+        assert ray_slices_walk((0, 1, 0), [3, 3], 2) == ((0, 7),)
+
+    def test_counting_expands_about_the_slices(self, monkeypatch):
+        # theta^k(Q) holds over 3 times the slices' letters; the search's
+        # short ray prefixes and one block per letter stay within twice them
+        six = Substitution.from_tokens(
+            {k: list(v) for k, v in dict(a="abc", b="cd", c="ea", d="fb",
+                                         e="afd", f="ba").items()})
+        letters = []
+        expand = substitutions.expand_codes
+
+        def counted(*args):
+            out = expand(*args)
+            letters.append(out.size)
+            return out
+
+        monkeypatch.setattr(substitutions, "expand_codes", counted)
+        cert = counting_certificate(six, 2000)
+        complexity_counts(six, 2000)
+        assert cert.letters > 3 * cert.slice_letters
+        assert sum(letters) <= 2 * cert.slice_letters
+
+
+FIB_RULES = {"a": "ab", "b": "a"}
+BAD_TARGETS = [
+    pytest.param(FIB_RULES, "a", 0, DomainError,
+                 "target length must be >= 1", id="zero"),
+    pytest.param(FIB_RULES, "a", -3, DomainError,
+                 "target length must be >= 1", id="negative"),
+    pytest.param(FIB_RULES, "b", 20, NotAnEigenletterError,
+                 "'b' never returns to first position", id="off_the_cycle"),
+    pytest.param({"a": "a", "b": "ba"}, "a", 20, NotAnEigenletterError,
+                 "'a' is periodic and never grows", id="periodic"),
+    pytest.param(FIB_RULES, "c", 20, MalformedInputError,
+                 "unknown letter 'c'", id="unknown_letter"),
+    pytest.param(FIB_RULES, "a", 101, SizeCapExceeded,
+                 "eigenray prefix needs 101 int32 words, over the cap 100",
+                 id="over_the_cap"),
+]
+
+
+class TestEigenrayTargets:
+    """``eigenray_prefix`` refuses a seed or a target it cannot serve, under
+    a cap of 100 letters, before it expands anything."""
+
+    @pytest.mark.parametrize("rules, seed, target, error, match", BAD_TARGETS)
+    def test_bad_targets_refused(self, monkeypatch, rules, seed, target,
+                                 error, match):
+        monkeypatch.setenv("LAMTOOL_SIZE_CAP", "100")
+        sub = Substitution.from_tokens({k: list(v) for k, v in rules.items()})
+        with pytest.raises(error, match=match):
+            eigenray_prefix(sub, seed, target)
+
+    @pytest.mark.parametrize("rules, seed, target, error, match", BAD_TARGETS)
+    def test_bad_targets_refused_before_expanding(self, monkeypatch, rules,
+                                                  seed, target, error, match):
+        def no_expand(*args):
+            raise AssertionError("expanded before checking the target")
+
+        monkeypatch.setenv("LAMTOOL_SIZE_CAP", "100")
+        monkeypatch.setattr(substitutions, "expand_codes", no_expand)
+        sub = Substitution.from_tokens({k: list(v) for k, v in rules.items()})
+        with pytest.raises(error, match=match):
+            eigenray_prefix(sub, seed, target)
+
+    def test_target_at_the_cap_is_served(self, fib, monkeypatch):
+        monkeypatch.setenv("LAMTOOL_SIZE_CAP", "100")
+        assert ray_str(fib, eigenray_prefix(fib, "a", 100)) == \
+            fibonacci_word(100)
 
 
 class TestCertifiedCounting:
