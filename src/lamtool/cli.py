@@ -13,8 +13,8 @@ Exit codes: 0 success, 1 usage or parse error (or stdout closed early),
 out), 4 under-enumeration.
 LAMTOOL_SIZE_CAP, the only setting of the size cap, counts int32 words (one
 per letter); it bounds expanded words, the automaton's input (by the
-eigenray prefix whose slices it reads, or by a lamlang language's paths),
-full-shift tables and the depth of materialized strata.
+slices it reads, or by a lamlang language's paths), full-shift tables and
+the depth of materialized strata.
 """
 
 from __future__ import annotations
@@ -416,6 +416,8 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # tables and refusals print
+        sys.set_int_max_str_digits(0)           # ints of any size
     parser = _build_parser()
     try:
         try:

@@ -3,11 +3,11 @@
 The cap counts letters, named int32 words in its messages; an expanded
 letter is a ``str`` code point, one byte below code 256, but costs more
 (``tracemalloc`` peaks, CPython 3.11): the counting automaton takes
-150-190 B a letter it reads, at most that a unit of the capped eigenray
-prefix (10.3 MB for six_letter at n = 2000: 54154 of 78142 slice letters
-read); materialized strata take 2.6-5.5 B a member letter, and the cap
-counts their depth, whose cube the letters grow as (221 MB for
-theta_collapse at depth 300).
+150-190 B a letter it reads, at most that a capped slice letter (8.2 MB
+for six_letter at n = 2000: 54154 of 77852 slice letters read);
+materialized strata take 2.6-5.5 B a member letter, and the cap counts
+their depth, whose cube the letters grow as (221 MB for theta_collapse at
+depth 300).
 """
 
 import os

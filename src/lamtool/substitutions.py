@@ -5,15 +5,13 @@ Two enumeration routes are provided and cross-checked in the tests:
 * :func:`factor_language` materializes the length strata up to ``n_max`` by
   iterating the substitution on every letter until a round adds nothing;
 * :func:`complexity_counts` only counts: the length-2-factor certificate
-  (:func:`counting_certificate`) names an eigenray prefix theta^k(Q) that
-  holds every factor of length <= ``n_max``, and the distinct-substring
-  kernel runs once, over the slices of that prefix that can hold a factor:
-  the block theta^k(x) of the first occurrence of each letter x in Q, and
-  ``n_max - 1`` letters on each side of the block boundary at the first
-  occurrence of each pair of letters in Q.  Each slice is a run of whole
-  blocks theta^k(c) cut at its ends, so each letter's block is expanded
-  once and the slices are cut from the blocks; :func:`eigenray_prefix`
-  serves only the search for Q.
+  (:func:`counting_certificate`) names the slices of theta^k(Q), for Q an
+  eigenray prefix holding every pair of letters, that hold every factor of
+  length <= ``n_max``: the block theta^k(x) of the first occurrence of
+  each letter x in Q, and ``n_max - 1`` letters on each side of the block
+  boundary at the first occurrence of each pair.  The slices are cut from
+  one block per letter, and the distinct-substring kernel runs once, over
+  them; :func:`eigenray_prefix` serves only the search for Q.
 
 The second route makes covering-bound tables to n = 5000 cheap.  Both run
 on the standard library alone.
@@ -21,7 +19,6 @@ on the standard library alone.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from itertools import accumulate, islice
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -273,15 +270,16 @@ def length2_factors(sub: Substitution) -> frozenset:
 
 
 class CountingCertificate(NamedTuple):
-    """The eigenray prefix that carries every factor of length <= n_max, and
-    the slices of it that the automaton reads."""
+    """The windows of theta^k(Q) that carry every factor of length <= n_max,
+    which the automaton reads, and the runs of Q whose blocks hold them."""
 
     sub: Substitution    # theta or its mirror, with the same p(n)
     seed: int            # the eigenletter
-    power: int           # k, a multiple of the eigen exponent
-    letters: int         # |theta^k(Q)|, the prefix the cap is asked about
-    prefix: tuple        # Q, the shortest ray prefix holding every pair
+    power: int           # k, the least with every block theta^k(c) n_max long
+    prefix: str          # Q, the shortest ray prefix holding every pair
     slices: tuple        # merged (start, stop) windows of theta^k(Q)
+    runs: tuple          # per slice, (first, last, offset): the blocks of
+                         # Q[first:last] hold it, the first from offset on
 
     @property
     def slice_letters(self) -> int:
@@ -289,8 +287,8 @@ class CountingCertificate(NamedTuple):
 
 
 def _ray_slices(prefix, pairs, lengths, n_max) -> tuple:
-    """|theta^k(Q)| and the windows of it that hold every factor of length
-    <= n_max.
+    """The windows of theta^k(Q) that hold every factor of length <= n_max,
+    and the run of blocks that holds each.
 
     ``prefix`` is Q as a ``str``, ``pairs`` its length-2 factors and
     ``lengths[c]`` is |theta^k(c)|, at least n_max.  A factor lies inside one
@@ -298,50 +296,56 @@ def _ray_slices(prefix, pairs, lengths, n_max) -> tuple:
     theta^k(x) theta^k(y), with at most n_max - 1 letters on each side.  So
     the block of the first occurrence of each letter in Q, and the n_max - 1
     letters on each side of the boundary at the first occurrence of each
-    pair, hold every factor.  The offset of a position of Q in theta^k(Q)
+    pair, hold every factor.  The offset of the block of a position of Q
     weighs each letter before it by its block, counted with ``str.count``
-    between the positions that cut a window.  The windows come in order of
-    their starts; overlapping or touching ones are merged.
+    between the positions whose blocks start a window; Q past the last of
+    them is not weighed.  The windows come in order of their starts;
+    overlapping or touching ones are merged, with their runs.
     """
     reach = n_max - 1
     firsts = [prefix.find(chr(c)) for c in range(len(lengths))]
-    boundaries = [prefix.find(pair) + 1 for pair in pairs] if reach else []
-    cuts = sorted({*firsts, *(i + 1 for i in firsts), *boundaries, len(prefix)})
+    lefts = [prefix.find(pair) for pair in pairs] if reach else []
+    cuts = sorted({*firsts, *lefts})
     offset = dict(zip(cuts, accumulate(
         sum(n * prefix.count(chr(c), a, b) for c, n in enumerate(lengths))
         for a, b in zip([0, *cuts], cuts))))
-    merged = []
-    for start, stop in sorted([(offset[i], offset[i + 1]) for i in firsts] +
-                              [(offset[i] - reach, offset[i] + reach)
-                               for i in boundaries]):
-        if merged and start <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], stop))
+    windows = [(offset[i], offset[i] + n, i, i + 1, offset[i])
+               for i, n in zip(firsts, lengths)]
+    for i in lefts:
+        middle = offset[i] + lengths[ord(prefix[i])]
+        windows.append((middle - reach, middle + reach, i, i + 2, offset[i]))
+    slices, runs = [], []
+    for start, stop, first, last, base in sorted(windows):
+        if slices and start <= slices[-1][1]:
+            slices[-1] = (slices[-1][0], max(slices[-1][1], stop))
+            runs[-1] = (runs[-1][0], max(runs[-1][1], last), runs[-1][2])
         else:
-            merged.append((start, stop))
-    return offset[len(prefix)], tuple(merged)
+            slices.append((start, stop))
+            runs.append((first, last, base))
+    return tuple(slices), tuple(runs)
 
 
 def counting_certificate(sub: Substitution, n_max: int) -> CountingCertificate:
-    """The shortest certified eigenray prefix over all eigenletters.
+    """The certificate with the fewest slice letters over all eigenletters.
 
     Every factor w with |w| <= n_max <= min_c |theta^k(c)| lies in the image
     under theta^k of some length-2 factor xy, since theta^k of a long word
     cuts w into at most two blocks.  If Q is the shortest prefix of the
     eigenray u holding every length-2 factor, theta^k(Q) holds every such
-    image, and with k a multiple of the eigen exponent it is the prefix of
-    u of length sum_{q in Q} |theta^k(q)|.  The windows of it that
+    image, for any such k; the least is taken.  Q is a factor of the
+    language, and so is theta^k(Q).  The windows of it that
     :func:`_ray_slices` names already hold every such factor, and they are
-    what the automaton reads.
+    what the automaton reads; theta^k(Q) itself is never built or weighed.
 
     The mirror of theta (every image reversed) has the reversed language and
-    so the same p(n); its eigenrays are searched too, so that the choice, and
-    the prefix length, do not depend on which orientation an input chose.
-    Ties in the prefix length go to the smaller slice total, which makes
-    that total independent of the orientation and the letter names too.
+    so the same p(n); its eigenrays are searched too, so that the slice
+    total does not depend on which orientation an input chose, nor on the
+    letter names.  Ties go to the first certificate found.
     A non-primitive substitution is refused: some letter's blocks may stay
     short, and the search for k would not end.  The search reads at most cap
-    letters of each ray: a seed whose first cap letters lack a pair has
-    |Q| > cap, so |theta^k(Q)| >= |Q| n_max > cap, and is skipped.
+    letters of each ray: a seed whose first cap letters lack a pair is
+    skipped, and when every seed is, the cap + 1 letters of a ray that Q
+    needs are refused.
     """
     if not sub.is_primitive():
         raise DomainError("complexity counting requires a primitive substitution")
@@ -363,54 +367,48 @@ def counting_certificate(sub: Substitution, n_max: int) -> CountingCertificate:
                 skipped = True
                 continue
             prefix = word[:max(map(word.find, pairs)) + 2]
-            # k: the least multiple of e at which every block |theta^k(c)|
-            # (the mirror's too) has n_max letters
+            # k: the least power at which every block |theta^k(c)| (the
+            # mirror's too) has n_max letters
             k, lengths = next((k, lengths) for k, lengths
                               in enumerate(sub.block_lengths())
-                              if not k % e and min(lengths) >= n_max)
-            letters, slices = _ray_slices(prefix, pairs, lengths, n_max)
-            cert = CountingCertificate(side, seed, k, letters, prefix, slices)
-            if best is None or ((cert.letters, cert.slice_letters)
-                                < (best.letters, best.slice_letters)):
+                              if min(lengths) >= n_max)
+            cert = CountingCertificate(side, seed, k, prefix,
+                                       *_ray_slices(prefix, pairs, lengths, n_max))
+            if best is None or cert.slice_letters < best.slice_letters:
                 best = cert
-    if skipped and best is None:  # each |theta^k(Q)| is >= (cap + 1) n_max
-        check_size((cap + 1) * n_max, "eigenray prefix")
+    if skipped and best is None:  # Q is longer than the cap letters read
+        check_size(cap + 1, "eigenray prefix")
     if best is None:
         raise NotAnEigenletterError("no letter generates an eigenray")
-    # Q as letter codes, for the winner only: the search keeps it a str
-    return best._replace(prefix=tuple(map(ord, best.prefix)))
+    return best
 
 
 def complexity_counts(sub: Substitution, n_max: int) -> list[int]:
     """Exact p(n) for n = 1..n_max without materializing the language.
 
-    Counts the distinct factors of the slices of the eigenray prefix
-    theta^k(Q) that :func:`counting_certificate` proves hold every factor
-    of length <= n_max, in one automaton, the slices joined by the
-    separator ``chr(sigma)``.  A slice is a run of whole blocks theta^k(c),
-    cut at its two ends, so each letter's block is expanded once, by k
-    rounds, and every slice is cut from the blocks.  Q holds every letter,
-    so the blocks have at most |theta^k(Q)| letters.  The cap bounds that
-    prefix, and so the automaton's input, which is never longer: merged
-    slices lie at least one letter apart, and each separator stands in for
-    such a gap.  A prefix beyond the cap is refused before anything is
-    expanded; the search reads at most cap letters of each ray.  Index 0 of
-    the returned list is 0.
+    Counts the distinct factors of the slices of theta^k(Q) that
+    :func:`counting_certificate` proves hold every factor of length
+    <= n_max, in one automaton, the slices joined by the separator
+    ``chr(sigma)``.  A slice is cut from its run of whole blocks theta^k(c),
+    so each letter's block is expanded once, by k rounds.  The cap is
+    charged the slices' letters before anything is expanded.  Each letter's
+    block lies whole inside a slice, so the blocks total at most that
+    charge, and so does the automaton's input: merged slices lie at least
+    one letter apart, and each separator stands in for such a gap.  The
+    search reads at most cap letters of each ray.  Index 0 of the returned
+    list is 0.
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     cert = counting_certificate(sub, n_max)  # refuses a non-primitive one
-    check_size(cert.letters, "eigenray prefix")
-    blocks = [chr(c) for c in range(sub.sigma)]
+    check_size(cert.slice_letters, "counting slices")
+    strings = cert.sub._strings
+    blocks = {x: x for x in strings}  # theta^j(c), keyed by chr(c)
     for _ in range(cert.power):
-        blocks = [expand_codes(block, cert.sub._strings) for block in blocks]
-    ends = list(accumulate(len(blocks[q]) for q in cert.prefix))
+        blocks = {x: expand_codes(block, strings) for x, block in blocks.items()}
     slices = []
-    for start, stop in cert.slices:
-        # the run of whole blocks that holds the slice, cut at both ends
-        first, last = bisect_right(ends, start), bisect_left(ends, stop)
-        offset = ends[first] - len(blocks[cert.prefix[first]])
-        run = "".join(map(blocks.__getitem__, cert.prefix[first:last + 1]))
+    for (start, stop), (first, last, offset) in zip(cert.slices, cert.runs):
+        run = "".join(map(blocks.__getitem__, cert.prefix[first:last]))
         slices.append(run[start - offset:stop - offset])
     return substring_counts(chr(sub.sigma).join(slices), sub.sigma, n_max)
 

@@ -231,11 +231,12 @@ def ray_slices_walk(prefix, lengths, n_max):
 
 
 def certificate_oracle(sub, n_max):
-    """``counting_certificate``'s (images, seed, power, letters, prefix,
-    slices), derived step by step: the eigen exponent and the ray by tuple
-    expansion, Q by a scan for the pairs still missing, the block lengths
-    |theta^k(c)| anew for each seed, and the slices by
-    :func:`ray_slices_walk`.  None when no letter generates an eigenray."""
+    """``counting_certificate``'s (images, seed, power, prefix, slices),
+    derived step by step: the eigen exponent and the ray by tuple expansion,
+    Q by a scan for the pairs still missing, the block lengths |theta^k(c)|
+    anew for each seed, and the slices by :func:`ray_slices_walk`; the
+    fewest slice letters win, ties going to the first found.  None when no
+    letter generates an eigenray."""
     best = None
     for images in (sub.images, tuple(img[::-1] for img in sub.images)):
         side = Substitution(sub.letters, images)
@@ -262,15 +263,14 @@ def certificate_oracle(sub, n_max):
                 missing.discard(word[end:end + 2])
                 end += 1
             lengths, k = [1] * sub.sigma, 0
-            while k % e or min(lengths) < n_max:
+            while min(lengths) < n_max:
                 lengths = [sum(lengths[x] for x in img) for img in images]
                 k += 1
             prefix = word[:end + 1]
-            letters = sum(lengths[q] for q in prefix)
             slices = ray_slices_walk(prefix, lengths, n_max)
-            key = (letters, sum(stop - start for start, stop in slices))
+            key = sum(stop - start for start, stop in slices)
             if best is None or key < best[0]:
-                best = key, (images, seed, k, letters, prefix, slices)
+                best = key, (images, seed, k, prefix, slices)
     return best and best[1]
 
 

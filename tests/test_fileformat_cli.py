@@ -14,6 +14,8 @@ import pytest
 from lamtool import cli, graphs
 from lamtool.errors import ParseError
 from lamtool.fileformat import build_language, format_length, parse
+from lamtool.laminations import certify
+from lamtool.substitutions import factor_language
 
 from conftest import (arnoux_rauzy_substitution, check_invariants,
                       lamlang_tables, random_reduced_word)
@@ -320,6 +322,44 @@ class TestComplexityCommand:
             assert [int(row.split(",")[1]) for row in table_rows(out)] == \
                 [2 * ((k - 1) * n + 1) for n in range(1, 801)], sub
 
+    # of the first four rose maps per rank that random_rose_map(
+    # random.Random(11), rank, 3) draws and certify accepts as
+    # non-orientable: the first and third of rank 3, the first two of rank 4
+    # and the second and third of rank 5.  A certificate charged for the
+    # whole of theta^k(Q) refused the third of rank 3 and the other three
+    # at n = 5000
+    HIGHER_RANK = {
+        "r3_1": {"e1": "e3 e2'", "e2": "e3 e3", "e3": "e1'"},
+        "r3_3": {"e1": "e2 e3 e3", "e2": "e2' e3", "e3": "e1 e3' e3'"},
+        "r4_1": {"e1": "e3' e4", "e2": "e1 e1", "e3": "e1' e3 e1",
+                 "e4": "e3 e2 e1'"},
+        "r4_2": {"e1": "e4' e1 e4'", "e2": "e1 e4'", "e3": "e1 e3'",
+                 "e4": "e4 e2' e3'"},
+        "r5_2": {"e1": "e3' e1' e3", "e2": "e4'", "e3": "e2 e1",
+                 "e4": "e5 e1", "e5": "e2'"},
+        "r5_3": {"e1": "e5' e1' e5'", "e2": "e3 e2' e5'", "e3": "e1 e4'",
+                 "e4": "e4 e5' e2", "e5": "e2' e5' e2'"},
+    }
+
+    @pytest.mark.parametrize("name", HIGHER_RANK)
+    def test_higher_rank_rose_maps_to_5000(self, name, tmp_path, capsys):
+        rules = self.HIGHER_RANK[name]
+        source = tmp_path / f"{name}.lam"
+        source.write_text(
+            "graph\nvertex v\n" + "".join(f"edge {e} v v 1\n" for e in rules)
+            + "map\nvmap v = v\n"
+            + "".join(f"map {e} = {image}\n" for e, image in rules.items()))
+        code, out, err = run_main(capsys, "complexity", source, "--max-n", "5000")
+        assert (code, err) == (0, "")
+        sub = certify(parse(source.read_text()).graph_map).substitution
+        assert [int(row.split(",")[1]) for row in table_rows(out)[:20]] == \
+            factor_language(sub, 20).p_counts()
+        # dimension extends its search to n = 5000 with no note
+        code, out, err = run_main(capsys, "dimension", source, "--a", "1.01",
+                                  "--delta", "0.01", "--max-n", "100")
+        assert (code, err) == (0, "")
+        assert "extended search to n=5000" in out
+
     def test_csv_file_output(self, tmp_path):
         target = tmp_path / "out.csv"
         code, _, _ = run_cli("complexity", FIBSUB, "--max-n", "5",
@@ -514,7 +554,7 @@ class TestSizeCapSetting:
              "--max-n", "500"],
             capture_output=True, text=True, env=env)
         assert proc.returncode == 3
-        assert "eigenray prefix" in proc.stderr
+        assert "counting slices" in proc.stderr
 
     def test_full_shift_beyond_cap_exit_3(self):
         env = dict(os.environ, LAMTOOL_SIZE_CAP="1000")
@@ -548,11 +588,11 @@ class TestSizeCapSetting:
         assert proc.returncode == 3
         assert proc.stderr == "resource cap: out of memory during collapse\n"
 
-    def test_certificate_search_within_the_cap_exit_3(self, tmp_path):
+    def test_certificate_search_within_the_cap_exit_0(self, tmp_path):
         # each ray of this substitution holds every length-2 factor only
-        # millions of letters out, and the certified prefix has billions:
-        # the search reads at most the cap of each ray, and the prefix is
-        # refused, in bounded memory
+        # millions of letters out, and theta^k(Q) has billions: the search
+        # reads at most the cap of each ray, and the count reads only the
+        # slices, in bounded memory
         import resource
 
         def cap_address_space():  # in the child only
@@ -568,9 +608,9 @@ class TestSizeCapSetting:
              "--max-n", "3"],
             capture_output=True, text=True, env=env,
             preexec_fn=cap_address_space, timeout=60)
-        assert proc.returncode == 3
-        assert proc.stderr == ("size cap exceeded: eigenray prefix needs "
-                               "3300464213 int32 words, over the cap 10000000\n")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.endswith("n,p,beta,beta_metric\n"
+                                    "1,6,6,6\n2,25,31,31\n3,50,81,81\n")
 
 
 class TestCollapseCommand:
@@ -927,6 +967,39 @@ class TestExtremeArguments:
                 if code not in range(5) or "Traceback" in err:
                     bad.append((argv, code, err))
         assert bad == []
+
+    def test_tables_print_ints_of_any_size(self, capsys, tmp_path):
+        # from n = 9012 on the full-shift counts have over 4300 digits, past
+        # CPython's default limit for converting an int to a str
+        assert cli.main(["complexity", str(FULL), "--max-n", "9100"]) == 0
+        rows = capsys.readouterr().out.split("n,p,beta,beta_metric\n")[1]
+        rows = rows.splitlines()
+        csv = tmp_path / "bounds.csv"
+        assert cli.main(["dimension", str(FULL), "--a", "3", "--delta", "0.5",
+                         "--max-n", "9100", "--csv", str(csv)]) == 0
+        betas = dict(line.split(",")[:2]
+                     for line in csv.read_text().splitlines()[1:])
+        assert len(rows) == 9100 and max(map(int, betas)) == 9100
+        # main lifts the limit for the whole process, so the closed forms
+        # print here too
+        for n in [*range(2, 10), *range(9000, 9101)]:
+            beta = 2 * (3 ** n - 1)
+            assert rows[n - 1] == f"{n},{4 * 3 ** (n - 1)},{beta},{beta}"
+            assert betas[str(n)] == str(beta)
+
+    @pytest.mark.parametrize("sample, edit, code", [
+        (FIB, ("edge a v v 1\n", "edge a v v 1e-5000\n"), 4),
+        (FIB, (" 1\n", " 1e-5000\n"), 3),
+        (FULL, (" 1\n", " 1e-5000\n"), 3)],
+        ids=["map-one-tiny-edge", "map-tiny-edges", "full-shift-tiny-edges"])
+    def test_refusals_print_ints_of_any_size(self, capsys, tmp_path, sample,
+                                             edit, code):
+        # a depth or a size of over 4300 digits, in a one-line message
+        source = tmp_path / "tiny.lam"
+        source.write_text(sample.read_text().replace(*edit))
+        assert cli.main(["complexity", str(source), "--max-n", "5"]) == code
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and len(err) > 4300
 
 
 # (edge lengths, paths) of lamlang fixtures, by id

@@ -431,8 +431,8 @@ def recorded_expansions(monkeypatch):
 
 class TestExpansionBounds:
     """The work follows what is read: the eigenray search expands at most
-    one image past its target, and the count at most the certified
-    prefix."""
+    one image past its target, and the count at most the slice letters
+    that the cap is charged."""
 
     @settings(max_examples=80, deadline=None)
     @given(eigenray_targets())
@@ -466,14 +466,14 @@ class TestExpansionBounds:
             complexity_counts(sub, n)
         cert = certs[0]
         # k rounds over every letter; the last writes each block
-        # theta^k(c) once, and Q holds every letter
+        # theta^k(c) once, and each lies whole inside a slice
         assert len(sizes) == cert.power * sub.sigma
-        assert sum(sizes[len(sizes) - sub.sigma:]) <= cert.letters
-        assert max(sizes, default=0) <= cert.letters
+        assert sum(sizes[len(sizes) - sub.sigma:]) <= cert.slice_letters
+        assert max(sizes, default=0) <= cert.slice_letters
 
 
 class TestEigenrayWindows:
-    """The windows of the certified eigenray prefix theta^k(Q), the
+    """The windows of theta^k(Q), for Q the certified eigenray prefix: the
     certificate's slices, which ``complexity_counts`` cuts from one block
     per letter."""
 
@@ -491,29 +491,31 @@ class TestEigenrayWindows:
             complexity_counts(sub, n)
         cert = counting_certificate(sub, n)
         # theta^k(Q) by tuple expansion, not by the blocks
-        whole = cert.prefix
+        whole = tuple(map(ord, cert.prefix))
         for _ in range(cert.power):
             whole = tuple(y for x in whole for y in cert.sub.images[x])
-        assert len(whole) == cert.letters
+        assert cert.slices[-1][1] <= len(whole)
         text = "".join(map(chr, whole))
         assert read == [chr(sub.sigma).join(text[start:stop]
                                             for start, stop in cert.slices)]
 
     def test_touching_windows_at_both_ends(self):
         # blocks of 3 letters: the blocks of the first a and the first b,
-        # (0, 3) and (3, 6), touch and merge into the whole prefix
+        # (0, 3) and (3, 6), touch and merge into the whole prefix, the run
+        # of Q's first two blocks
         assert substitutions._ray_slices("\0\1", [], [3, 3], 1) == \
-            (6, ((0, 6),))
+            (((0, 6),), ((0, 2, 0),))
         assert ray_slices_walk((0, 1), [3, 3], 1) == ((0, 6),)
         # with n_max = 2 the boundaries a|b and b|a add (2, 4) and (5, 7),
-        # which overlap the blocks; the third block lies past them
+        # which overlap the blocks; the slice ends inside the third block
         assert substitutions._ray_slices(
-            "\0\1\0", ["\0\1", "\1\0"], [3, 3], 2) == (9, ((0, 7),))
+            "\0\1\0", ["\0\1", "\1\0"], [3, 3], 2) == \
+            (((0, 7),), ((0, 3, 0),))
         assert ray_slices_walk((0, 1, 0), [3, 3], 2) == ((0, 7),)
 
     def test_counting_expands_about_the_slices(self, monkeypatch):
-        # theta^k(Q) holds over 3 times the slices' letters; the search's
-        # short ray prefixes and one block per letter stay within twice them
+        # the search's short ray prefixes and one block per letter stay
+        # within twice the slices' letters
         six = Substitution.from_tokens(
             {k: list(v) for k, v in dict(a="abc", b="cd", c="ea", d="fb",
                                          e="afd", f="ba").items()})
@@ -528,7 +530,6 @@ class TestEigenrayWindows:
         monkeypatch.setattr(substitutions, "expand_codes", counted)
         cert = counting_certificate(six, 2000)
         complexity_counts(six, 2000)
-        assert cert.letters > 3 * cert.slice_letters
         assert sum(letters) <= 2 * cert.slice_letters
 
 
@@ -601,8 +602,9 @@ class TestCertifiedCounting:
     @given(primitive_substitutions(), st.integers(1, 300))
     def test_certificate_matches_the_oracle(self, sub, n):
         cert = counting_certificate(sub, n)
-        assert (cert.sub.images, cert.seed, cert.power, cert.letters,
-                cert.prefix, cert.slices) == certificate_oracle(sub, n)
+        assert (cert.sub.images, cert.seed, cert.power,
+                tuple(map(ord, cert.prefix)), cert.slices) == \
+            certificate_oracle(sub, n)
 
     def test_non_primitive_input_is_refused_not_searched(self):
         # a -> ab, b -> b: b's block stays one letter long, so a search for
@@ -633,11 +635,13 @@ class TestCertifiedCounting:
 
     def test_certificate_reads_off_the_prefix_length(self, fib):
         cert = counting_certificate(fib, 1000)
-        # the mirror a -> ba, b -> a wins: its ray from b is b a a b a b a a,
-        # Q = b a a b, and |theta^16(a)| = 2584, |theta^16(b)| = 1597
-        assert cert.sub.images == ((1, 0), (0,))
-        assert (cert.seed, cert.power) == (1, 16)
-        assert cert.letters == 2 * 2584 + 2 * 1597
+        # theta itself wins: its ray from a is a b a a b a b a, Q = a b a a,
+        # and |theta^16(a)| = 2584, |theta^16(b)| = 1597 >= 1000 > 987 =
+        # |theta^15(b)|.  The mirror's Q = b a a b ties on the slice total,
+        # and ties go to the first found
+        assert cert.sub.images == ((0, 1), (0,))
+        assert (cert.seed, cert.power) == (0, 16)
+        assert len(cert.prefix) == 4
 
     def test_theta_collapse_past_n_43(self, silver_map):
         sub = from_train_track(silver_map, orientability(silver_map))
@@ -650,27 +654,28 @@ class TestCertifiedCounting:
         renamed = {"f": "fed", "e": "dc", "d": "bf", "c": "ae", "b": "fac",
                    "a": "ef"}
         mirrored = {k: v[::-1] for k, v in rules.items()}
-        letters = {
-            counting_certificate(Substitution.from_tokens(
-                {k: list(v) for k, v in r.items()}), 300).letters
-            for r in (rules, renamed, mirrored)}
-        assert len(letters) == 1
         for n_max in (300, 2000):
             totals = {
                 counting_certificate(Substitution.from_tokens(
                     {k: list(v) for k, v in r.items()}), n_max).slice_letters
                 for r in (rules, renamed, mirrored)}
             assert len(totals) == 1
-        assert totals == {78142}
+        assert totals == {77852}
 
     @settings(max_examples=40, deadline=None)
     @given(primitive_substitutions(), st.integers(1, 40))
     def test_slices_count_what_the_whole_prefix_counts(self, sub, n):
         cert = counting_certificate(sub, n)
-        assert cert.slice_letters <= cert.letters
+        # theta^k(Q) by tuple expansion: with k no multiple of the eigen
+        # exponent it need not be a prefix of the ray
+        whole = tuple(map(ord, cert.prefix))
+        for _ in range(cert.power):
+            whole = tuple(y for x in whole for y in cert.sub.images[x])
+        whole = "".join(map(chr, whole))
+        assert cert.slice_letters <= len(whole)
         bounds = [b for window in cert.slices for b in window]
         assert bounds == sorted(bounds) and len(set(bounds)) == len(bounds)
-        assert 0 <= bounds[0] and bounds[-1] <= cert.letters
+        assert 0 <= bounds[0] and bounds[-1] <= len(whole)
         read = []
 
         def recorded(codes, sigma, n_max):
@@ -681,26 +686,27 @@ class TestCertifiedCounting:
             patch.setattr(substitutions, "substring_counts", recorded)
             counts = complexity_counts(sub, n)
         assert list(counts[1:]) == factor_language(sub, n).p_counts()
-        ray = eigenray_prefix(cert.sub, cert.seed, cert.letters)
-        assert counts == substring_counts(ray, sub.sigma, n)
-        # the automaton reads the slices of the whole prefix, joined by a
+        assert counts == substring_counts(whole, sub.sigma, n)
+        # the automaton reads the slices of the whole word, joined by a
         # separator that is no letter
-        assert read[0] == chr(sub.sigma).join(ray[start:stop]
+        assert read[0] == chr(sub.sigma).join(whole[start:stop]
                                               for start, stop in cert.slices)
 
     def test_fibonacci_slices(self, fib):
         cert = counting_certificate(fib, 1000)
-        # Q = b a a b: blocks 1597, 2584, 2584, 1597; the block of b, the
-        # block of the first a, and 999 letters on each side of the
-        # boundaries b|a, a|a and a|b
-        assert cert.prefix == (1, 0, 0, 1)
-        assert cert.slices == ((0, 1597 + 2584 + 999),
-                               (1597 + 2 * 2584 - 999, 1597 + 2 * 2584 + 999))
-        assert cert.slice_letters == 1597 + 2584 + 999 + 2 * 999
+        # Q = a b a a: blocks 2584, 1597, 2584, 2584; the block of the first
+        # a, the block of b, and 999 letters on each side of the boundaries
+        # a|b, b|a and a|a.  The first slice is cut from the run of Q's first
+        # three blocks, the second from the last two, from 2584 + 1597 on
+        assert cert.prefix == "\0\1\0\0"
+        assert cert.slices == ((0, 2584 + 1597 + 999),
+                               (2 * 2584 + 1597 - 999, 2 * 2584 + 1597 + 999))
+        assert cert.runs == ((0, 3, 0), (2, 4, 2584 + 1597))
+        assert cert.slice_letters == 2584 + 1597 + 999 + 2 * 999
 
     def test_cap_refuses_before_expanding(self, fib, monkeypatch):
         # the search expands short ray prefixes, never one past the cap
-        letters = counting_certificate(fib, 1000).letters
+        letters = counting_certificate(fib, 1000).slice_letters
         sizes = recorded_expansions(monkeypatch)
         monkeypatch.setenv("LAMTOOL_SIZE_CAP", str(letters - 1))
         with pytest.raises(SizeCapExceeded) as err:
@@ -709,17 +715,18 @@ class TestCertifiedCounting:
         assert max(sizes) <= letters - 1
 
     def test_cap_bounds_the_search(self, fib, monkeypatch):
-        # every seed's Q has 4 letters (b a a b on the winning side): under a
-        # cap of 3 each is skipped, and |theta^k(Q)| >= 4 n_max is refused
+        # every seed's Q has 4 letters (a b a a on the winning side): under a
+        # cap of 3 each is skipped, and the 4 letters of a ray that Q needs
+        # are refused
         monkeypatch.setenv("LAMTOOL_SIZE_CAP", "3")
         with pytest.raises(SizeCapExceeded, match="eigenray prefix") as err:
             counting_certificate(fib, 5)
-        assert err.value.attempted == 4 * 5
+        assert err.value.attempted == 4
         monkeypatch.setenv("LAMTOOL_SIZE_CAP", "4")
-        assert counting_certificate(fib, 5).prefix == (1, 0, 0, 1)
+        assert counting_certificate(fib, 5).prefix == "\0\1\0\0"
 
     def test_cap_equal_to_the_prefix_suffices(self, fib, monkeypatch):
-        letters = counting_certificate(fib, 1000).letters
+        letters = counting_certificate(fib, 1000).slice_letters
         monkeypatch.setenv("LAMTOOL_SIZE_CAP", str(letters))
         counts = complexity_counts(fib, 1000)
         assert np.array_equal(counts[1:], np.arange(2, 1002))
