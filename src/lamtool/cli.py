@@ -416,8 +416,8 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):  # tables and refusals print
-        sys.set_int_max_str_digits(0)           # ints of any size
+    if hasattr(sys, "set_int_max_str_digits"):  # print ints of any size
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     try:
         try:

@@ -335,7 +335,7 @@ def counting_certificate(sub: Substitution, n_max: int) -> CountingCertificate:
     image, for any such k; the least is taken.  Q is a factor of the
     language, and so is theta^k(Q).  The windows of it that
     :func:`_ray_slices` names already hold every such factor, and they are
-    what the automaton reads; theta^k(Q) itself is never built or weighed.
+    what the automaton reads; theta^k(Q) is never built, nor weighed whole.
 
     The mirror of theta (every image reversed) has the reversed language and
     so the same p(n); its eigenrays are searched too, so that the slice
@@ -391,12 +391,11 @@ def complexity_counts(sub: Substitution, n_max: int) -> list[int]:
     <= n_max, in one automaton, the slices joined by the separator
     ``chr(sigma)``.  A slice is cut from its run of whole blocks theta^k(c),
     so each letter's block is expanded once, by k rounds.  The cap is
-    charged the slices' letters before anything is expanded.  Each letter's
-    block lies whole inside a slice, so the blocks total at most that
-    charge, and so does the automaton's input: merged slices lie at least
-    one letter apart, and each separator stands in for such a gap.  The
-    search reads at most cap letters of each ray.  Index 0 of the returned
-    list is 0.
+    charged the slices' letters before anything is expanded: each letter's
+    block lies whole inside a slice, so the blocks total at most that, and
+    the automaton reads only a separator more between slices.  The search
+    reads at most cap letters of each ray.  Index 0 of the returned list is
+    0.
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
